@@ -4,16 +4,15 @@ Usage (spawned by run.py, never by hand)::
 
     python3 perfbench/child.py STATS_JSON MODE -- <repro campaign arguments>
 
-``MODE`` is ``timed`` (reference sampler + first-unit marker only),
-``traced`` (also wraps every layer entry point, see spans.py) or
-``setup`` (exits as soon as the first unit starts).  On exit the
-process writes ``STATS_JSON``: the first unit's start, the reference
-samples and, when traced, spans, counts and cache counters.  Times are ``perf_counter`` readings, which share one clock
-with the parent.
+``MODE`` is ``timed`` (reference sampler + first-unit marker only) or
+``traced`` (also wraps every layer entry point, see spans.py).  On
+exit the process writes ``STATS_JSON``: the first unit's start, the
+reference samples and, when traced, spans, counts and cache counters.
+Times are ``perf_counter`` readings, which share one clock with the
+parent.
 """
 
 import json
-import os
 import sys
 import time
 
@@ -22,17 +21,11 @@ import refclock
 
 def main(argv: list[str]) -> int:
     stats_path, mode, separator, *campaign_args = argv
-    if separator != "--" or mode not in ("timed", "traced", "setup"):
-        raise SystemExit(f"usage: child.py STATS_JSON timed|traced|setup -- ARGS (got {argv})")
+    if separator != "--" or mode not in ("timed", "traced"):
+        raise SystemExit(f"usage: child.py STATS_JSON timed|traced -- ARGS (got {argv})")
     sampler = refclock.Sampler()
     sampler.start()
     stats = {"first_unit": None}
-
-    def write_stats() -> None:
-        sampler.stop()
-        stats["samples"] = sampler.samples
-        with open(stats_path, "w") as handle:
-            json.dump(stats, handle)
 
     tracer = None
     if mode == "traced":
@@ -55,9 +48,6 @@ def main(argv: list[str]) -> int:
     def marked_execute_unit(shared, task):
         if stats["first_unit"] is None:
             stats["first_unit"] = time.perf_counter()
-            if mode == "setup":
-                write_stats()
-                os._exit(0)
         return execute_unit(shared, task)
 
     executor._execute_unit = marked_execute_unit
@@ -72,7 +62,10 @@ def main(argv: list[str]) -> int:
             stats["spans"] = tracer.spans
             stats["counts"] = dict(tracer.counts)
             stats["cache"] = cache_stats()
-        write_stats()
+        sampler.stop()
+        stats["samples"] = sampler.samples
+        with open(stats_path, "w") as handle:
+            json.dump(stats, handle)
     return code
 
 

@@ -5,12 +5,13 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload sweep|attack|codegen --seed N \
         --seconds S --trace 0|1
 
-``--trace 0`` alternates setup probes (processes that exit when the
-first unit starts) with full campaign runs until ``--seconds`` are
-used, checks every document, and reports the end-to-end metrics
-``wall_s``, ``setup_s`` and ``peak_rss_mb``.  ``--trace 1`` alternates
-traced and untraced campaign runs and reports the per-layer metrics
-(see spans.py), including ``trace.overhead_s``.  Times are normalized
+``--trace 0`` runs full campaigns one after another until
+``--seconds`` are used, checks every document, and reports the
+end-to-end metrics ``wall_s``, ``setup_s`` (each campaign's time to
+its first unit) and ``peak_rss_mb``.  ``--trace 1`` runs pairs of one
+traced and one untraced campaign on the same hash seed and reports the
+per-layer metrics (see spans.py), including ``trace.overhead_s``, the
+median traced-minus-untraced difference of the pairs.  Times are normalized
 to the reference clock (refclock.py); raw seconds are printed beside
 them.  The last line of stdout is the JSON result.  The exit code is
 0 when every check passed, 1 when a check failed and 2 when the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import itertools
 import json
 import os
 import shutil
@@ -42,11 +44,11 @@ SRC = ROOT / "src"
 WORK_ROOT = ROOT / ".perfbench_work"
 
 #: Reference slices the parent times right before each spawn and right
-#: after each exit; they pin the speed of short processes.
+#: after each exit; they pin the speed of short spans such as setup.
 BESIDE_SLICES = 5
-#: Setup probes run before each full campaign.
-PROBES_PER_CAMPAIGN = 2
 MIN_CAMPAIGNS = 3
+#: A traced run needs two traced campaigns to compare their counts.
+MIN_PAIRS = 2
 #: A child that outlives this is killed and counted as failed.
 CHILD_TIMEOUT_S = 150.0
 #: Layer time metrics: name -> span names whose self times it sums.
@@ -94,27 +96,41 @@ def child_env(hash_seed: int) -> dict[str, str]:
 class Spawned:
     """One finished child process and what it reported."""
 
-    def __init__(self, raw_wall, rss_mb, stats, t_spawn, beside):
+    def __init__(self, raw_wall, rss_mb, stats, t_spawn, before, after):
         self.raw_wall = raw_wall
         self.rss_mb = rss_mb
         self.stats = stats
         self.t_spawn = t_spawn
-        self.beside = beside
+        #: Reference periods the parent timed right before the spawn
+        #: and right after the exit.
+        self.before = before
+        self.after = after
+
+    @property
+    def inside(self) -> list[float]:
+        """Reference periods the sampler took inside the process."""
+        return [period for _start, period in self.stats["samples"]]
 
     @property
     def periods(self) -> list[float]:
-        return self.beside + [period for _start, period in self.stats["samples"]]
-
-    def normalized(self, until: float) -> float:
-        """Spawn-to-``until`` seconds, less sampler time, at nominal speed."""
-        handler = sum(p for start, p in self.stats["samples"] if start < until)
-        return refclock.normalize(until - self.t_spawn, handler, self.periods)
+        return self.before + self.inside + self.after
 
     def wall(self) -> float:
-        return self.normalized(self.t_spawn + self.raw_wall)
+        """Spawn-to-exit seconds, less sampler time, at nominal speed."""
+        return refclock.normalize(self.raw_wall, sum(self.inside), self.periods)
+
+    def raw_setup(self) -> float:
+        return self.stats["first_unit"] - self.t_spawn
 
     def setup(self) -> float:
-        return self.normalized(self.stats["first_unit"])
+        """Spawn-to-first-unit seconds, at the speed measured around them."""
+        early = [p for start, p in self.stats["samples"] if start < self.stats["first_unit"]]
+        return refclock.normalize(self.raw_setup(), sum(early), self.before + early)
+
+    def inside_ratio(self) -> float:
+        """Mean reference period inside the process over the parent's."""
+        beside = self.before + self.after
+        return statistics.fmean(self.inside) / statistics.fmean(beside)
 
 
 class Bench:
@@ -145,7 +161,7 @@ class Bench:
                 (os.POSIX_SPAWN_DUP2, err_fd, 2),
             ]
             env = child_env(hash_seed)
-            beside = refclock.time_slices(BESIDE_SLICES)
+            before = refclock.time_slices(BESIDE_SLICES)
             t_spawn = time.perf_counter()
             pid = os.posix_spawn(sys.executable, argv, env, file_actions=actions)
             killer = threading.Timer(CHILD_TIMEOUT_S, os.kill, (pid, signal.SIGKILL))
@@ -160,17 +176,17 @@ class Bench:
             finally:
                 killer.cancel()
             raw_wall = time.perf_counter() - t_spawn
-            beside += refclock.time_slices(BESIDE_SLICES)
+            after = refclock.time_slices(BESIDE_SLICES)
         finally:
             os.close(err_fd)
         exit_code = os.waitstatus_to_exitcode(status)
         stats = json.loads(stats_path.read_text()) if stats_path.exists() else None
-        if stats is None or (mode != "setup" and exit_code != 0):
+        if stats is None or exit_code != 0:
             tail = stderr_path.read_text()[-2000:]
             raise ChildFailed(f"{mode} child exited {exit_code}:\n{tail}")
         if stats["first_unit"] is None:
             raise ChildFailed(f"{mode} child never started a unit")
-        run = Spawned(raw_wall, usage.ru_maxrss / 1024, stats, t_spawn, beside)
+        run = Spawned(raw_wall, usage.ru_maxrss / 1024, stats, t_spawn, before, after)
         return run, document
 
     def campaign(self, mode: str, hash_seed: int = 0) -> Spawned | None:
@@ -201,15 +217,9 @@ class ChildFailed(Exception):
 def timed(bench: Bench, seconds: float) -> dict:
     started = time.perf_counter()
     campaigns: list[Spawned] = []
-    probes: list[Spawned] = []
     cycles: list[float] = []
     while True:
         cycle_started = time.perf_counter()
-        for _ in range(PROBES_PER_CAMPAIGN):
-            try:
-                probes.append(bench.spawn("setup")[0])
-            except ChildFailed as error:
-                bench.problems.append(str(error))
         run = bench.campaign("timed")
         if run is not None:
             campaigns.append(run)
@@ -220,18 +230,18 @@ def timed(bench: Bench, seconds: float) -> dict:
             break
         if not campaigns and attempts >= MIN_CAMPAIGNS:
             break
-    if not campaigns or not probes:
+    if not campaigns:
         return {}
     walls = [run.wall() for run in campaigns]
-    setups = [probe.setup() for probe in probes]
+    setups = [run.setup() for run in campaigns]
     raw_walls = [run.raw_wall for run in campaigns]
-    raw_setups = [probe.stats["first_unit"] - probe.t_spawn for probe in probes]
+    raw_setups = [run.raw_setup() for run in campaigns]
     metrics = {
         "wall_s": (statistics.median(walls), "s"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (statistics.median(run.rss_mb for run in campaigns), "MB"),
     }
-    print(f"{len(campaigns)} campaign runs, {len(probes)} setup probes")
+    print(f"{len(campaigns)} campaign runs")
     print(f"  wall_s       {metrics['wall_s'][0]:.4f} s   raw median {statistics.median(raw_walls):.4f} s")
     print(f"  setup_s      {metrics['setup_s'][0]:.4f} s   raw median {statistics.median(raw_setups):.4f} s")
     print(f"  peak_rss_mb  {metrics['peak_rss_mb'][0]:.2f} MB")
@@ -258,33 +268,37 @@ def layer_metrics(run: Spawned) -> dict[str, float]:
 
 
 def traced(bench: Bench, seconds: float) -> dict:
+    """Pairs of one traced and one untraced campaign on the same hash seed.
+
+    Pair ``k`` runs on ``PYTHONHASHSEED`` ``k``, so the traced runs'
+    counts are compared across hash seeds while each overhead
+    difference compares like with like.  The arm that goes first
+    alternates, so drift within a pair cancels over the pairs.
+    """
     started = time.perf_counter()
-    runs: dict[str, list[Spawned]] = {"traced": [], "timed": []}
-    order = ["traced", "timed"]
-    attempts = 0
-    cycle = 0.0
-    while True:
-        mode = order[attempts % 2]
-        attempt_started = time.perf_counter()
-        # Distinct hash seeds: identical counts must not hinge on one.
-        run = bench.campaign(mode, hash_seed=attempts + 1)
-        if run is not None:
-            runs[mode].append(run)
-        attempts += 1
+    pairs: list[tuple[Spawned, Spawned]] = []
+    longest = 0.0
+    for hash_seed in itertools.count(1):
+        pair_started = time.perf_counter()
+        order = ("traced", "timed") if hash_seed % 2 else ("timed", "traced")
+        arms = {mode: bench.campaign(mode, hash_seed) for mode in order}
+        if None not in arms.values():
+            pairs.append((arms["traced"], arms["timed"]))
         now = time.perf_counter()
-        cycle = max(cycle, now - attempt_started)
-        if attempts >= 3 and now - started + cycle > seconds:
+        longest = max(longest, now - pair_started)
+        if hash_seed >= MIN_PAIRS and now - started + longest > seconds:
             break
-    if len(runs["traced"]) < 2 or not runs["timed"]:
-        bench.problems.append("need two traced runs and one untraced run")
+    if len(pairs) < MIN_PAIRS:
+        bench.problems.append(f"need {MIN_PAIRS} pairs of traced and untraced runs")
         return {}
-    counts = [run.stats["counts"] for run in runs["traced"]]
+    traced_runs = [traced_run for traced_run, _timed in pairs]
+    counts = [run.stats["counts"] for run in traced_runs]
     differing = sorted(
         name for name in LAYER_COUNTS if len({c.get(name, 0) for c in counts}) > 1
     )
     if differing:
         bench.problems.append("counts differ between traced runs: " + ", ".join(differing))
-    layers = [layer_metrics(run) for run in runs["traced"]]
+    layers = [layer_metrics(run) for run in traced_runs]
     metrics: dict[str, tuple[float, str]] = {}
     for name in LAYER_TIMES:
         metrics[name] = (statistics.median(layer[name] for layer in layers), "s")
@@ -294,11 +308,22 @@ def traced(bench: Bench, seconds: float) -> dict:
     metrics["runtime.golden_hit_ratio"] = (layers[0]["runtime.golden_hit_ratio"], "ratio")
     for name in LAYER_COUNTS:
         metrics[name] = (counts[0].get(name, 0), "bytes" if name.endswith("bytes") else "count")
+    overhead = statistics.median(t.wall() - u.wall() for t, u in pairs)
+    raw_overhead = statistics.median(t.raw_wall - u.raw_wall for t, u in pairs)
+    metrics["trace.overhead_s"] = (overhead, "s")
     traced_wall = statistics.median(layer["wall"] for layer in layers)
-    timed_wall = statistics.median(run.wall() for run in runs["timed"])
-    metrics["trace.overhead_s"] = (traced_wall - timed_wall, "s")
-    print(f"{len(runs['traced'])} traced and {len(runs['timed'])} untraced campaign runs")
-    print(f"  traced wall {traced_wall:.4f} s, untraced wall {timed_wall:.4f} s (normalized)")
+    print(f"{len(pairs)} pairs of traced and untraced campaign runs")
+    print(
+        f"  trace overhead {overhead:+.4f} s normalized, {raw_overhead:+.4f} s raw "
+        f"(median traced minus untraced of the pairs)"
+    )
+    for mode, arm in (("traced", 0), ("untraced", 1)):
+        ratios = [pair[arm].inside_ratio() for pair in pairs]
+        print(
+            f"  {mode:8s} reference period inside / beside the process: median "
+            f"{statistics.median(ratios):.4f} ({', '.join(f'{r:.3f}' for r in ratios)})"
+        )
+    print(f"  traced wall {traced_wall:.4f} s (normalized)")
     for name in LAYER_TIMES:
         share = 100 * metrics[name][0] / traced_wall
         print(f"  {name:28s} {metrics[name][0]:9.4f} s  {share:5.1f} %")

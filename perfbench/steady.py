@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/steady.py [--runs 10] [--seconds S] [--workload W ...]
+    python3 perfbench/steady.py [--seconds S]
 
-Runs ``run.py --trace 0`` ``--runs`` times per workload, each with
-another seed, then a second set the same way with fresh seeds.  For
-every end-to-end metric it prints both set medians, their relative
-difference, each set's spread (quartile distance over median) and the
-bound from BENCHMARK.json.  It exits 1 when a spread (``setup_s``
-excepted) or a worsening between the sets exceeds its bound.
+Runs ``run.py --trace 0`` ten times on every workload of
+BENCHMARK.json with seeds 0-9, then a second set the same way with
+seeds 10-19.  For every end-to-end metric it prints both set medians,
+their relative change, each set's spread (quartile distance over
+median) and the bound.  It exits 1 when a spread (``setup_s``
+excepted) or the change between the sets, in either direction,
+exceeds the metric's bound.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
+SETS = 2
 
 
 def one_run(workload: str, seed: int, seconds: int) -> dict:
@@ -47,21 +50,40 @@ def spread(values: list[float]) -> float:
     return (q3 - q1) / median
 
 
-def main() -> int:
+def judge(metric: dict, first: list[float], second: list[float]) -> tuple[float, list[str], list[str]]:
+    """``(change, failures, notes)`` for one metric's two sets of values.
+
+    ``change`` is the second median over the first, minus one.  A
+    change beyond the bound fails in either direction: a set that came
+    out much faster is as unsteady as one that came out slower.  The
+    spread of ``setup_s`` is not gated, only its change.
+    """
+    bound = metric["bound"]
+    change = statistics.median(second) / statistics.median(first) - 1
+    worse = change > 0 if metric["better"] == "lower" else change < 0
+    failures, notes = [], []
+    if abs(change) > bound:
+        failures.append(f"CHANGE>BOUND ({'worse' if worse else 'better'})")
+    if metric["name"] != "setup_s":
+        widest = max(spread(first), spread(second))
+        if widest > bound:
+            failures.append("SPREAD>BOUND")
+        elif widest > bound / 3:
+            notes.append("spread>bound/3")
+    return change, failures, notes
+
+
+def main(argv: list[str] | None = None) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
     parser.add_argument("--seconds", type=int, default=config["run_seconds"])
-    parser.add_argument("--workload", action="append", dest="workloads")
-    parser.add_argument("--first-seed", type=int, default=0)
-    args = parser.parse_args()
-    names = args.workloads or [w["name"] for w in config["workloads"]]
+    args = parser.parse_args(argv)
+    names = [w["name"] for w in config["workloads"]]
     values: dict[tuple[str, str, int], list[float]] = {}
-    for set_index in range(args.sets):
+    for set_index in range(SETS):
         for workload in names:
-            for run_index in range(args.runs):
-                seed = args.first_seed + set_index * args.runs + run_index
+            for run_index in range(RUNS):
+                seed = set_index * RUNS + run_index
                 started = time.perf_counter()
                 metrics = one_run(workload, seed, args.seconds)
                 elapsed = time.perf_counter() - started
@@ -73,32 +95,18 @@ def main() -> int:
                     flush=True,
                 )
     steady = True
-    print(f"\n{'workload':9s} {'metric':12s} {'bound':>6s} "
-          + " ".join(f"{'median' + str(i + 1):>10s} {'spread' + str(i + 1):>8s}" for i in range(args.sets))
-          + f" {'change':>8s}")
+    print(f"\n{'workload':9s} {'metric':12s} {'bound':>6s} {'median1':>10s} {'spread1':>8s} "
+          f"{'median2':>10s} {'spread2':>8s} {'change':>8s}")
     for workload in names:
         for metric in config["end_to_end"]:
-            name, bound = metric["name"], metric["bound"]
-            sets = [values[(workload, name, i)] for i in range(args.sets)]
-            medians = [statistics.median(v) for v in sets]
-            spreads = [spread(v) if len(v) > 1 else 0.0 for v in sets]
-            change = medians[-1] / medians[0] - 1
-            worse = change if metric["better"] == "lower" else -change
-            # The spread of setup_s is not gated, only its drift.
-            gated_spread = max(spreads) if name != "setup_s" else 0.0
-            flags = [
-                flag
-                for flag, bad in (
-                    ("SPREAD>BOUND", gated_spread > bound),
-                    ("spread>bound/3", bound / 3 < gated_spread <= bound),
-                    ("WORSE>BOUND", worse > bound),
-                )
-                if bad
-            ]
-            steady = steady and not any(flag.isupper() for flag in flags)
-            print(f"{workload:9s} {name:12s} {bound:6.2f} "
-                  + " ".join(f"{m:10.4f} {s:8.3f}" for m, s in zip(medians, spreads))
-                  + f" {change:+8.3f} {' '.join(flags)}")
+            name = metric["name"]
+            first, second = (values[(workload, name, i)] for i in range(SETS))
+            change, failures, notes = judge(metric, first, second)
+            steady = steady and not failures
+            print(f"{workload:9s} {name:12s} {metric['bound']:6.2f} "
+                  f"{statistics.median(first):10.4f} {spread(first):8.3f} "
+                  f"{statistics.median(second):10.4f} {spread(second):8.3f} "
+                  f"{change:+8.3f} {' '.join(failures + notes)}")
     print("steady" if steady else "NOT steady")
     return 0 if steady else 1
 

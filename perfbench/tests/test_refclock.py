@@ -49,11 +49,18 @@ def test_spawned_charges_only_samples_before_the_cut():
         # (start, period): two samples before the first unit, one after.
         "samples": [[100.1, 2 * nominal], [100.2, 2 * nominal], [101.0, 2 * nominal]],
     }
-    spawned = run.Spawned(2.0, 50.0, stats, 100.0, [2 * nominal] * 4)
-    # Setup: 0.5 s raw minus two handler periods, at half speed.
+    # The host is at half speed before the spawn and up to the first
+    # unit, and at nominal speed after the exit.
+    spawned = run.Spawned(2.0, 50.0, stats, 100.0, [2 * nominal] * 2, [nominal] * 4)
+    # Setup: 0.5 s raw minus two handler periods, at the speed around it
+    # only (two slices before the spawn, two samples before the unit).
     assert math.isclose(spawned.setup(), (0.5 - 4 * nominal) / 2)
-    # Wall: 2.0 s raw minus all three handler periods, at half speed.
-    assert math.isclose(spawned.wall(), (2.0 - 6 * nominal) / 2)
+    # Wall: 2.0 s raw minus all three handler periods, at the mean speed
+    # of all nine periods: 5 at half speed, 4 at nominal speed.
+    assert math.isclose(spawned.wall(), (2.0 - 6 * nominal) * (5 * 0.5 + 4) / 9)
+    # Inside the process the loop ran at half speed; beside it, at the
+    # mean of 2 slow and 4 nominal periods.
+    assert math.isclose(spawned.inside_ratio(), 2 * nominal / (8 * nominal / 6))
 
 
 def test_reference_loop_is_frozen():
