@@ -5,12 +5,6 @@ Each ``bench_*.py`` file regenerates one of the paper's tables/figures
 printed so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
 report generator; timings from pytest-benchmark measure the cost of
 each regeneration pipeline.
-
-When ``$REPRO_CACHE_DIR`` is set, the session rides the persistent
-cross-process cache: golden interpreter runs and front-end
-compilations are served from (and published to) the content-addressed
-disk backend, so repeated bench invocations — and the campaign worker
-processes they spawn — skip work any earlier run already did.
 """
 
 from __future__ import annotations
@@ -18,25 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.benchsuite import all_benchmarks
-from repro.runtime.cache import cache_stats, disk_cache_from_env
 from repro.tao import TaoFlow
-
-
-@pytest.fixture(scope="session", autouse=True)
-def persistent_cache():
-    """Attach the disk L2 named by ``$REPRO_CACHE_DIR`` (no-op if unset)."""
-    backend = disk_cache_from_env()
-    yield backend
-    if backend is not None:
-        stats = cache_stats()
-        print(
-            f"\n[repro cache] {backend.root}: "
-            + "; ".join(
-                f"{name} {c['hits']} L1 + {c['l2_hits']} disk hits / "
-                f"{c['misses']} misses"
-                for name, c in stats.items()
-            )
-        )
 
 
 @pytest.fixture(scope="session")

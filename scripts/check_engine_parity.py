@@ -4,8 +4,8 @@
 Given two or more campaign JSON documents produced from the same spec
 with different ``--engine`` values (``compiled`` / ``interp`` /
 ``codegen``), assert the engine determinism contract: outside the
-``cache`` telemetry block (which legitimately differs when the runs
-share a warm cache directory), all documents are **byte-identical** —
+``cache`` telemetry block (hit/miss counts, which depend on process
+layout rather than on results), all documents are **byte-identical** —
 per-trial outputs, Hamming fractions, cycle counts, completed flags,
 seeds and stage telemetry all match bit for bit.
 
@@ -28,8 +28,11 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_warm_cache import result_fields  # noqa: E402
+
+def result_fields(doc: dict) -> str:
+    """Canonical serialization of everything except cache telemetry."""
+    stripped = {k: v for k, v in doc.items() if k != "cache"}
+    return json.dumps(stripped, indent=2, sort_keys=True)
 
 
 def compare_documents(documents: dict[str, dict]) -> list[str]:

@@ -12,10 +12,10 @@ Drives the resumable-service acceptance scenario end to end:
    to the uninterrupted run and that at least one unit was actually
    resumed from a checkpoint (the summary line reports the count).
 
-A warm persistent cache can finish the campaign before the kill lands;
-in that case the gate degrades gracefully: it deletes the output and
-one checkpoint record to synthesize an interrupted state, so the
-resume contract is still exercised.
+If the campaign finishes before the kill lands, the gate degrades
+gracefully: it deletes the output and one checkpoint record to
+synthesize an interrupted state, so the resume contract is still
+exercised.
 
 Usage: ``check_resume.py [--workdir DIR] [--benchmarks CSV] [--keys N]
 [--seed N]``; exits non-zero with a diagnostic per violated property.
@@ -84,7 +84,7 @@ def run_killed_campaign(args: argparse.Namespace, out: Path, ckpt: Path) -> None
                 f"{len(unit_records(ckpt))} unit(s) checkpointed"
             )
         else:
-            # Warm caches can outrun the poll loop: synthesize the
+            # A fast run can outrun the poll loop: synthesize the
             # interrupted state instead of failing the gate.
             records = unit_records(ckpt)
             if not records:

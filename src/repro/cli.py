@@ -26,13 +26,9 @@ under an ``ExecutionOptions`` bundle).  ``--pipeline`` takes a
 FlowSpec preset name (``full``, ``constants``, ...) or a
 comma-separated stage list (``constants,branches``); the default
 ``params`` derives stages from each config's parameter booleans.
-``--cache-dir`` (or
-``$REPRO_CACHE_DIR``) layers a persistent content-addressed cache
-under the in-process ones so golden runs and compilations are shared
-across worker processes and across invocations; ``--cache-clear``
-empties it first and ``--cache-stats`` reports the per-tier split.
-``--engine`` (or ``$REPRO_SIM_ENGINE``) selects the FSMD simulation
-engine: ``compiled`` (default — designs are lowered once and key
+``--cache-stats`` adds the in-process caches' hit/miss counts to the
+JSON.  ``--engine`` (or ``$REPRO_SIM_ENGINE``) selects the FSMD
+simulation engine: ``compiled`` (default — designs are lowered once and key
 trials reuse the plan) or ``interp`` (the reference interpreter);
 campaign JSON is byte-identical either way.  ``--checkpoint-dir``
 persists one atomic record per completed unit and ``--resume`` skips
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -349,7 +344,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.api import ExecutionOptions, execute_plan, plan_campaign
     from repro.benchsuite import benchmark_names
     from repro.evaluation.report import format_campaign
-    from repro.runtime.cache import CACHE_DIR_ENV, configure_disk_cache
     from repro.runtime.campaign import (
         PIPELINE_FROM_PARAMS,
         CampaignSpec,
@@ -379,12 +373,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.key_batch_lanes is not None and args.key_batch_lanes < 1:
+        print(
+            f"--key-batch-lanes {args.key_batch_lanes}: "
+            "need at least one lane per batch",
+            file=sys.stderr,
+        )
+        return 2
     from repro.sim import resolve_engine
+    from repro.tao.metrics import resolve_key_batch_lanes
 
     try:
-        # Fail fast on a typo'd $REPRO_SIM_ENGINE instead of deep in
-        # the campaign engine (args.engine itself is argparse-checked).
+        # Fail fast on a malformed $REPRO_SIM_ENGINE, $REPRO_JOBS or
+        # $REPRO_KEY_BATCH_LANES instead of deep in the campaign engine.
         resolve_engine(args.engine)
+        jobs = resolve_jobs(args.jobs)
+        resolve_key_batch_lanes(args.key_batch_lanes)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -442,23 +446,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(problem, file=sys.stderr)
             print(f"available: {', '.join(known)}", file=sys.stderr)
             return 2
-    if args.key_batch_lanes is not None and args.key_batch_lanes < 1:
-        print(
-            f"--key-batch-lanes {args.key_batch_lanes}: "
-            "need at least one lane per batch",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if args.cache_clear and not cache_dir:
-        print(
-            f"--cache-clear needs --cache-dir or ${CACHE_DIR_ENV}",
-            file=sys.stderr,
-        )
-        return 2
-    backend = configure_disk_cache(cache_dir) if cache_dir else None
-    if args.cache_clear and backend is not None:
-        print(f"cleared {backend.clear()} cached entr(ies) from {backend.root}")
     spec = CampaignSpec(
         benchmarks=tuple(selected),
         configs=configs,
@@ -470,11 +457,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         attacks=attacks,
     )
-    jobs = resolve_jobs(args.jobs)
     options = ExecutionOptions(
         jobs=jobs,
         engine=args.engine,
-        cache_dir=str(cache_dir) if cache_dir else None,
         collect_cache_stats=args.cache_stats,
         checkpoint_dir=(
             str(args.checkpoint_dir) if args.checkpoint_dir else None
@@ -567,15 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "environment:\n"
             "  REPRO_JOBS        default worker count for --jobs 0/omitted\n"
-            "  REPRO_CACHE_DIR   default --cache-dir: a persistent,\n"
-            "                    content-addressed cache shared across\n"
-            "                    processes and runs\n"
             "  REPRO_SIM_ENGINE  default --engine\n"
             "                    (compiled | interp | codegen)\n"
             "  REPRO_KEY_BATCH_LANES\n"
             "                    default --key-batch-lanes (keys per\n"
             "                    simulation batch; throughput only,\n"
             "                    never results)\n"
+            "  A malformed value in any of these exits with status 2.\n"
             "\n"
             "simulation engines (--engine / REPRO_SIM_ENGINE):\n"
             "  The execution stack is a three-tier seam (repro.sim):\n"
@@ -598,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  byte-identical regardless of engine or batch layout (the\n"
             "  engine, like --jobs, never enters the serialized spec);\n"
             "  CI gates on scripts/check_engine_parity.py across all\n"
-            "  three tiers and scripts/bench_sim.py tracks the\n"
-            "  throughput gaps.\n"
+            "  three tiers.\n"
             "\n"
             "pipelines (--pipeline, repeatable -> fifth sweep axis):\n"
             "  The obfuscation flow is a pipeline of registered stages\n"
@@ -615,8 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  follows the stages that actually run.  Each unit's JSON\n"
             "  records its pipeline label and per-stage StageReport\n"
             "  blocks (ops touched, key bits consumed) in the\n"
-            "  repro.campaign/5 schema; v1-v4 documents upgrade on\n"
-            "  load.\n"
+            "  repro.campaign/5 schema.\n"
             "\n"
             "resumable execution (--checkpoint-dir / --resume /\n"
             "--unit-timeout / --max-retries):\n"
@@ -645,23 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
             "  on the next --resume.  Progress telemetry (units done/\n"
             "  failed/retried/resumed, wall time) prints on completion\n"
             "  and retries/failures stream to stderr as they happen.\n"
-            "\n"
-            "persistent cache:\n"
-            "  --cache-dir layers an on-disk L2 under the in-memory caches:\n"
-            "  golden interpreter runs and front-end compilations are keyed\n"
-            "  on content fingerprints, written atomically, and shared by\n"
-            "  every worker process, concurrent campaign, and later run.\n"
-            "  A warm cache reports zero golden misses via --cache-stats\n"
-            "  while the JSON result fields stay byte-identical to a cold\n"
-            "  run.  The resolved pipeline never enters the golden or\n"
-            "  front-end cache keys: the front end caches the\n"
-            "  pre-obfuscation module and golden fingerprints\n"
-            "  canonicalize obfuscated constants to their plaintext, so\n"
-            "  every pipeline of one benchmark shares a single golden\n"
-            "  run per workload (sweeping --pipeline rotates no keys).\n"
-            "  CI persists the directory with actions/cache keyed on\n"
-            "  the hash of src/repro/benchsuite/ (content addressing makes\n"
-            "  stale entries harmless: they are simply never looked up).\n"
             "\n"
             "plugins and the capability registry:\n"
             "  Every sweepable axis resolves through one typed registry\n"
@@ -780,23 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--cache-stats",
         action="store_true",
-        help="include summed cache-counter deltas in the JSON, split by "
-        "tier (L1 / disk / computed), plus backend provenance; counts "
-        "every trial including nested key workers (the split is "
-        "process-layout-dependent)",
-    )
-    campaign.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="persistent cross-process cache directory "
-        "(default: $REPRO_CACHE_DIR; omit both for in-memory only)",
-    )
-    campaign.add_argument(
-        "--cache-clear",
-        action="store_true",
-        help="clear the persistent cache before running "
-        "(requires --cache-dir or $REPRO_CACHE_DIR)",
+        help="include summed golden/front-end cache hit and miss counts "
+        "in the JSON; counts every trial including nested key workers "
+        "(the hit/miss split is process-layout-dependent)",
     )
     campaign.add_argument(
         "--checkpoint-dir",

@@ -3,8 +3,7 @@ single markdown document (the machine-generated companion to
 EXPERIMENTS.md).
 
 Also the consumer of the unified campaign JSON (``repro.campaign/5``,
-see :mod:`repro.runtime.results`; v1–v4 documents are upgraded on
-load): :func:`format_campaign` renders a
+see :mod:`repro.runtime.results`): :func:`format_campaign` renders a
 :class:`~repro.runtime.results.CampaignResult` — produced by
 ``repro campaign -o results.json`` or :func:`run_campaign` — as a
 markdown section with one column per sweep axis (config, key scheme,
@@ -127,23 +126,10 @@ def format_campaign(result: "CampaignResult") -> str:
             counters = result.cache.get(name)
             if not counters:
                 continue
-            tier = (
-                f" + {counters['l2_hits']} disk hits"
-                if counters.get("l2_hits")
-                else ""
-            )
-            degraded = (
-                f" ({counters['store_failures']} degraded stores)"
-                if counters.get("store_failures")
-                else ""
-            )
             lines.append(
-                f"{label} cache: {counters.get('hits', 0)} hits{tier} / "
-                f"{counters.get('misses', 0)} misses{degraded}"
+                f"{label} cache: {counters.get('hits', 0)} hits / "
+                f"{counters.get('misses', 0)} misses"
             )
-        backend = result.cache.get("backend") or {}
-        if backend.get("kind") == "disk":
-            lines.append(f"persistent cache: {backend.get('cache_dir')}")
     return "\n".join(lines)
 
 
@@ -152,7 +138,7 @@ def _format_stage_telemetry(result: "CampaignResult") -> list[str]:
 
     Sums ops touched and key bits consumed per stage name over every
     unit that ran it; empty when no unit carries stage telemetry
-    (e.g. documents upgraded from pre-pipeline schema versions).
+    (e.g. every unit failed).
     """
     totals: dict[str, dict[str, int]] = {}
     phases: dict[str, str] = {}

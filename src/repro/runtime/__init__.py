@@ -1,11 +1,8 @@
 """Campaign-execution runtime: caches, process fan-out and the unified
 results schema.
 
-* :mod:`repro.runtime.cache` — two-tier memoization of golden
-  interpreter runs and front-end compilations: per-process L1 dicts
-  over an optional persistent, content-addressed disk L2
-  (``DiskCacheBackend``, attached via ``configure_disk_cache`` /
-  ``$REPRO_CACHE_DIR``) shared across worker processes and runs;
+* :mod:`repro.runtime.cache` — per-process, content-addressed
+  memoization of golden interpreter runs and front-end compilations;
 * :mod:`repro.runtime.campaign` — the multi-axis campaign model
   (``CampaignSpec`` / ``plan_campaign`` → ``CampaignPlan``;
   axes: benchmark × config × key scheme × resource budget ×
@@ -17,8 +14,7 @@ results schema.
   killable workers, per-unit timeout, bounded retry, checkpointing);
 * :mod:`repro.runtime.checkpoint` — content-addressed unit identity
   and the atomic per-unit ``CheckpointStore`` behind ``--resume``;
-* :mod:`repro.runtime.results` — the ``repro.campaign/5`` JSON schema
-  (upgrades ``/1``–``/3`` documents on load).
+* :mod:`repro.runtime.results` — the ``repro.campaign/5`` JSON schema.
 
 Only the cache layer is imported eagerly; campaign and results symbols
 are re-exported lazily because they sit above the ``tao`` layer in the
@@ -28,24 +24,16 @@ import graph.
 from __future__ import annotations
 
 from repro.runtime.cache import (
-    CACHE_DIR_ENV,
     FRONTEND_CACHE,
     GOLDEN_CACHE,
     CacheStats,
-    DiskCacheBackend,
     FrontEndCache,
     GoldenCache,
     absorb_stats,
-    active_backend,
-    active_cache_dir,
-    backend_provenance,
     cache_stats,
-    configure_disk_cache,
-    disk_cache_from_env,
     golden_fingerprint,
     reset_caches,
     stats_delta,
-    toolchain_fingerprint,
 )
 
 _LAZY = {
@@ -76,24 +64,16 @@ _LAZY = {
 }
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CacheStats",
-    "DiskCacheBackend",
     "FrontEndCache",
     "FRONTEND_CACHE",
     "GoldenCache",
     "GOLDEN_CACHE",
     "absorb_stats",
-    "active_backend",
-    "active_cache_dir",
-    "backend_provenance",
     "cache_stats",
-    "configure_disk_cache",
-    "disk_cache_from_env",
     "golden_fingerprint",
     "reset_caches",
     "stats_delta",
-    "toolchain_fingerprint",
     *sorted(_LAZY),
 ]
 

@@ -48,12 +48,8 @@ and, with the content-addressed golden cache, what lets all cells of
 one benchmark share a single golden interpreter run per workload.
 
 Workers inherit nothing mutable from the parent: each process warms
-its own :mod:`repro.runtime.cache` L1 singletons (golden interpreter
-results, front-end modules).  When the parent has a persistent disk
-backend attached, its directory is threaded through the worker payload
-and every process opens the same content-addressed L2 — golden runs
-and compiled modules are shared across workers, campaigns and CI runs
-instead of being re-warmed per process.  Key-level pools nested inside
+its own :mod:`repro.runtime.cache` singletons (golden interpreter
+results, front-end modules).  Key-level pools nested inside
 a unit report their cache-counter deltas back up (see
 :func:`repro.runtime.cache.absorb_stats`), so campaign telemetry
 counts every trial regardless of process layout.
@@ -189,9 +185,9 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg > ``REPRO_JOBS`` env > cpu count (≤8).
 
     ``None`` and ``0`` both mean "auto" (environment, then cpu count);
-    negative values are a caller error.  A malformed or non-positive
-    ``REPRO_JOBS`` warns and falls back to auto rather than silently
-    fanning out when the user meant to force a worker count.
+    negative values are a caller error, and so is a ``REPRO_JOBS`` that
+    is not a non-negative integer (a ``ValueError`` naming the
+    variable; ``REPRO_JOBS=0`` means auto, like ``--jobs 0``).
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs={jobs}: worker count cannot be negative")
@@ -202,15 +198,13 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
         try:
             value = int(env)
         except ValueError:
-            value = None
-        if value is not None and value > 0:
-            return value
-        if value != 0:  # 0 means auto, same as --jobs 0
-            warnings.warn(
-                f"REPRO_JOBS={env!r} is not a positive integer; "
-                "using auto worker count",
-                stacklevel=2,
+            value = -1
+        if value < 0:
+            raise ValueError(
+                f"REPRO_JOBS={env!r}: not a non-negative integer (0 = auto)"
             )
+        if value > 0:
+            return value
     return max(1, min(8, os.cpu_count() or 1))
 
 

@@ -16,7 +16,7 @@ Execution model
   byte-for-byte.
 * **Worker pool** (otherwise): a set of persistent worker processes,
   one duplex :class:`multiprocessing.Pipe` each.  Workers are
-  long-lived (their in-process L1 caches warm across units, exactly
+  long-lived (their in-process caches warm across units, exactly
   like the old ``ProcessPoolExecutor`` fan-out), but — unlike a
   ``ProcessPoolExecutor`` — each worker is individually killable: a
   unit that exceeds ``unit_timeout`` gets its worker's whole process
@@ -99,7 +99,6 @@ class ExecutionOptions:
 
     jobs: int = 1
     engine: Optional[str] = None
-    cache_dir: Optional[str] = None
     collect_cache_stats: bool = False
     checkpoint_dir: Optional[str] = None
     resume: bool = False
@@ -150,7 +149,7 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
     serialized timing-free (``StageReport.to_dict`` default), keeping
     the unit payload byte-deterministic.
     """
-    spec_dict, key_parallel_jobs, cache_dir, engine, key_batch_lanes = shared
+    spec_dict, key_parallel_jobs, engine, key_batch_lanes = shared
     (
         _index,
         benchmark_name,
@@ -162,12 +161,7 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
         workload_seed,
     ) = task
     from repro.benchsuite import get_benchmark
-    from repro.runtime.cache import (
-        active_cache_dir,
-        cache_stats,
-        configure_disk_cache,
-        stats_delta,
-    )
+    from repro.runtime.cache import cache_stats, stats_delta
     from repro.runtime.campaign import _spec_from_dict
     from repro.runtime.results import report_to_dict
     from repro.tao.flow import TaoFlow
@@ -175,10 +169,6 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
     from repro.tao.metrics import validate_component
     from repro.tao.pipeline import FlowSpec, resolve_pipeline
 
-    if cache_dir is not None and cache_dir != active_cache_dir():
-        # Worker processes open the parent's disk backend instead of
-        # re-warming from scratch (inline execution is already attached).
-        configure_disk_cache(cache_dir)
     stats_before = cache_stats()
     spec = _spec_from_dict(spec_dict)
     overrides = spec.config_overrides(config)
@@ -629,11 +619,6 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     failed, retries, wall seconds) that — like ``elapsed_seconds`` —
     is never serialized into the JSON document.
     """
-    from repro.runtime.cache import (
-        active_cache_dir,
-        backend_provenance,
-        configure_disk_cache,
-    )
     from repro.runtime.results import SCHEMA, CampaignResult, CampaignUnit
     from repro.sim.compiled import resolve_engine
     from repro.tao.metrics import resolve_key_batch_lanes
@@ -641,8 +626,6 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     if options is None:
         options = ExecutionOptions()
     started = time.monotonic()
-    if options.cache_dir is not None and options.cache_dir != active_cache_dir():
-        configure_disk_cache(options.cache_dir)
     jobs = options.jobs if options.jobs > 0 else resolve_jobs(0)
     total = len(plan.units)
     key_jobs = max(1, -(-jobs // total)) if jobs > total else 1
@@ -651,7 +634,7 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     # $REPRO_KEY_BATCH_LANES regardless of their inherited environment.
     engine = resolve_engine(options.engine)
     lanes = resolve_key_batch_lanes(options.key_batch_lanes)
-    shared = (plan.spec_dict(), key_jobs, active_cache_dir(), engine, lanes)
+    shared = (plan.spec_dict(), key_jobs, engine, lanes)
 
     store: Optional[CheckpointStore] = None
     if options.checkpoint_dir is not None:
@@ -703,7 +686,6 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
                 bucket = totals.setdefault(cache, {})
                 for counter, value in counters.items():
                     bucket[counter] = bucket.get(counter, 0) + value
-        totals["backend"] = backend_provenance()
         result.cache = totals
     return result
 

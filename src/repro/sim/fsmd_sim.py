@@ -354,7 +354,7 @@ def simulate_batch(
     """Run one FSMD trial per working key; all lanes share the workload.
 
     The batched counterpart of :func:`simulate` and the seam the
-    key-trial layers (:mod:`repro.tao.metrics`, :mod:`repro.tao.attacks`)
+    key-trial layers (:mod:`repro.tao.metrics`, :mod:`repro.attack`)
     ride: under the ``codegen`` engine the whole batch is bound at once
     (one :meth:`~repro.sim.codegen.CodegenDesign.bind_keys`) and swept
     through lane-vectorized storage, while ``compiled`` and ``interp``

@@ -6,7 +6,7 @@ a :class:`FlowSpec` (ordered stage names + per-stage options) resolved
 against the stage registry drives :class:`TaoFlow`, and every executed
 stage reports :class:`StageReport` telemetry."""
 
-from repro.tao.attacks import (
+from repro.attack import (
     KeySensitivityResult,
     RandomKeyAttackResult,
     ReplicationLeakResult,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,11 +56,11 @@ def resolve_key_batch_lanes(lanes: Optional[int] = None) -> int:
     """Lane cap: explicit arg > ``$REPRO_KEY_BATCH_LANES`` env > default.
 
     ``None`` means "auto" (environment, then :data:`KEY_BATCH_LANES`);
-    an explicit non-positive value is a caller error.  A malformed or
-    non-positive ``REPRO_KEY_BATCH_LANES`` warns and falls back to the
-    default rather than silently batching at a width the user did not
-    mean.  Results are lane-independent by the determinism contract —
-    this knob trades per-batch memory against batch-setup amortization.
+    an explicit non-positive value is a caller error, and so is a
+    malformed or non-positive ``REPRO_KEY_BATCH_LANES`` (a
+    ``ValueError`` naming the variable).  Results are lane-independent
+    by the determinism contract — this knob trades per-batch memory
+    against batch-setup amortization.
     """
     if lanes is not None:
         if lanes < 1:
@@ -70,19 +69,17 @@ def resolve_key_batch_lanes(lanes: Optional[int] = None) -> int:
             )
         return lanes
     env = os.environ.get("REPRO_KEY_BATCH_LANES")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = None
-        if value is not None and value >= 1:
-            return value
-        warnings.warn(
-            f"REPRO_KEY_BATCH_LANES={env!r} is not a positive integer; "
-            f"using the default of {KEY_BATCH_LANES} lanes",
-            stacklevel=2,
+    if not env:
+        return KEY_BATCH_LANES
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"REPRO_KEY_BATCH_LANES={env!r}: not a positive integer"
         )
-    return KEY_BATCH_LANES
+    return value
 
 
 @dataclass
@@ -242,20 +239,11 @@ def _key_batch_worker(shared, key_bits_batch: Sequence[int]):
     own cache-counter increments per task so the parent can absorb
     them — trials run in nested pools would otherwise vanish from
     campaign telemetry (the workers' counters die with their
-    processes).  The parent's persistent cache directory rides along so
-    nested workers open the same disk backend instead of
-    re-interpreting the golden model.
+    processes).
     """
-    from repro.runtime.cache import (
-        active_cache_dir,
-        cache_stats,
-        configure_disk_cache,
-        stats_delta,
-    )
+    from repro.runtime.cache import cache_stats, stats_delta
 
-    component, benches, cycle_cap, width, cache_dir, engine = shared
-    if cache_dir is not None and cache_dir != active_cache_dir():
-        configure_disk_cache(cache_dir)
+    component, benches, cycle_cap, width, engine = shared
     stats_before = cache_stats()
     keys = [LockingKey(bits=bits, width=width) for bits in key_bits_batch]
     trials = run_key_trials(component, benches, keys, cycle_cap, engine=engine)
@@ -368,7 +356,7 @@ def validate_component(
     from repro.runtime.campaign import key_batches
 
     if jobs > 1 and len(wrong_keys) > 1:
-        from repro.runtime.cache import absorb_stats, active_cache_dir
+        from repro.runtime.cache import absorb_stats
         from repro.runtime.campaign import parallel_map
 
         outcomes = parallel_map(
@@ -381,7 +369,6 @@ def validate_component(
                 benches,
                 cap,
                 correct.width,
-                active_cache_dir(),
                 engine,
             ),
             jobs=jobs,

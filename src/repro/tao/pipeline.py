@@ -36,7 +36,7 @@ Telemetry: every executed stage yields a :class:`StageReport` (ops
 touched, key bits consumed, wall seconds).  The wall time is
 in-memory-only diagnostics — ``StageReport.to_dict`` omits it by
 default so the campaign JSON stays deterministic (byte-identical
-across serial/parallel and warm/cold runs, the contract
+across serial/parallel runs, the contract
 ``repro.runtime.results`` documents).
 
 Caching note: the resolved pipeline deliberately does *not* enter the
@@ -45,8 +45,8 @@ pre-obfuscation module (all pipelines of one source share it), and the
 golden fingerprint canonicalizes obfuscated constants back to their
 plaintext while every other stage mutates the FSMD design, never the
 IR — so all pipelines of one benchmark share a single golden run per
-workload.  ``tests/test_tao_pipeline.py`` and the CI warm-cache gate
-assert that adding a pipeline axis cell causes no extra misses.
+workload.  ``tests/test_tao_pipeline.py`` asserts that adding a
+pipeline axis cell causes no extra misses.
 """
 
 from __future__ import annotations

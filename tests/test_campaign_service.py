@@ -571,3 +571,20 @@ class TestCliValidation:
         argv = ["campaign", "--benchmarks", "sobel", "--keys", "2"] + extra
         assert main(argv) == 2
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_JOBS", "-3"),
+            ("REPRO_JOBS", "abc"),
+            ("REPRO_KEY_BATCH_LANES", "abc"),
+            ("REPRO_SIM_ENGINE", "bogus"),
+        ],
+    )
+    def test_rejects_malformed_env(self, variable, value, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv(variable, value)
+        argv = ["campaign", "--benchmarks", "sobel", "--keys", "2"]
+        assert main(argv) == 2
+        assert variable in capsys.readouterr().err

@@ -258,7 +258,7 @@ class TestUniformUnknownNameErrors:
             spec.config_overrides("nope")
 
     def test_unknown_attack(self):
-        from repro.tao.attacks import run_attack
+        from repro.attack import run_attack
 
         with pytest.raises(UnknownCapabilityError, match="registered attacks"):
             run_attack("nope", None, [])

@@ -9,7 +9,7 @@
 * cache telemetry counts trials run in nested key-level pools;
 * multi-axis sweeps (config × key scheme × resource budget ×
   pipeline) enumerate, execute and serialize (``repro.campaign/5``)
-  correctly, and old documents upgrade on load.
+  correctly, and documents of any other schema are rejected on load.
 """
 
 import json
@@ -288,9 +288,12 @@ class TestCampaignEngine:
         assert resolve_jobs() == 3
         assert resolve_jobs(2) == 2
         assert resolve_jobs(0) == 3  # 0 means auto
-        monkeypatch.setenv("REPRO_JOBS", "bogus")
-        with pytest.warns(UserWarning, match="REPRO_JOBS"):
-            assert resolve_jobs() >= 1
+        for malformed in ("bogus", "-3"):
+            monkeypatch.setenv("REPRO_JOBS", malformed)
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                resolve_jobs()
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs() >= 1  # 0 means auto here too
         with pytest.raises(ValueError, match="negative"):
             resolve_jobs(-1)
 
@@ -463,153 +466,15 @@ class TestResultsSchema:
         assert clone.to_json() == result.to_json()
 
     def test_schema_guard(self):
-        with pytest.raises(ValueError, match="schema"):
-            CampaignResult.from_dict({"schema": "bogus/9", "spec": {}, "units": []})
-
-    def test_v1_document_upgrades(self):
-        v1 = {
-            "schema": "repro.campaign/1",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "key_scheme": "aes",
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "params": {},
-                    "seed": 42,
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v1)
-        unit = result.unit("sobel")
-        assert unit.key_scheme == "aes"  # spec's scalar scheme applied
-        assert unit.budget == "default"
-        assert unit.pipeline == "params"  # chained v2 -> v3 upgrade
-        assert unit.stages == []
-        assert result.spec["key_schemes"] == ["aes"]
-        assert result.spec["resource_budgets"] == ["default"]
-        assert result.spec["pipelines"] == ["params"]
-        assert result.to_dict()["schema"] == "repro.campaign/5"
-
-    def test_v2_document_upgrades(self):
-        v2 = {
-            "schema": "repro.campaign/2",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "key_schemes": ["replication"],
-                "resource_budgets": ["tight"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "key_scheme": "replication",
-                    "budget": "tight",
-                    "params": {},
-                    "seed": 42,
-                    "workload_seed": 9,
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v2)
-        unit = result.unit("sobel")
-        assert unit.pipeline == "params"  # v2 always derived from booleans
-        assert unit.stages == []  # legacy runs recorded no telemetry
-        assert unit.budget == "tight"  # existing axis labels survive
-        assert result.spec["pipelines"] == ["params"]
-        assert result.to_dict()["schema"] == "repro.campaign/5"
-        # v1 -> ... -> v5 chain stamps the service-era unit fields.
-        assert unit.status == "ok"
-        assert unit.attempts == 1
-
-    def test_v3_document_upgrades(self):
-        v3 = {
-            "schema": "repro.campaign/3",
-            "spec": {
-                "benchmarks": ["sobel"],
-                "configs": ["default"],
-                "key_schemes": ["replication"],
-                "resource_budgets": ["default"],
-                "pipelines": ["params"],
-                "n_keys": 2,
-                "n_workloads": 1,
-                "seed": 7,
-                "extra_configs": {},
-            },
-            "units": [
-                {
-                    "benchmark": "sobel",
-                    "config": "default",
-                    "key_scheme": "replication",
-                    "budget": "default",
-                    "pipeline": "params",
-                    "params": {},
-                    "seed": 42,
-                    "workload_seed": 9,
-                    "stages": [],
-                    "report": {
-                        "component_name": "sobel",
-                        "n_keys": 2,
-                        "correct_key_ok": True,
-                        "wrong_keys_all_corrupt": True,
-                        "average_hamming": 0.5,
-                        "min_hamming": 0.5,
-                        "max_hamming": 0.5,
-                        "baseline_cycles": 100,
-                        "latency_changed_keys": 0,
-                        "trials": [],
-                    },
-                }
-            ],
-        }
-        result = CampaignResult.from_dict(v3)
-        unit = result.unit("sobel")
-        # Pre-service documents never recorded failures: every unit is
-        # a first-attempt success.
-        assert unit.status == "ok"
-        assert unit.attempts == 1
-        assert unit.error is None
-        assert unit.ok
-        data = result.to_dict()
-        assert data["schema"] == "repro.campaign/5"
-        assert data["units"][0]["status"] == "ok"
-        assert "error" not in data["units"][0]
+        for schema in (
+            "bogus/9",
+            "repro.campaign/1",
+            "repro.campaign/2",
+            "repro.campaign/3",
+            "repro.campaign/4",
+        ):
+            with pytest.raises(ValueError, match="re-run the campaign"):
+                CampaignResult.from_dict({"schema": schema, "spec": {}, "units": []})
 
     def test_axes_labels_embedded(self):
         result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))

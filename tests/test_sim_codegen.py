@@ -11,6 +11,7 @@ the campaign runtime feeds the batched trial path with.
 """
 
 import functools
+import warnings
 
 import pytest
 
@@ -303,14 +304,20 @@ class TestKeyBatchLanes:
         with pytest.raises(ValueError, match="at least one lane"):
             resolve_key_batch_lanes(0)
 
-    @pytest.mark.parametrize("env", ["zero", "-4", "0", ""])
+    @pytest.mark.parametrize("env", [""])
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, env):
+        """Only the empty value still falls back: it counts as unset,
+        silently.  Every other malformed value raises (below)."""
         monkeypatch.setenv("REPRO_KEY_BATCH_LANES", env)
-        if env:
-            with pytest.warns(UserWarning, match="not a positive integer"):
-                assert resolve_key_batch_lanes() == KEY_BATCH_LANES
-        else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert resolve_key_batch_lanes() == KEY_BATCH_LANES
+
+    @pytest.mark.parametrize("env", ["zero", "-4", "0"])
+    def test_malformed_env_raises(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", env)
+        with pytest.raises(ValueError, match="REPRO_KEY_BATCH_LANES"):
+            resolve_key_batch_lanes()
 
     def test_execution_options_validate_lanes(self):
         from repro.api import ExecutionOptions

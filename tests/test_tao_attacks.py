@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Testbench
 from repro.tao import ObfuscationParameters, TaoFlow
-from repro.tao.attacks import (
+from repro.attack import (
     brute_force_slice_with_oracle,
     key_sensitivity_analysis,
     random_key_attack,
