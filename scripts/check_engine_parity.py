@@ -15,10 +15,11 @@ Usage::
     check_engine_parity.py --dump-state-source sobel [-o OUT.py]
 
 The first form exits non-zero with a diagnostic when the contract is
-violated.  The second dumps the codegen tier's generated step-function
-source for one state of the named benchmark (obfuscated with the
-``full`` preset) — uploaded as a CI artifact so a parity failure in
-the generated tier can be debugged from the run page.
+violated.  The second dumps the codegen tier's generated source for
+the named benchmark (obfuscated with the ``full`` preset): the entry
+state's lockstep step function, then the ``_sweep`` module that
+campaigns actually run — uploaded as a CI artifact so a parity
+failure in the generated tier can be debugged from the run page.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def compare_documents(documents: dict[str, dict]) -> list[str]:
 
 
 def dump_state_source(benchmark: str, output: Path | None) -> int:
-    """Write the generated step-function source for one FSM state.
+    """Write the generated source of the ``full``-preset ``benchmark``.
 
-    Picks the entry state of the ``full``-preset obfuscation of
-    ``benchmark`` — deterministic, so consecutive CI runs produce
-    diffable artifacts.
+    The entry state's lockstep step function, followed by the sweep
+    module (:attr:`CodegenDesign.source`) — deterministic, so
+    consecutive CI runs produce diffable artifacts.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.benchsuite import get_benchmark
@@ -86,7 +87,10 @@ def dump_state_source(benchmark: str, output: Path | None) -> int:
     text = (
         f"# codegen step function: benchmark={benchmark} "
         f"state={plan.layout.state_names[state_idx]}\n"
-        f"{plan.state_source(state_idx)}\n"
+        f"{plan.state_source(state_idx)}\n\n"
+        f"# codegen sweep module (the driver campaigns run): "
+        f"benchmark={benchmark}\n"
+        f"{plan.source}"
     )
     if output is None:
         print(text, end="")
@@ -101,8 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("documents", nargs="*", type=Path,
                         help="two or more same-spec campaign JSON files")
     parser.add_argument("--dump-state-source", metavar="BENCHMARK",
-                        help="dump one state's generated codegen source "
-                        "instead of comparing documents")
+                        help="dump the entry state's generated codegen "
+                        "step function and the sweep module instead of "
+                        "comparing documents")
     parser.add_argument("-o", "--output", type=Path, default=None,
                         help="file for --dump-state-source (default stdout)")
     args = parser.parse_args(argv)

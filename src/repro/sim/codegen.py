@@ -30,8 +30,10 @@ Two generated drivers share the per-state code:
 
 * the **lockstep driver** (traced runs) buckets live lanes by current
   state each cycle and calls each state's step function on its bucket
-  — the straightforward rendering of the architecture, and the one
-  whose per-state sources CI dumps as a debuggability artifact;
+  — the straightforward rendering of the architecture.  No campaign
+  runs it, so it is generated on first use: the first traced
+  :meth:`CodegenDesign.run_batch` or
+  :meth:`CodegenDesign.state_source` call;
 * the **sweep driver** (untraced runs, the hot path) chains
   consecutive ``SEQ`` states into straight-line multi-cycle runs,
   hoists the lane's registers, memories and key material into Python
@@ -40,6 +42,11 @@ Two generated drivers share the per-state code:
   disappears entirely, which is what the wrong-key workloads need:
   corrupted lanes diverge in control flow, so cycle-lockstep buckets
   degenerate to singletons while the sweep never pays for divergence.
+
+Emission renders nothing twice: each (state, variant arm) body is
+rendered once, with body-local temporaries, and each inlined
+transition block once per (target, depth); every further use copies
+the text.
 
 The batch lifecycle is: ``codegen_for(design)`` (generate once per
 process) → ``bind_keys(keys)`` (cheap, per batch; called by
@@ -53,10 +60,11 @@ class (asserted differentially in ``tests/test_sim_compiled.py`` and
 ``tests/test_sim_codegen.py``, and gated in CI by
 ``scripts/check_engine_parity.py``).
 
-Debuggability: the full generated module source is kept on
-:attr:`CodegenDesign.source` and per-state excerpts are available via
-:meth:`CodegenDesign.state_source` — CI dumps one state's step
-function as an artifact next to the parity gate.
+Debuggability: the sweep module source is kept on
+:attr:`CodegenDesign.source` and the lockstep step functions are
+available per state via :meth:`CodegenDesign.state_source` — CI dumps
+the entry state's step function and the sweep module as an artifact
+next to the parity gate.
 
 Like the compiled plan, instances hold code objects and are
 deliberately not picklable; worker processes generate their own via
@@ -113,6 +121,11 @@ class _Emitter:
     memories and key arrays the emitted code touches so the enclosing
     function can hoist exactly those, and allocates temporaries for
     the two-phase (read-then-commit) clock-edge semantics.
+
+    Temporaries are numbered from zero in every body, so a body's text
+    depends only on its op list.  No temporary is live across bodies:
+    a body's commits precede its transition, and ``_ret`` is read only
+    by the retire lines right after it.
     """
 
     def __init__(self, plan: "CodegenDesign", scalar: bool) -> None:
@@ -122,6 +135,8 @@ class _Emitter:
         self.used_mems: set[int] = set()
         self.used_keys: set[str] = set()
         self._tmp = 0
+        #: (state idx, variant selector or None) -> rendered body.
+        self.bodies: dict[tuple[int, Optional[int]], tuple] = {}
 
     def temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
@@ -218,8 +233,19 @@ class _Emitter:
     # ------------------------------------------------------------------
     # One op list -> (read-phase lines, commit lines, ret temp or None)
     # ------------------------------------------------------------------
+    def state_body(
+        self, state_idx: int, selector: Optional[int], ops: Sequence
+    ) -> tuple[list[str], list[str], Optional[str]]:
+        """:meth:`body` of one (state, variant arm), rendered once."""
+        key = (state_idx, selector)
+        rendered = self.bodies.get(key)
+        if rendered is None:
+            rendered = self.bodies[key] = self.body(ops)
+        return rendered
+
     def body(self, ops: Sequence) -> tuple[list[str], list[str], Optional[str]]:
         plan = self.plan
+        self._tmp = 0
         reads: list[str] = []
         reg_commits: list[tuple[int, str]] = []
         mem_commits: list[str] = []
@@ -343,11 +369,13 @@ class _Emitter:
 class CodegenDesign:
     """One FSMD design lowered into generated, lane-batched step code.
 
-    Generate once (the constructor execs the step functions and sweep
-    drivers), then :meth:`run_batch` any number of key batches;
-    :meth:`bind_keys` fills the per-lane key arrays and is called
-    automatically.  :meth:`run` is the scalar view — a batch of one
-    lane.
+    Generate once (the constructor execs the sweep driver, whose
+    source is :attr:`source`), then :meth:`run_batch` any number of
+    key batches; :meth:`bind_keys` fills the per-lane key arrays and
+    is called automatically.  :meth:`run` is the scalar view — a batch
+    of one lane.  The lockstep step functions are generated and
+    exec'd into the same namespace on first use: the first traced
+    :meth:`run_batch` or :meth:`state_source` call.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
@@ -372,28 +400,21 @@ class CodegenDesign:
             sel_name = self._sel_name(variants)
             for idx, per_selector in tables:
                 self._variant_states[idx] = (sel_name, per_selector)
-        # Generate and exec the step-function module.
-        self._state_sources: list[str] = [
-            self._emit_state(idx) for idx in range(len(layout.states))
-        ]
-        sweep_source = self._emit_sweep()
+        # Generate and exec the sweep module; the lockstep step
+        # functions wait for their first caller (_build_lockstep).
+        self._state_sources: Optional[list[str]] = None
+        self._step_fns: Optional[list] = None
         self.source = (
             f"# Generated by repro.sim.codegen for design {design.name!r}.\n"
-            f"# One step function per FSM state (`lanes` holds the live\n"
-            f"# lanes currently in that state) plus the per-lane `_sweep`\n"
-            f"# drivers; storage is lane-indexed (regs[slot][lane],\n"
-            f"# mems[mem][lane]) and the per-lane key arrays\n"
-            f"# (_KC*/_RM*/_KB*/_SEL*) are bound by CodegenDesign.bind_keys.\n\n"
-            + "\n\n".join(self._state_sources)
-            + "\n\n"
-            + sweep_source
+            f"# The per-lane `_sweep` driver; storage is lane-indexed\n"
+            f"# (regs[slot][lane], mems[mem][lane]) and the per-lane key\n"
+            f"# arrays (_KC*/_RM*/_KB*/_SEL*) are bound by\n"
+            f"# CodegenDesign.bind_keys.\n\n"
+            + self._emit_sweep()
             + "\n"
         )
         code = compile(self.source, f"<codegen:{design.name}>", "exec")
         exec(code, self._namespace)
-        self._step_fns = [
-            self._namespace[f"_s{idx}"] for idx in range(len(layout.states))
-        ]
         self._sweep = self._namespace["_sweep"]
 
     # ------------------------------------------------------------------
@@ -483,29 +504,25 @@ class CodegenDesign:
             return transition(layout.transition_specs[state_idx])
 
         if variant is None:
-            ops = layout.state_op_lists[state_idx] or []
-            reads, commits, ret_temp = emitter.body(ops)
+            ops = layout.state_op_lists[state_idx]
+            reads, commits, ret_temp = emitter.state_body(state_idx, None, ops)
             return reads + commits + tail(ret_temp)
         sel_name, per_selector = variant
-        # Render every selector's arm from the same temporary-counter
-        # baseline so semantically identical variants produce identical
-        # text, then group selectors by rendered body: DFG variants are
-        # frequently indistinguishable within a single cstep, and a
-        # collapsed (or group-tested) dispatch keeps variant states off
-        # the sweep's critical path.  Out-of-table selectors fail in
-        # :meth:`CodegenDesign.bind_keys` (mirroring the compiled
-        # tier's bind-time ``KeyError``), so no run-time guard is
-        # needed here.
-        baseline = emitter._tmp
-        high_water = baseline
+        # Temporaries are body-local, so semantically identical
+        # variants render identical text; group selectors by rendered
+        # arm: DFG variants are frequently indistinguishable within a
+        # single cstep, and a collapsed (or group-tested) dispatch keeps
+        # variant states off the sweep's critical path.  Out-of-table
+        # selectors fail in :meth:`CodegenDesign.bind_keys` (mirroring
+        # the compiled tier's bind-time ``KeyError``), so no run-time
+        # guard is needed here.
         groups: dict[tuple[str, ...], list[int]] = {}
         for selector in sorted(per_selector):
-            emitter._tmp = baseline
-            reads, commits, ret_temp = emitter.body(per_selector[selector])
-            high_water = max(high_water, emitter._tmp)
+            reads, commits, ret_temp = emitter.state_body(
+                state_idx, selector, per_selector[selector]
+            )
             branch = tuple(reads + commits + tail(ret_temp))
             groups.setdefault(branch, []).append(selector)
-        emitter._tmp = high_water
         if len(groups) == 1:
             return list(next(iter(groups)))
         sel_ref = emitter._key_ref(sel_name)
@@ -558,8 +575,23 @@ class CodegenDesign:
         lines.extend(f"        {line}" for line in body)
         return "\n".join(lines)
 
+    def _build_lockstep(self) -> None:
+        """Generate and exec the lockstep step functions, once."""
+        if self._step_fns is not None:
+            return
+        states = range(len(self.layout.states))
+        self._state_sources = [self._emit_state(idx) for idx in states]
+        code = compile(
+            "\n\n".join(self._state_sources) + "\n",
+            f"<codegen:{self.design.name}:lockstep>",
+            "exec",
+        )
+        exec(code, self._namespace)
+        self._step_fns = [self._namespace[f"_s{idx}"] for idx in states]
+
     def state_source(self, state_idx: int) -> str:
         """The generated step function of one state (CI artifact hook)."""
+        self._build_lockstep()
         return self._state_sources[state_idx]
 
     # ------------------------------------------------------------------
@@ -670,8 +702,17 @@ class CodegenDesign:
         #: saves a dispatch.
         INLINE_DEPTH = 2
         INLINE_MAX_CHAIN = 2
+        #: (target, depth) -> the rendered goto, shared by every exit
+        #: that jumps there (callers copy, never mutate, the lines).
+        inlined: dict[tuple[int, int], list[str]] = {}
 
         def goto(target: int, depth: int) -> list[str]:
+            lines = inlined.get((target, depth))
+            if lines is None:
+                lines = inlined[(target, depth)] = render_goto(target, depth)
+            return lines
+
+        def render_goto(target: int, depth: int) -> list[str]:
             chain = chain_by_head.get(target)
             if depth <= 0 or chain is None or len(chain) > INLINE_MAX_CHAIN:
                 return [f"_s = {target}", "continue"]
@@ -822,6 +863,10 @@ class CodegenDesign:
         dispatch(chain_blocks, "            ")
         lines.append("        fin[lane] = _done")
         lines.append("        end[lane] = _n")
+        # The closures above reference each other, so this frame is
+        # freed only by the cycle collector; drop the render tables now.
+        inlined.clear()
+        emitter.bodies.clear()
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -885,6 +930,8 @@ class CodegenDesign:
         n_lanes = len(keys)
         if n_lanes == 0:
             return []
+        if trace:
+            self._build_lockstep()
         self.bind_keys(keys)
         regs: list[list[int]] = [[0] * n_lanes for _ in range(layout.n_regs)]
         for latch, arg in zip(layout.param_latches, args):

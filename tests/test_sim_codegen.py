@@ -6,21 +6,24 @@ wrong-corrupting / timeout keys retiring at different cycles in one
 run_batch call), batch-vs-scalar identity, the bind_keys lifecycle
 (memoization, out-of-table selector KeyError parity with the compiled
 tier, no poisoned memo after a failed bind), the codegen plan cache,
-generated-source introspection, and the key_batches chunking contract
+generated-source introspection (the on-demand lockstep driver, source
+determinism, linear emission), and the key_batches chunking contract
 the campaign runtime feeds the batched trial path with.
 """
 
 import functools
+import re
 import warnings
+from collections import Counter
 
 import pytest
 
-from repro.benchsuite import get_benchmark
+from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
 from repro.runtime.campaign import key_batches
 from repro.sim import codegen_for, compiled_for, simulate_batch
-from repro.sim.codegen import _CODEGEN_CACHE
+from repro.sim.codegen import _CODEGEN_CACHE, CodegenDesign, _Emitter
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
 from repro.tao.key import LockingKey
@@ -251,11 +254,82 @@ class TestCodegenPlanCache:
 class TestGeneratedSource:
     def test_state_source_is_inspectable(self):
         component, _ = _obfuscated("gsm", "full")
-        plan = codegen_for(component.design)
+        plan = CodegenDesign(component.design)
+        # The sweep module is all a fresh plan generates; the lockstep
+        # step functions wait for a traced run or state_source.
+        assert "def _sweep(" in plan.source
+        assert not re.search(r"^def _s\d+\(", plan.source, re.MULTILINE)
         entry = plan.layout.entry_idx
         source = plan.state_source(entry)
         assert source.startswith(f"def _s{entry}(")
         assert "for lane in lanes" in source
+
+    def test_traced_run_after_untraced_run_on_same_batch(self):
+        component, workload, correct, corrupting, timeout, budget = (
+            _mixed_fate_setup()
+        )
+        design = component.design
+        plan = CodegenDesign(design)
+        keys = [correct, corrupting, timeout]
+        run = functools.partial(
+            plan.run_batch,
+            workload.args,
+            dict(workload.arrays),
+            working_keys=keys,
+            max_cycles=budget,
+        )
+        run()
+        assert plan._bound_keys == tuple(keys)
+        traced = run(trace=True)  # memo hit; builds the lockstep driver
+        scalars = [
+            FsmdSimulator(design, max_cycles=budget, trace=True).run(
+                workload.args, dict(workload.arrays), key
+            )
+            for key in keys
+        ]
+        assert [result_fields(r) for r in traced] == [
+            result_fields(r) for r in scalars
+        ]
+
+    def test_source_independent_of_process_history(self):
+        """One design's source is the same bytes whatever was built
+        before it (an inliner naming bug once depended on that)."""
+        gsm, _ = _obfuscated("gsm", "full")
+        sobel, _ = _obfuscated("sobel", "full")
+        first = CodegenDesign(gsm.design).source
+        CodegenDesign(sobel.design)
+        assert CodegenDesign(gsm.design).source == first
+
+
+class TestLinearEmission:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_each_state_arm_renders_once(self, name, monkeypatch):
+        """Building a plan renders each (state, variant arm) op list at
+        most once, however often the sweep inlines the state, and
+        renders no lockstep step function at all."""
+        component, _ = _obfuscated(name, "full")
+        renders: Counter = Counter()
+        render = _Emitter.body
+
+        def counted(emitter, ops):
+            # Op lists live in the plan's layout for the whole build, so
+            # their ids name (state, arm) pairs.
+            renders[(emitter.scalar, id(ops))] += 1
+            return render(emitter, ops)
+
+        monkeypatch.setattr(_Emitter, "body", counted)
+        plan = CodegenDesign(component.design)
+        layout = plan.layout
+        arms = sum(
+            len(per_selector)
+            for _, tables in layout.variant_tables
+            for _, per_selector in tables
+        )
+        plain = sum(ops is not None for ops in layout.state_op_lists)
+        sweep = [count for (scalar, _), count in renders.items() if scalar]
+        assert max(sweep) == 1
+        assert len(sweep) == plain + arms
+        assert len(renders) == len(sweep)  # no lockstep step function
 
 
 class TestKeyBatches:

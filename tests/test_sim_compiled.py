@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
-from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.campaign import CampaignSpec, plan_campaign
+from repro.runtime.executor import ExecutionOptions, execute_plan
 from repro.sim import (
     SimulationError,
     codegen_for,
@@ -274,17 +275,15 @@ class TestZeroSizeMemory:
 
 class TestCampaignEngineParity:
     def test_campaign_json_byte_identical_across_engines(self):
-        documents = {}
-        for engine in ("interp", "compiled", "codegen"):
-            spec = CampaignSpec(
-                benchmarks=("gsm",),
-                n_keys=3,
-                n_workloads=1,
-                seed=13,
-                jobs=1,
-                engine=engine,
-            )
-            documents[engine] = run_campaign(spec).to_json()
+        plan = plan_campaign(
+            CampaignSpec(benchmarks=("gsm",), n_keys=3, n_workloads=1, seed=13)
+        )
+        documents = {
+            engine: execute_plan(
+                plan, ExecutionOptions(jobs=1, engine=engine)
+            ).to_json()
+            for engine in ("interp", "compiled", "codegen")
+        }
         assert documents["interp"] == documents["compiled"]
         assert documents["interp"] == documents["codegen"]
         # The engine is an execution knob: it must not leak into the
