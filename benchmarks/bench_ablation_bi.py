@@ -13,6 +13,7 @@ from repro.benchsuite import all_benchmarks
 from repro.evaluation.overhead import frequency_vs_block_bits
 from repro.rtl import estimate_area
 from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 from repro.tao import ObfuscationParameters, TaoFlow
 
 BI_VALUES = [1, 2, 3, 4, 5]
@@ -86,9 +87,11 @@ def test_block_bits_sweep_functional(benchmark, capsys):
                 for bits in (1, 4)
             ),
             n_keys=3,
-            jobs=1,  # serial: both cells share this process's cache
         )
-        return run_campaign(spec, collect_cache_stats=True)
+        # serial: both cells share this process's cache
+        return run_campaign(
+            spec, ExecutionOptions(jobs=1, collect_cache_stats=True)
+        )
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     with capsys.disabled():

@@ -11,7 +11,8 @@ import pytest
 
 from repro.benchsuite import all_benchmarks
 from repro.rtl import estimate_area
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 from repro.tao import ObfuscationParameters, TaoFlow
 
 C_VALUES = [8, 16, 32, 64]
@@ -79,9 +80,8 @@ def test_correctness_at_every_width(benchmark, capsys):
                 for c in (16, 32)
             ),
             n_keys=2,
-            jobs=resolve_jobs(),
         )
-        return run_campaign(spec)
+        return run_campaign(spec, ExecutionOptions(jobs=0))
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     for unit in result.units:

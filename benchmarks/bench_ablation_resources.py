@@ -16,12 +16,9 @@ import pytest
 from repro.benchsuite import get_benchmark
 from repro.hls import FUKind, ResourceConstraints
 from repro.rtl import estimate_area
-from repro.runtime.campaign import (
-    PRESET_BUDGETS,
-    CampaignSpec,
-    resolve_jobs,
-    run_campaign,
-)
+from repro.registry import REGISTRY
+from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 from repro.tao import ObfuscationParameters, TaoFlow
 
 ADDER_BUDGETS = [1, 2, 4]
@@ -79,11 +76,10 @@ def test_budget_axis_campaign_correct_at_every_budget(benchmark, capsys):
     def sweep():
         spec = CampaignSpec(
             benchmarks=("sobel",),
-            resource_budgets=tuple(PRESET_BUDGETS),
+            resource_budgets=REGISTRY.names("budget"),
             n_keys=3,
-            jobs=resolve_jobs(),
         )
-        return run_campaign(spec)
+        return run_campaign(spec, ExecutionOptions(jobs=0))
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     by_budget = {u.budget: u.report for u in result.units}
@@ -91,7 +87,7 @@ def test_budget_axis_campaign_correct_at_every_budget(benchmark, capsys):
         print("\nsobel correct-key cycles vs resource budget:")
         for name, report in by_budget.items():
             print(f"  {name}: {report.baseline_cycles} cycles")
-    assert set(by_budget) == set(PRESET_BUDGETS)
+    assert set(by_budget) == set(REGISTRY.names("budget"))
     for report in by_budget.values():
         assert report.correct_key_ok
         assert report.wrong_keys_all_corrupt

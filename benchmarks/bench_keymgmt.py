@@ -20,7 +20,8 @@ from repro.evaluation.keymgmt_eval import (
     generate_keymgmt,
     measure_keymgmt,
 )
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 
 BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 
@@ -60,9 +61,10 @@ def test_key_scheme_axis_campaign(benchmark, capsys):
         benchmarks=("sobel",),
         key_schemes=("replication", "aes"),
         n_keys=4,
-        jobs=resolve_jobs(),
     )
-    result = benchmark.pedantic(run_campaign, args=(spec,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_campaign, args=(spec, ExecutionOptions(jobs=0)), rounds=1, iterations=1
+    )
     with capsys.disabled():
         for unit in result.units:
             print(

@@ -14,7 +14,8 @@ hand-rolled key loop (and its trials fan out over ``REPRO_JOBS``).
 import pytest
 
 from repro.evaluation.overhead import measure_latency
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 
 BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 
@@ -36,10 +37,8 @@ def test_wrong_key_latency_changes_only_via_loop_bounds(benchmark, capsys):
     slice change the cycle count; the correct key never does."""
 
     def campaign():
-        spec = CampaignSpec(
-            benchmarks=("sobel",), n_keys=7, seed=11, jobs=resolve_jobs()
-        )
-        return run_campaign(spec).unit("sobel").report
+        spec = CampaignSpec(benchmarks=("sobel",), n_keys=7, seed=11)
+        return run_campaign(spec, ExecutionOptions(jobs=0)).unit("sobel").report
 
     report = benchmark.pedantic(campaign, rounds=1, iterations=1)
     with capsys.disabled():

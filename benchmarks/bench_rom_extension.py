@@ -16,7 +16,8 @@ import pytest
 
 from repro.benchsuite import get_benchmark
 from repro.rtl import estimate_area
-from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.campaign import CampaignSpec, run_campaign
+from repro.runtime.executor import ExecutionOptions
 from repro.tao import ObfuscationParameters, TaoFlow
 
 ROM_BENCHMARKS = ["adpcm"]  # benchmarks with eligible on-chip ROMs
@@ -63,9 +64,9 @@ def test_rom_extension_functional(benchmark, name, capsys):
             extra_configs=(("rom", (("obfuscate_roms", True),)),),
             n_keys=5,
             seed=1,
-            jobs=resolve_jobs(),
         )
-        return run_campaign(spec).unit(name, config="rom").report
+        result = run_campaign(spec, ExecutionOptions(jobs=0))
+        return result.unit(name, config="rom").report
 
     report = benchmark.pedantic(campaign, rounds=1, iterations=1)
     with capsys.disabled():

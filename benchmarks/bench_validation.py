@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.runtime.campaign import CampaignSpec, resolve_jobs, run_campaign
+from repro.runtime.executor import ExecutionOptions
 
 BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 N_KEYS = 100 if os.environ.get("REPRO_FULL_VALIDATION") else 20
@@ -29,10 +30,8 @@ JOBS = resolve_jobs()
 
 
 def run_validation_campaign(name: str):
-    spec = CampaignSpec(
-        benchmarks=(name,), n_keys=N_KEYS, n_workloads=1, jobs=JOBS
-    )
-    return run_campaign(spec).unit(name).report
+    spec = CampaignSpec(benchmarks=(name,), n_keys=N_KEYS, n_workloads=1)
+    return run_campaign(spec, ExecutionOptions(jobs=JOBS)).unit(name).report
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)

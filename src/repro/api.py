@@ -21,7 +21,10 @@ The split mirrors the service architecture: :func:`plan_campaign` is
 pure (spec → deterministic unit enumeration with content-addressed
 unit ids), :func:`execute_plan` is the fault-tolerant service core
 (checkpointing, resume, per-unit timeout, bounded retry), and
-:func:`run_campaign` the legacy one-shot wrapper over both.
+:func:`run_campaign` is shorthand for
+``execute_plan(plan_campaign(spec), options)``.  A spec says *what*
+runs; every execution knob (workers, engine, checkpointing, cache
+telemetry) lives only in :class:`ExecutionOptions`.
 :func:`resolve_pipeline` and :func:`resolve_engine` resolve the two
 label-valued axes (obfuscation pipeline, simulation engine) exactly
 the way the CLI does.  :func:`run_attack` / :func:`attack_names` are

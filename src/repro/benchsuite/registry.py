@@ -76,7 +76,3 @@ def load_builtin_benchmarks() -> None:
     for module in (gsm, adpcm, sobel, backprop, viterbi):
         register(module.BENCHMARK)
 
-
-# Back-compat alias: older code and tests reached for the private
-# loader; keep the name pointing at the canonical one.
-_load_all = load_builtin_benchmarks

@@ -118,8 +118,8 @@ def _check_capabilities(kind: str, names: Sequence[str]) -> Optional[str]:
 
 def _flow_pipeline(args: argparse.Namespace, params: ObfuscationParameters):
     """The FlowSpec for a flow command: ``--pipeline``, else the stage
-    toggles mapped through the explicit (warning-free) shim.  Returns
-    ``None`` after printing a diagnostic for an invalid pipeline."""
+    set the ``--no-*`` toggles select.  Returns ``None`` after printing
+    a diagnostic for an invalid pipeline."""
     from repro.tao import FlowSpec, resolve_pipeline
 
     if not getattr(args, "pipeline", None):
@@ -344,51 +344,39 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.api import ExecutionOptions, execute_plan, plan_campaign
     from repro.benchsuite import benchmark_names
     from repro.evaluation.report import format_campaign
+    from repro.registry import REGISTRY
     from repro.runtime.campaign import (
         PIPELINE_FROM_PARAMS,
         CampaignSpec,
         resolve_jobs,
     )
-    from repro.tao.pipeline import PIPELINE_PRESETS, resolve_pipeline
+    from repro.sim import resolve_engine
+    from repro.tao.metrics import resolve_key_batch_lanes
+    from repro.tao.pipeline import resolve_pipeline
 
     error = _campaign_size_error(args.keys, args.workloads)
     if error:
         print(error, file=sys.stderr)
         return 2
-    if args.jobs is not None and args.jobs < 0:
-        print(f"--jobs {args.jobs}: cannot be negative", file=sys.stderr)
-        return 2
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        print(
-            f"--unit-timeout {args.unit_timeout}: must be positive seconds",
-            file=sys.stderr,
-        )
-        return 2
-    if args.max_retries < 0:
-        print(
-            f"--max-retries {args.max_retries}: cannot be negative",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.key_batch_lanes is not None and args.key_batch_lanes < 1:
-        print(
-            f"--key-batch-lanes {args.key_batch_lanes}: "
-            "need at least one lane per batch",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.sim import resolve_engine
-    from repro.tao.metrics import resolve_key_batch_lanes
-
     try:
-        # Fail fast on a malformed $REPRO_SIM_ENGINE, $REPRO_JOBS or
+        # ExecutionOptions validates the execution flags; the resolvers
+        # fail fast on a malformed $REPRO_SIM_ENGINE, $REPRO_JOBS or
         # $REPRO_KEY_BATCH_LANES instead of deep in the campaign engine.
-        resolve_engine(args.engine)
-        jobs = resolve_jobs(args.jobs)
-        resolve_key_batch_lanes(args.key_batch_lanes)
+        options = ExecutionOptions(
+            jobs=resolve_jobs(args.jobs),
+            engine=args.engine,
+            collect_cache_stats=args.cache_stats,
+            checkpoint_dir=(
+                str(args.checkpoint_dir) if args.checkpoint_dir else None
+            ),
+            resume=args.resume,
+            unit_timeout=args.unit_timeout,
+            max_retries=args.max_retries,
+            key_batch_lanes=args.key_batch_lanes,
+            progress=_campaign_progress,
+        )
+        resolve_engine(options.engine)
+        resolve_key_batch_lanes(options.key_batch_lanes)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -412,8 +400,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"--pipeline {label}: {error}", file=sys.stderr)
             print(
                 f"available: {PIPELINE_FROM_PARAMS} (config booleans), "
-                f"presets {', '.join(PIPELINE_PRESETS)}, or a comma-"
-                "separated stage list",
+                f"presets {', '.join(REGISTRY.names('pipeline-preset'))}, "
+                "or a comma-separated stage list",
                 file=sys.stderr,
             )
             return 2
@@ -457,19 +445,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         attacks=attacks,
     )
-    options = ExecutionOptions(
-        jobs=jobs,
-        engine=args.engine,
-        collect_cache_stats=args.cache_stats,
-        checkpoint_dir=(
-            str(args.checkpoint_dir) if args.checkpoint_dir else None
-        ),
-        resume=args.resume,
-        unit_timeout=args.unit_timeout,
-        max_retries=args.max_retries,
-        key_batch_lanes=args.key_batch_lanes,
-        progress=_campaign_progress,
-    )
     result = execute_plan(plan_campaign(spec), options)
     if args.output is not None:
         path = result.write(args.output, include_trials=not args.no_trials)
@@ -477,7 +452,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(format_campaign(result))
     telemetry = result.execution or {}
     print(
-        f"elapsed {result.elapsed_seconds:.1f}s ({jobs} worker(s)): "
+        f"elapsed {result.elapsed_seconds:.1f}s ({options.jobs} worker(s)): "
         f"{telemetry.get('units_completed', len(result.units))}/"
         f"{telemetry.get('units_total', len(result.units))} units ok, "
         f"{telemetry.get('units_failed', 0)} failed, "
@@ -687,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--config",
         action="append",
-        help="parameter config(s) to sweep; see repro.runtime.campaign."
-        "PRESET_CONFIGS (repeatable; default: default)",
+        help="parameter config(s) to sweep; see 'repro list config' "
+        "(repeatable; default: default)",
     )
     campaign.add_argument("--keys", type=int, default=20)
     campaign.add_argument("--workloads", type=int, default=1)
@@ -703,16 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--key-scheme",
         action="append",
-        choices=("replication", "aes"),
-        help="key-management scheme(s) to sweep (paper §3.4; repeatable; "
-        "default: replication)",
+        help="key-management scheme(s) to sweep (paper §3.4; see 'repro "
+        "list key-scheme'; repeatable; default: replication)",
     )
     campaign.add_argument(
         "--budget",
         action="append",
-        help="resource-budget preset(s) to sweep; see "
-        "repro.runtime.campaign.PRESET_BUDGETS (repeatable; default: "
-        "default; incl. mul-tight and mem-tight)",
+        help="resource-budget preset(s) to sweep; see 'repro list "
+        "budget' (repeatable; default: default; incl. mul-tight and "
+        "mem-tight)",
     )
     campaign.add_argument(
         "--pipeline",

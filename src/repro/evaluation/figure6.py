@@ -16,7 +16,6 @@ from repro.benchsuite import all_benchmarks
 from repro.rtl.area_model import estimate_area
 from repro.tao.flow import TaoFlow
 from repro.tao.key import ObfuscationParameters
-from repro.tao.pipeline import FlowSpec
 
 #: Per-benchmark overhead percentages annotated on the paper's Figure 6.
 PAPER_FIGURE6 = {
@@ -43,9 +42,7 @@ class Figure6Row:
 
 def _overhead(source: str, top: str, baseline_area: float, **param_kwargs) -> float:
     params = ObfuscationParameters(**param_kwargs)
-    component = TaoFlow(
-        params=params, pipeline=FlowSpec.from_parameters(params)
-    ).obfuscate(source, top)
+    component = TaoFlow(params=params).obfuscate(source, top)
     area = estimate_area(component.design).total
     return area / baseline_area - 1.0
 

@@ -20,7 +20,6 @@ from repro.rtl.timing_model import estimate_timing
 from repro.sim.testbench import Testbench, run_testbench
 from repro.tao.flow import TaoFlow
 from repro.tao.key import ObfuscationParameters
-from repro.tao.pipeline import FlowSpec
 
 
 @dataclass
@@ -83,9 +82,7 @@ def measure_frequency(name: str) -> FrequencyRow:
 
     def freq(**kwargs) -> float:
         params = ObfuscationParameters(**kwargs)
-        component = TaoFlow(
-            params=params, pipeline=FlowSpec.from_parameters(params)
-        ).obfuscate(bench.source, bench.top)
+        component = TaoFlow(params=params).obfuscate(bench.source, bench.top)
         return estimate_timing(component.design).frequency_mhz
 
     return FrequencyRow(
@@ -110,9 +107,7 @@ def frequency_vs_block_bits(name: str, bits_values: list[int]) -> dict[int, floa
             block_bits=bits,
             variant_diversity="selector",
         )
-        component = TaoFlow(
-            params=params, pipeline=FlowSpec.from_parameters(params)
-        ).obfuscate(bench.source, bench.top)
+        component = TaoFlow(params=params).obfuscate(bench.source, bench.top)
         ratios[bits] = estimate_timing(component.design).frequency_mhz / baseline_mhz
     return ratios
 

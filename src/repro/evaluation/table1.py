@@ -13,7 +13,6 @@ from repro.benchsuite import all_benchmarks
 from repro.frontend.lexer import count_code_lines
 from repro.tao.flow import TaoFlow
 from repro.tao.key import ObfuscationParameters
-from repro.tao.pipeline import FlowSpec
 
 #: The numbers printed in the paper's Table 1, for side-by-side report.
 PAPER_TABLE1 = {
@@ -38,8 +37,7 @@ class Table1Row:
 def characterize_benchmark(name: str, params: ObfuscationParameters | None = None) -> Table1Row:
     """Compute one benchmark's Table-1 row from our flow."""
     bench = all_benchmarks()[name]
-    pipeline = FlowSpec.from_parameters(params) if params else None
-    flow = TaoFlow(params=params, pipeline=pipeline)
+    flow = TaoFlow(params=params)
     module = flow.compile_front_end(bench.source, name)
     apportionment = flow.analyze(module, bench.top)
     return Table1Row(

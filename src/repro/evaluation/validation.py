@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.benchsuite import all_benchmarks
 from repro.tao.flow import TaoFlow
 from repro.tao.key import ObfuscationParameters
-from repro.tao.pipeline import FlowSpec
 from repro.tao.metrics import ValidationReport, validate_component
 
 #: The paper's average output corruptibility over the five benchmarks.
@@ -69,10 +68,7 @@ def validate_benchmark(
     ``validate_benchmark`` call at the same nominal seed.
     """
     bench = all_benchmarks()[name]
-    pipeline = FlowSpec.from_parameters(params) if params else None
-    component = TaoFlow(params=params, pipeline=pipeline).obfuscate(
-        bench.source, bench.top
-    )
+    component = TaoFlow(params=params).obfuscate(bench.source, bench.top)
     benches = bench.make_testbenches(seed=seed, count=n_workloads)
     return validate_component(
         component, benches, n_keys=n_keys, seed=seed, jobs=jobs

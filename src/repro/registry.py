@@ -31,13 +31,12 @@ name-resolution funnels (:func:`load_plugins` is called from the CLI,
 the campaign engine and every ``resolve_*``/``get_*`` helper), which
 keeps plugin imports out of the repro package's own import graph.
 
-Back-compat: the legacy module-level tables (``PRESET_BUDGETS``,
-``PRESET_CONFIGS``, ``PIPELINE_PRESETS``, ``KEY_SCHEMES``, the stage
-registry) survive as live :class:`CapabilityView` mappings over their
-kind, so existing imports, ``in`` checks and even ``monkeypatch``
-edits keep working while every lookup actually resolves through the
-registry — there is no second table to drift out of sync
-(``scripts/check_registry_sync.py`` gates this in CI).
+:data:`REGISTRY` is the only table: callers enumerate with
+:meth:`CapabilityRegistry.names`, resolve with
+:meth:`CapabilityRegistry.get`, and tests add or remove ad-hoc entries
+with :meth:`CapabilityRegistry.register` /
+:meth:`CapabilityRegistry.unregister` (or snapshot and restore the
+whole registry).
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ from __future__ import annotations
 import importlib
 import sys
 import warnings
-from collections.abc import MutableMapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 #: The ``importlib.metadata`` entry-point group third-party
 #: distributions register under.  Each entry point resolves to either
@@ -380,48 +378,6 @@ class CapabilityRegistry:
         self._labels = dict(state["labels"])
         self._ensured = set(state["ensured"])
         self._plugins_loaded = state["plugins_loaded"]
-
-
-class CapabilityView(MutableMapping):
-    """Live ``{name: value}`` mapping over one kind of the registry.
-
-    The back-compat shape of the legacy module tables: iteration yields
-    names in registration order, ``view[name]`` resolves through the
-    registry (unknown names raise :class:`UnknownCapabilityError`,
-    which *is* a ``KeyError``), and mutation registers/unregisters —
-    so ``monkeypatch.setitem(PRESET_BUDGETS, ...)`` in tests keeps
-    working while there is only one underlying store.
-    """
-
-    def __init__(
-        self, registry: CapabilityRegistry, kind: str, provenance: str = BUILTIN
-    ) -> None:
-        self._registry = registry
-        self._kind = kind
-        self._provenance = provenance
-
-    def __getitem__(self, name: str) -> Any:
-        return self._registry.get(self._kind, name)
-
-    def __setitem__(self, name: str, value: Any) -> None:
-        self._registry.register(
-            self._kind, name, value, provenance=self._provenance, replace=True
-        )
-
-    def __delitem__(self, name: str) -> None:
-        self._registry.unregister(self._kind, name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names(self._kind))
-
-    def __len__(self) -> int:
-        return len(self._registry.names(self._kind))
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._registry.has(self._kind, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CapabilityView({self._kind}: {', '.join(self) or '(empty)'})"
 
 
 #: The process-wide registry every capability resolves through.

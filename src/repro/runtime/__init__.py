@@ -7,8 +7,8 @@ results schema.
   (``CampaignSpec`` / ``plan_campaign`` → ``CampaignPlan``;
   axes: benchmark × config × key scheme × resource budget ×
   obfuscation pipeline) plus the shared fan-out primitives
-  (``parallel_map`` / ``key_batches``) and the legacy
-  ``run_campaign`` wrapper;
+  (``parallel_map`` / ``key_batches``) and the ``run_campaign``
+  plan-then-execute shorthand;
 * :mod:`repro.runtime.executor` — the fault-tolerant campaign service
   (``execute_plan`` under an ``ExecutionOptions`` bundle: persistent
   killable workers, per-unit timeout, bounded retry, checkpointing);
@@ -40,11 +40,8 @@ _LAZY = {
     "CampaignPlan": "repro.runtime.campaign",
     "CampaignSpec": "repro.runtime.campaign",
     "CONFIG_PIPELINES": "repro.runtime.campaign",
-    "KEY_SCHEMES": "repro.runtime.campaign",
     "PIPELINE_FROM_PARAMS": "repro.runtime.campaign",
     "PlannedUnit": "repro.runtime.campaign",
-    "PRESET_BUDGETS": "repro.runtime.campaign",
-    "PRESET_CONFIGS": "repro.runtime.campaign",
     "budget_constraints": "repro.runtime.campaign",
     "derive_seed": "repro.runtime.campaign",
     "parallel_map": "repro.runtime.campaign",

@@ -6,13 +6,15 @@ benchmark × parameter configurations.  This module turns that shape
 into an explicit multi-axis engine:
 
 * :class:`CampaignSpec` declares the sweep — benchmarks, named
-  parameter configs (:data:`PRESET_CONFIGS`), key-management schemes
-  (paper §3.4), named resource budgets (:data:`PRESET_BUDGETS`),
-  obfuscation pipelines (``pipelines``: FlowSpec preset names or
-  comma-separated stage lists, see :mod:`repro.tao.pipeline`; the
-  default sentinel :data:`PIPELINE_FROM_PARAMS` derives the stage set
-  from each config's ``ObfuscationParameters`` booleans, i.e. legacy
-  behaviour), key count, workloads and worker count;
+  parameter configs, key-management schemes (paper §3.4), named
+  resource budgets, obfuscation pipelines (``pipelines``: FlowSpec
+  preset names or comma-separated stage lists, see
+  :mod:`repro.tao.pipeline`; the default sentinel
+  :data:`PIPELINE_FROM_PARAMS` derives the stage set from each
+  config's ``ObfuscationParameters`` booleans), key count and
+  workloads.  Every named axis value is a capability in
+  :data:`repro.registry.REGISTRY` (kinds ``config``, ``key-scheme``,
+  ``budget``, ``pipeline-preset``; ``repro list`` enumerates them);
 * :func:`plan_campaign` turns a spec into a :class:`CampaignPlan` — a
   pure, deterministic enumeration of :class:`PlannedUnit` entries
   (benchmark × config × key scheme × budget × pipeline), each with
@@ -26,8 +28,7 @@ into an explicit multi-axis engine:
   holding the unified ``repro.campaign/5`` JSON document (per-unit
   pipeline label, per-stage ``StageReport`` blocks, and per-unit
   ``status``/``attempts``);
-* :func:`run_campaign` is the legacy one-shot entry point, kept as a
-  thin plan-then-execute wrapper;
+* :func:`run_campaign` is the one-shot plan-then-execute shorthand;
 * :func:`parallel_map` is the shared fan-out primitive (also used by
   ``repro.tao.metrics.validate_component`` for key-level parallelism)
   and :func:`key_batches` the shared batching contract: workers are
@@ -59,22 +60,17 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
-from collections.abc import MutableMapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
-from repro.registry import REGISTRY, CapabilityView
+from repro.registry import REGISTRY
 
 _T = TypeVar("_T")
 
 #: Named parameter configurations for sweeps (mirrors the Figure 6
-#: ablation axes: each obfuscation in isolation plus the full flow).
-#: A live view over the ``"config"`` kind of the capability registry —
-#: plugin-registered configs appear here too.
-PRESET_CONFIGS: MutableMapping = CapabilityView(REGISTRY, "config")
-
+#: ablation axes: each obfuscation in isolation plus the full flow),
+#: registered under the ``"config"`` kind.
 for _name, _overrides, _desc in (
     ("default", {}, "full flow: all obfuscations at their defaults"),
     (
@@ -104,7 +100,7 @@ del _name, _overrides, _desc
 #: booleans — the config then only contributes numeric parameters.
 PIPELINE_FROM_PARAMS = "params"
 
-#: The FlowSpec preset equivalent of each :data:`PRESET_CONFIGS`
+#: The FlowSpec preset equivalent of each builtin ``"config"``
 #: entry: running a config through its pipeline preset produces a
 #: byte-identical design (asserted in tests/test_tao_pipeline.py).
 CONFIG_PIPELINES: dict[str, str] = {
@@ -114,25 +110,17 @@ CONFIG_PIPELINES: dict[str, str] = {
     "dfg-only": "dfg",
 }
 
-#: Working-key management schemes (paper §3.4): locking-key replication
-#: versus AES power-up decryption of an NVM-stored working key.
-#: Snapshot of the builtin ``"key-scheme"`` registrations
-#: (:mod:`repro.tao.keymgmt`); plugin schemes resolve by name through
-#: the registry everywhere scheme names are accepted.
-KEY_SCHEMES: tuple[str, ...] = REGISTRY.names("key-scheme")
-
-#: Named resource-constraint presets for the budget axis.  Each preset
-#: is ``None`` (the scheduler's default ``ResourceConstraints``) or a
-#: dict whose ``"limits"`` entry holds per-FU-kind instance caps (keys
-#: are ``FUKind`` values) and whose other entries set
+#: Named resource-constraint presets for the budget axis, registered
+#: under the ``"budget"`` kind.  Each preset is ``None`` (the
+#: scheduler's default ``ResourceConstraints``) or a dict whose
+#: ``"limits"`` entry holds per-FU-kind instance caps (keys are
+#: ``FUKind`` values) and whose other entries set
 #: ``ResourceConstraints`` fields by name (e.g. ``memory_ports``,
 #: ``shared_memory_port``) — validated against the dataclass, so a
 #: typo fails loudly at preset resolution.  ``tight``/``loose`` mirror
 #: the A3 ablation's adder/logic budgets; ``mul-tight`` starves the
 #: multiply/divide datapath and ``mem-tight`` banks every array behind
 #: one shared memory port.
-PRESET_BUDGETS: MutableMapping = CapabilityView(REGISTRY, "budget")
-
 for _name, _limits, _desc in (
     ("default", None, "the scheduler's default ResourceConstraints"),
     ("tight", {"limits": {"addsub": 1, "logic": 1}}, "one adder, one logic unit (A3)"),
@@ -149,7 +137,7 @@ del _name, _limits, _desc
 
 
 def budget_constraints(budget: str):
-    """``ResourceConstraints`` for a :data:`PRESET_BUDGETS` name.
+    """``ResourceConstraints`` for a registered ``"budget"`` name.
 
     Returns ``None`` for the default budget (the scheduler applies its
     own defaults).  Unknown budget names raise the registry's uniform
@@ -295,23 +283,18 @@ class CampaignSpec:
 
     Five sweep axes multiply into units: ``benchmarks`` ×
     ``configs`` × ``key_schemes`` × ``resource_budgets`` ×
-    ``pipelines``.  ``configs`` names entries of
-    :data:`PRESET_CONFIGS` (or keys of ``extra_configs`` for ad-hoc
-    parameter overrides), ``key_schemes`` names entries of
-    :data:`KEY_SCHEMES`, ``resource_budgets`` entries of
-    :data:`PRESET_BUDGETS`, and ``pipelines`` holds FlowSpec labels —
-    preset names, comma-separated stage lists, or the
-    :data:`PIPELINE_FROM_PARAMS` sentinel (default) meaning "stages
-    from the config's parameter booleans".  ``jobs`` and ``engine``
-    are execution knobs only: they are deliberately excluded from the
-    serialized spec so parallel-vs-serial and compiled-vs-interpreted
-    runs emit identical JSON.  ``engine`` selects the FSMD simulation
-    engine for every trial (``"compiled"`` / ``"codegen"`` /
-    ``"interp"``; ``None`` defers to ``$REPRO_SIM_ENGINE``, default
-    compiled) — see :mod:`repro.sim.compiled` for the determinism
-    contract.  Trials flow through the batched key-trial path either
-    way (:func:`key_batches` chunks, one simulated lane per key); only
-    the codegen engine actually vectorizes a batch.
+    ``pipelines``.  ``configs`` names registered ``"config"``
+    capabilities (or keys of ``extra_configs`` for ad-hoc parameter
+    overrides), ``key_schemes`` registered ``"key-scheme"`` names,
+    ``resource_budgets`` registered ``"budget"`` names, and
+    ``pipelines`` holds FlowSpec labels — preset names,
+    comma-separated stage lists, or the :data:`PIPELINE_FROM_PARAMS`
+    sentinel (default) meaning "stages from the config's parameter
+    booleans".  The spec says *what* runs; *how* it runs (workers,
+    simulation engine, checkpointing, cache telemetry) is an
+    :class:`~repro.runtime.executor.ExecutionOptions` bundle, which
+    never enters the serialized spec, so parallel-vs-serial and
+    cross-engine runs emit identical JSON.
 
     ``extra_configs`` is normalized on construction (entries and their
     override items are sorted), so a spec rebuilt from ``to_dict()``
@@ -326,8 +309,6 @@ class CampaignSpec:
     n_keys: int = 20
     n_workloads: int = 1
     seed: int = 7
-    jobs: int = 1
-    engine: Optional[str] = None
     extra_configs: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...] = ()
     #: Registered attack names to run against every unit's component
     #: (after key validation).  Not a multiplicative axis: each attack
@@ -450,8 +431,6 @@ class CampaignPlan:
     serialized spec and the results schema): two plans share a
     fingerprint iff they serialize to the same spec under the same
     schema, so resume can never mix units from different campaigns.
-    Execution knobs (``jobs``, ``engine``) are excluded from the
-    serialized spec and therefore from the fingerprint.
     """
 
     spec: CampaignSpec
@@ -468,7 +447,7 @@ class CampaignPlan:
 def plan_campaign(spec: CampaignSpec) -> CampaignPlan:
     """Enumerate ``spec`` into a deterministic :class:`CampaignPlan`.
 
-    Pure: no I/O, no execution, no dependence on ``jobs``/``engine``.
+    Pure: no I/O, no execution, no dependence on execution options.
     Unit order is the spec's axis-product order (stable across
     processes and machines), each unit's seed is derived from the base
     seed plus its axis labels, and each workload seed from the
@@ -547,51 +526,14 @@ def _spec_from_dict(data: dict[str, Any]) -> CampaignSpec:
     )
 
 
-#: One-per-process flag for the legacy-kwargs deprecation notice in
-#: :func:`run_campaign` (module-level so tests can reset it).
-_LEGACY_KNOBS_WARNED = False
+def run_campaign(spec: CampaignSpec, options: Optional[Any] = None):
+    """Plan ``spec``, execute it, return the
+    :class:`~repro.runtime.results.CampaignResult`.
 
-
-def run_campaign(
-    spec: CampaignSpec,
-    collect_cache_stats: bool = False,
-    options: Optional[Any] = None,
-):
-    """Legacy one-shot entry point: plan ``spec``, execute it, return
-    the :class:`~repro.runtime.results.CampaignResult`.
-
-    Thin back-compat wrapper over the plan/execute split — equivalent
-    to ``execute_plan(plan_campaign(spec), options)``.  When no
-    ``options`` are given, the execution knobs still riding on the
-    spec (``spec.jobs``, ``spec.engine``) and the
-    ``collect_cache_stats`` flag are lifted into an
-    :class:`~repro.runtime.executor.ExecutionOptions`; passing
-    execution knobs that way is deprecated (one ``DeprecationWarning``
-    per process) — new code should call
-    :func:`~repro.runtime.executor.execute_plan` with explicit
-    options.  Results are byte-identical either way: the fan-out
-    strategy, cache telemetry and determinism contract live in
-    :func:`~repro.runtime.executor.execute_plan` now.
+    Shorthand for ``execute_plan(plan_campaign(spec), options)``, where
+    ``options`` is an :class:`~repro.runtime.executor.ExecutionOptions`
+    (``None`` means its defaults).
     """
-    from repro.runtime.executor import ExecutionOptions, execute_plan
+    from repro.runtime.executor import execute_plan
 
-    global _LEGACY_KNOBS_WARNED
-    if options is None:
-        if (
-            spec.jobs != 1 or spec.engine is not None or collect_cache_stats
-        ) and not _LEGACY_KNOBS_WARNED:
-            _LEGACY_KNOBS_WARNED = True
-            warnings.warn(
-                "passing execution knobs (jobs/engine/collect_cache_stats) "
-                "through run_campaign is deprecated; use "
-                "plan_campaign(spec) + execute_plan(plan, "
-                "ExecutionOptions(...)) from repro.api",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        options = ExecutionOptions(
-            jobs=max(1, spec.jobs),
-            engine=spec.engine,
-            collect_cache_stats=collect_cache_stats,
-        )
     return execute_plan(plan_campaign(spec), options)

@@ -608,10 +608,9 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     :class:`~repro.runtime.campaign.CampaignSpec` for what, versus
     :class:`ExecutionOptions` for how.
 
-    Fan-out strategy (unchanged from the legacy ``run_campaign``):
-    parallelism applies across units, and any worker budget beyond the
-    unit count is handed down as key-level parallelism using ceil
-    division — a single-unit campaign fans its key trials over every
+    Fan-out strategy: parallelism applies across units, and any worker
+    budget beyond the unit count is handed down as key-level
+    parallelism using ceil division — a single-unit campaign fans its key trials over every
     core, and ``jobs=8`` over 2 units gives each unit 4 key workers.
 
     The returned :class:`~repro.runtime.results.CampaignResult` carries

@@ -10,7 +10,6 @@ from repro.sim.codegen import CodegenDesign, codegen_for
 from repro.sim.compiled import (
     DEFAULT_ENGINE,
     ENGINE_ENV,
-    ENGINES,
     CompiledDesign,
     EngineDriver,
     compiled_for,
@@ -43,7 +42,6 @@ from repro.sim.testbench import (
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV",
-    "ENGINES",
     "CodegenDesign",
     "CompiledDesign",
     "EngineDriver",

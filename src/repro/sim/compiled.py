@@ -72,7 +72,6 @@ from repro.sim.fsmd_sim import (
 )
 from repro.sim.layout import DesignLayout, PlanCache
 from repro.sim.layout import COND as _COND
-from repro.sim.layout import design_fingerprint as _design_fingerprint  # noqa: F401 (re-export for back-compat)
 from repro.sim.layout import wrap_fn as _wrap_fn
 
 #: Environment variable selecting the default simulation engine.
@@ -147,14 +146,6 @@ for _driver in (
         "engine", _driver.name, _driver, description=_driver.description
     )
 del _driver
-
-#: Known engines, in registration order (fastest tier last): the
-#: closure-compiled plan (the default), the reference interpreter (the
-#: differential oracle), and the exec()-generated, key-batched codegen
-#: tier.  Snapshot of the builtin registrations; plugin engines appear
-#: through :func:`engine_driver` / ``repro list``, not this tuple.
-ENGINES = tuple(REGISTRY.names("engine"))
-
 
 def engine_driver(name: str) -> EngineDriver:
     """The registered :class:`EngineDriver` called ``name`` (plugins

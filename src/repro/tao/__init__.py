@@ -41,7 +41,6 @@ from repro.tao.keymgmt import (
     choose_working_key,
 )
 from repro.tao.pipeline import (
-    PIPELINE_PRESETS,
     FlowContext,
     FlowSpec,
     Stage,
@@ -68,7 +67,6 @@ __all__ = [
     "FlowContext",
     "FlowSpec",
     "KeyApportionment",
-    "PIPELINE_PRESETS",
     "Stage",
     "StageReport",
     "KeySensitivityResult",

@@ -23,11 +23,9 @@ Pipeline:
 Which stages run is declared by a
 :class:`~repro.tao.pipeline.FlowSpec` (``TaoFlow(pipeline=...)``
 accepts a spec, a preset name such as ``"full"``, or a comma-separated
-stage list).  When no pipeline is given, the legacy
-``ObfuscationParameters`` stage booleans are mapped onto a spec via
-:meth:`FlowSpec.from_parameters` — that implicit path emits one
-``DeprecationWarning`` per process when the booleans deviate from
-their defaults.
+stage list).  When no pipeline is given, the
+``ObfuscationParameters`` stage booleans select the stages through
+:meth:`FlowSpec.from_parameters`.
 
 Design-time randomness is stream-split: the locking key, the
 key-management scheme and every stage draw from independent SHA-256
@@ -43,7 +41,6 @@ it).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -75,13 +72,6 @@ from repro.tao.pipeline import (
 )
 
 KeyManager = Union[ReplicationKeyManager, AesKeyManager]
-
-#: The stage set the default ObfuscationParameters booleans select;
-#: implicit boolean-to-spec resolution only warns when it deviates
-#: (i.e. when the caller actually used the deprecated toggles).
-_DEFAULT_BOOLEAN_SPEC = FlowSpec.from_parameters(ObfuscationParameters())
-
-_BOOLEAN_SHIM_WARNED = False
 
 
 @dataclass
@@ -122,10 +112,10 @@ class TaoFlow:
     ``pipeline`` selects the obfuscation stages: a
     :class:`~repro.tao.pipeline.FlowSpec`, a preset name (``"full"``,
     ``"constants"``, ...) or a comma-separated stage list
-    (``"constants,branches"``).  ``None`` falls back to the legacy
-    ``ObfuscationParameters`` booleans (deprecated for stage
-    selection; the numeric parameters — widths, block bits, seed,
-    diversity — remain the supported knobs either way).
+    (``"constants,branches"``).  ``None`` means the stages the
+    ``ObfuscationParameters`` booleans select
+    (:meth:`FlowSpec.from_parameters`); the numeric parameters —
+    widths, block bits, seed, diversity — apply either way.
     """
 
     def __init__(
@@ -142,10 +132,11 @@ class TaoFlow:
 
     # ------------------------------------------------------------------
     def resolved_pipeline(self) -> FlowSpec:
-        """The FlowSpec this flow runs: explicit, or the boolean shim."""
+        """The FlowSpec this flow runs: explicit, or the parameters'
+        stage booleans."""
         if self.pipeline is not None:
             return self.pipeline
-        return _spec_from_boolean_params(self.params)
+        return FlowSpec.from_parameters(self.params)
 
     def compile_front_end(self, source: str, name: str = "design") -> Module:
         """Front end + compiler steps: source to optimized, inlined IR.
@@ -251,29 +242,6 @@ class TaoFlow:
         baseline = self.synthesize_baseline(source, top)
         component = self.obfuscate(source, top, locking_key)
         return baseline, component
-
-
-def _spec_from_boolean_params(params: ObfuscationParameters) -> FlowSpec:
-    """Back-compat shim: the legacy stage booleans become a FlowSpec.
-
-    Warns once per process when the booleans deviate from their
-    defaults — that is the deprecated usage (selecting stages through
-    parameter toggles); default parameters resolve silently to the
-    ``full`` pipeline.  Callers that sweep booleans on purpose should
-    pass ``pipeline=FlowSpec.from_parameters(params)`` explicitly.
-    """
-    global _BOOLEAN_SHIM_WARNED
-    spec = FlowSpec.from_parameters(params)
-    if spec != _DEFAULT_BOOLEAN_SPEC and not _BOOLEAN_SHIM_WARNED:
-        _BOOLEAN_SHIM_WARNED = True
-        warnings.warn(
-            "selecting obfuscation stages via ObfuscationParameters "
-            "booleans is deprecated: pass TaoFlow(pipeline=...) a "
-            "FlowSpec, a preset name, or FlowSpec.from_parameters(params)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return spec
 
 
 def _compile_and_optimize(source: str, name: str) -> Module:

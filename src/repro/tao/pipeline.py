@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -65,7 +64,7 @@ from typing import (
     Union,
 )
 
-from repro.registry import REGISTRY, CapabilityView, UnknownCapabilityError
+from repro.registry import REGISTRY, UnknownCapabilityError
 from repro.tao.branch_pass import mask_branches
 from repro.tao.constants_pass import obfuscate_constants
 from repro.tao.dfg_variants import obfuscate_dfgs
@@ -231,11 +230,6 @@ class FunctionStage:
             key_bits_consumed=key_bits,
             wall_seconds=time.perf_counter() - started,
         )
-
-
-#: Live view over the ``"stage"`` kind of the process-wide capability
-#: registry — the dict-shaped face existing code (and tests) address.
-_REGISTRY: MutableMapping = CapabilityView(REGISTRY, "stage")
 
 
 def register_stage(name: str, phase: str) -> Callable[[StageFn], StageFn]:
@@ -463,14 +457,14 @@ class FlowSpec:
 
     @classmethod
     def from_parameters(cls, params: ObfuscationParameters) -> "FlowSpec":
-        """The pipeline the legacy boolean toggles describe.
+        """The pipeline the ``ObfuscationParameters`` stage booleans
+        describe.
 
-        The back-compat bridge: ``obfuscate_constants`` /
-        ``obfuscate_branches`` / ``obfuscate_dfg`` / ``obfuscate_roms``
-        select their stages in canonical order.  This is a plain
-        constructor (no deprecation warning) — the warning belongs to
-        the *implicit* path, ``TaoFlow.obfuscate`` falling back to the
-        booleans when no pipeline was given.
+        ``obfuscate_constants`` / ``obfuscate_branches`` /
+        ``obfuscate_dfg`` / ``obfuscate_roms`` select their stages in
+        canonical order.  This is the stage set ``TaoFlow`` runs when
+        no pipeline is given, and the one the campaign's ``params``
+        pipeline label names.
         """
         return cls(
             stages=tuple(
@@ -481,12 +475,10 @@ class FlowSpec:
         )
 
 
-#: Named pipeline presets (the FlowSpec re-expression of the campaign's
-#: ``PRESET_CONFIGS``, plus the ROM-extended full flow).  ``repro
-#: campaign --pipeline`` accepts these names or ad-hoc comma-separated
-#: stage lists.
-PIPELINE_PRESETS: MutableMapping = CapabilityView(REGISTRY, "pipeline-preset")
-
+#: Named pipeline presets, registered under the ``"pipeline-preset"``
+#: kind (the FlowSpec re-expression of the campaign's builtin configs,
+#: plus the ROM-extended full flow).  ``repro campaign --pipeline``
+#: accepts these names or ad-hoc comma-separated stage lists.
 for _name, _spec, _desc in (
     ("full", FlowSpec(("constants", "branches", "dfg")), "all three paper passes"),
     ("constants", FlowSpec(("constants",)), "constant extraction only"),
@@ -520,7 +512,7 @@ def resolve_pipeline(value: Union[FlowSpec, str]) -> FlowSpec:
     if not names:
         raise UnknownCapabilityError(
             f"empty pipeline {value!r}; presets: "
-            f"{', '.join(PIPELINE_PRESETS)}; stages: "
+            f"{', '.join(REGISTRY.names('pipeline-preset'))}; stages: "
             f"{', '.join(available_stages())}"
         )
     return FlowSpec(stages=names)

@@ -66,7 +66,6 @@ class TestPerBenchmark:
         assert any(outcome.golden_bits)
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", NAMES)
 def test_obfuscated_correct_key_matches(name):
     bench = get_benchmark(name)

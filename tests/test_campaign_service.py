@@ -1,7 +1,7 @@
 """Tests for the resumable campaign service (plan/execute split):
 
 * ``plan_campaign`` is pure and deterministic: content-addressed unit
-  ids and a spec fingerprint that ignores execution knobs;
+  ids and a fingerprint over the serialized spec;
 * ``CheckpointStore`` publishes one atomic JSON record per completed
   unit, namespaced by spec fingerprint, and degrades unreadable or
   mismatched records to "not checkpointed";
@@ -13,8 +13,7 @@
   while the rest of the campaign completes;
 * per-unit timeouts kill the hung worker's process group and charge
   an attempt;
-* the legacy ``run_campaign(spec)`` wrapper still honours the old
-  spec-embedded knobs (with a one-per-process DeprecationWarning);
+* ``run_campaign(spec)`` runs with default options and warns nothing;
 * ``repro.api`` is the stable facade and the CLI advertises it.
 """
 
@@ -60,6 +59,7 @@ class TestPlanCampaign:
         a = plan_campaign(CampaignSpec(**SPEC))
         b = plan_campaign(CampaignSpec(**SPEC))
         assert a.fingerprint == b.fingerprint
+        assert a.fingerprint == spec_fingerprint(a.spec_dict(), SCHEMA)
         assert [u.unit_id for u in a.units] == [u.unit_id for u in b.units]
         assert [u.labels() for u in a.units] == [u.labels() for u in b.units]
 
@@ -71,12 +71,6 @@ class TestPlanCampaign:
             assert unit.unit_id == unit_identity(*unit.labels(), unit.seed)
         reseeded = plan_campaign(CampaignSpec(**{**SPEC, "seed": 12}))
         assert {u.unit_id for u in reseeded.units}.isdisjoint(ids)
-
-    def test_fingerprint_ignores_execution_knobs(self):
-        bare = plan_campaign(CampaignSpec(**SPEC))
-        knobbed = plan_campaign(CampaignSpec(**SPEC, jobs=8, engine="interp"))
-        assert bare.fingerprint == knobbed.fingerprint
-        assert bare.fingerprint == spec_fingerprint(bare.spec_dict(), SCHEMA)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="no units"):
@@ -498,25 +492,9 @@ class TestKillResume:
 
 
 # ----------------------------------------------------------------------
-# Legacy wrapper and facade
+# run_campaign shorthand and facade
 # ----------------------------------------------------------------------
 class TestLegacyWrapper:
-    def test_legacy_knobs_warn_once_and_match(self, monkeypatch):
-        monkeypatch.setattr(campaign_mod, "_LEGACY_KNOBS_WARNED", False)
-        spec = CampaignSpec(**SPEC, jobs=2)
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            legacy = run_campaign(spec)
-        modern = execute_plan(
-            plan_campaign(CampaignSpec(**SPEC)), _options(jobs=2)
-        )
-        assert legacy.to_json() == modern.to_json()
-        # second call: the warning already fired for this process
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            run_campaign(CampaignSpec(**SPEC, jobs=2))
-
     def test_plain_spec_does_not_warn(self):
         import warnings as warnings_mod
 
@@ -563,6 +541,8 @@ class TestCliValidation:
             ["--unit-timeout", "0"],
             ["--unit-timeout", "-1"],
             ["--max-retries", "-1"],
+            ["--jobs", "-1"],
+            ["--key-batch-lanes", "0"],
         ],
     )
     def test_rejects_invalid_service_flags(self, extra, capsys):

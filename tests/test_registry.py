@@ -19,22 +19,12 @@ from repro.registry import (
     KIND_LABELS,
     REGISTRY,
     CapabilityRegistry,
-    CapabilityView,
     DuplicateCapabilityError,
     UnknownCapabilityError,
     describe_capabilities,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "sobel_campaign.json"
-
-
-@pytest.fixture
-def isolated_registry():
-    """Snapshot the process registry and restore it after the test, so
-    plugin loads and ad-hoc registrations cannot leak across tests."""
-    state = REGISTRY.snapshot()
-    yield REGISTRY
-    REGISTRY.restore(state)
 
 
 def _fresh() -> CapabilityRegistry:
@@ -161,37 +151,6 @@ class TestRegistrySemantics:
         assert reg.names("widget") == ("alpha",)
 
 
-class TestCapabilityView:
-    def test_mapping_protocol(self):
-        reg = _fresh()
-        view = CapabilityView(reg, "widget")
-        view["alpha"] = 1
-        view["beta"] = 2
-        assert view["alpha"] == 1
-        assert list(view) == ["alpha", "beta"]
-        assert len(view) == 2
-        assert "alpha" in view and "gamma" not in view
-        assert dict(view) == {"alpha": 1, "beta": 2}
-        del view["alpha"]
-        assert list(view) == ["beta"]
-        assert view.pop("beta") == 2
-        assert len(view) == 0
-
-    def test_view_getitem_unknown_is_keyerror(self):
-        view = CapabilityView(_fresh(), "widget")
-        with pytest.raises(KeyError):
-            view["nope"]
-        assert view.get("nope") is None
-
-    def test_view_and_registry_share_state(self):
-        reg = _fresh()
-        view = CapabilityView(reg, "widget")
-        reg.register("widget", "alpha", 1)
-        assert view["alpha"] == 1
-        view["alpha"] = 9  # views replace (monkeypatch.setitem semantics)
-        assert reg.get("widget", "alpha") == 9
-
-
 class TestBuiltinRegistrations:
     """All eight kinds resolve through the one process registry."""
 
@@ -202,24 +161,11 @@ class TestBuiltinRegistrations:
             assert entries, f"kind {kind!r} registered nothing"
             assert all(e["provenance"] == BUILTIN for e in entries)
 
-    def test_legacy_tables_are_registry_views(self):
-        from repro.runtime.campaign import PRESET_BUDGETS, PRESET_CONFIGS
-        from repro.tao.pipeline import PIPELINE_PRESETS
-        from repro.tao.pipeline import _REGISTRY as stage_table
-
-        for table in (PRESET_BUDGETS, PRESET_CONFIGS, PIPELINE_PRESETS, stage_table):
-            assert isinstance(table, CapabilityView)
-
     def test_tables_mirror_registry_names(self):
         from repro.benchsuite.registry import benchmark_names
-        from repro.runtime.campaign import KEY_SCHEMES, PRESET_BUDGETS
-        from repro.sim import ENGINES
         from repro.tao.pipeline import available_stages
 
         assert tuple(benchmark_names()) == REGISTRY.names("benchmark")
-        assert tuple(PRESET_BUDGETS) == REGISTRY.names("budget")
-        assert KEY_SCHEMES == REGISTRY.names("key-scheme")
-        assert ENGINES == REGISTRY.names("engine")
         assert available_stages() == REGISTRY.names("stage")
 
 
@@ -372,7 +318,6 @@ class TestPluginSeam:
             n_keys=2,
             n_workloads=1,
             seed=3,
-            jobs=1,
             attacks=("plugin-probe",),
         )
         result = run_campaign(spec)
@@ -522,9 +467,7 @@ class TestCampaignAttackAxis:
         assert data["spec"]["attacks"] == ["replication-leak"]
         # the same campaign without attacks emits an identical unit
         # minus the attacks block: seeds and trials are unperturbed
-        bare = run_campaign(
-            CampaignSpec(benchmarks=("sobel",), n_keys=2, seed=11, jobs=1)
-        )
+        bare = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2, seed=11))
         bare_doc = json.loads(bare.to_json())
         attacked_unit = dict(data["units"][0])
         attacked_unit.pop("attacks")
@@ -540,14 +483,13 @@ class TestGoldenByteIdentity:
         ``status``/``attempts`` fields, /5 structured the attack
         blocks; neither touches attack-free campaign bytes)."""
         from repro.runtime.campaign import CampaignSpec, run_campaign
+        from repro.runtime.executor import ExecutionOptions
 
         spec = CampaignSpec(
             benchmarks=("sobel",),
             n_keys=3,
             n_workloads=1,
             seed=7,
-            jobs=1,
-            engine="compiled",
         )
-        result = run_campaign(spec)
+        result = run_campaign(spec, ExecutionOptions(engine="compiled"))
         assert result.to_json() + "\n" == GOLDEN.read_text()

@@ -19,7 +19,6 @@ import pytest
 
 from repro.runtime.cache import GOLDEN_CACHE, reset_caches
 from repro.runtime.campaign import (
-    PRESET_BUDGETS,
     CampaignSpec,
     _spec_from_dict,
     budget_constraints,
@@ -28,6 +27,7 @@ from repro.runtime.campaign import (
     resolve_jobs,
     run_campaign,
 )
+from repro.runtime.executor import ExecutionOptions
 from repro.runtime.results import (
     AXIS_LABELS,
     CampaignResult,
@@ -173,9 +173,8 @@ class TestGoldenMemoization:
             key_schemes=("replication", "aes"),
             n_keys=2,
             n_workloads=1,
-            jobs=1,
         )
-        result = run_campaign(spec, collect_cache_stats=True)
+        result = run_campaign(spec, ExecutionOptions(collect_cache_stats=True))
         assert len(result.units) == 8
         golden = result.cache["golden"]
         assert golden["misses"] == len(spec.benchmarks) * spec.n_workloads
@@ -196,8 +195,10 @@ class TestCacheTelemetry:
         # key trials over a nested pool.  Every trial's golden lookup
         # must appear in the campaign telemetry (they were dropped
         # before the workers reported deltas back).
-        spec = CampaignSpec(benchmarks=("sobel",), n_keys=6, jobs=4)
-        result = run_campaign(spec, collect_cache_stats=True)
+        spec = CampaignSpec(benchmarks=("sobel",), n_keys=6)
+        result = run_campaign(
+            spec, ExecutionOptions(jobs=4, collect_cache_stats=True)
+        )
         golden = result.cache["golden"]
         assert golden["hits"] + golden["misses"] == spec.n_keys
 
@@ -220,16 +221,16 @@ class TestParallelDeterminism:
 
     def test_campaign_parallel_equals_serial(self):
         base = dict(benchmarks=("sobel", "adpcm"), n_keys=3, seed=5)
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=2, **base))
+        serial = run_campaign(CampaignSpec(**base))
+        parallel = run_campaign(CampaignSpec(**base), ExecutionOptions(jobs=2))
         assert serial.to_json() == parallel.to_json()
 
     def test_oversubscribed_campaign_equals_serial(self):
         # jobs > unit count: unit workers spawn nested key-level pools
         # (ceil split, 2 key workers each) — results must not change.
         base = dict(benchmarks=("sobel", "adpcm"), n_keys=4, seed=9)
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        nested = run_campaign(CampaignSpec(jobs=4, **base))
+        serial = run_campaign(CampaignSpec(**base))
+        nested = run_campaign(CampaignSpec(**base), ExecutionOptions(jobs=4))
         assert serial.to_json() == nested.to_json()
 
     def test_multi_axis_parallel_equals_serial(self):
@@ -242,8 +243,8 @@ class TestParallelDeterminism:
             n_keys=2,
             seed=13,
         )
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=8, **base))
+        serial = run_campaign(CampaignSpec(**base))
+        parallel = run_campaign(CampaignSpec(**base), ExecutionOptions(jobs=8))
         assert serial.to_json() == parallel.to_json()
         assert serial.to_dict()["schema"] == "repro.campaign/5"
 
@@ -302,9 +303,7 @@ class TestCampaignEngine:
             run_campaign(CampaignSpec(benchmarks=()))
 
     def test_single_unit_campaign(self):
-        result = run_campaign(
-            CampaignSpec(benchmarks=("sobel",), n_keys=3, jobs=1)
-        )
+        result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=3))
         unit = result.unit("sobel")
         assert unit.report.correct_key_ok
         assert unit.report.wrong_keys_all_corrupt
@@ -365,14 +364,10 @@ class TestCampaignEngine:
         assert mem_tight.memory_ports == 1
         assert mem_tight.shared_memory_port
 
-    def test_budget_preset_rejects_unknown_field(self, monkeypatch):
+    def test_budget_preset_rejects_unknown_field(self, isolated_registry):
         # A typo'd preset entry must fail loudly at resolution, not
         # fall through to a confusing FUKind error.
-        from repro.runtime import campaign as campaign_mod
-
-        monkeypatch.setitem(
-            campaign_mod.PRESET_BUDGETS, "typo", {"memory_port": 1}
-        )
+        isolated_registry.register("budget", "typo", {"memory_port": 1})
         with pytest.raises(KeyError, match="ResourceConstraints field"):
             budget_constraints("typo")
 
@@ -571,6 +566,7 @@ class TestResultsSchema:
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--budget", "nope"],
             ["validate", "--benchmark", "sobel", "--keys", "1"],
             ["validate", "--benchmark", "sobl", "--keys", "4"],
+            ["campaign", "--benchmarks", "sobel", "--keys", "2", "--key-scheme", "nope"],
         ],
     )
     def test_cli_rejects_vacuous_or_invalid_args(self, argv, capsys):

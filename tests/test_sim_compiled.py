@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
+from repro.registry import REGISTRY
 from repro.runtime.campaign import CampaignSpec, plan_campaign
 from repro.runtime.executor import ExecutionOptions, execute_plan
 from repro.sim import (
@@ -24,7 +25,6 @@ from repro.sim import (
 from repro.sim.compiled import DEFAULT_ENGINE, ENGINE_ENV, _COMPILE_CACHE
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
-from repro.tao.pipeline import PIPELINE_PRESETS
 
 
 def result_fields(result):
@@ -75,7 +75,7 @@ class TestDifferentialAcrossSuite:
     field, on every benchmark x preset pipeline x key class."""
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
-    @pytest.mark.parametrize("preset", sorted(PIPELINE_PRESETS))
+    @pytest.mark.parametrize("preset", sorted(REGISTRY.names("pipeline-preset")))
     def test_benchmark_pipeline_key_classes(self, bench_name, preset):
         component, workload = _obfuscated(bench_name, preset)
         design = component.design

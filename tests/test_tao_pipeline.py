@@ -1,29 +1,28 @@
 """Tests for the composable obfuscation-pass pipeline API.
 
 Covers the stage registry, :class:`FlowSpec` validation and
-round-tripping, the back-compat boolean shim (every ``PRESET_CONFIGS``
-cell must be byte-identical — Verilog and key configuration — between
-the legacy boolean path and its FlowSpec preset), per-stage
+round-tripping, the no-pipeline path (every registered campaign config
+must be byte-identical — Verilog and key configuration — between
+``TaoFlow`` without a pipeline and its FlowSpec preset), per-stage
 ``StageReport`` telemetry, stream-split design-time randomness, the
 campaign's pipeline axis and the CLI ``--pipeline`` flag.
 """
 
 import json
-import warnings
 
 import pytest
 
+from repro.registry import REGISTRY
 from repro.rtl import emit_verilog
 from repro.runtime.cache import reset_caches
 from repro.runtime.campaign import (
     CONFIG_PIPELINES,
-    PRESET_CONFIGS,
     CampaignSpec,
     derive_seed,
     run_campaign,
 )
+from repro.runtime.executor import ExecutionOptions
 from repro.tao import (
-    PIPELINE_PRESETS,
     FlowSpec,
     ObfuscationParameters,
     TaoFlow,
@@ -32,8 +31,6 @@ from repro.tao import (
     register_stage,
     resolve_pipeline,
 )
-from repro.tao import flow as flow_module
-from repro.tao import pipeline as pipeline_module
 
 SOURCE = """
 int kernel(int gain, int data[6], int out[6]) {
@@ -96,7 +93,7 @@ class TestStageRegistry:
             assert report.ops_touched > 0
             assert report.key_bits_consumed == 0
         finally:
-            pipeline_module._REGISTRY.pop("census")
+            REGISTRY.unregister("stage", "census")
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +150,7 @@ class TestFlowSpec:
         assert effective.constant_width == 32
 
     def test_resolve_pipeline_presets_and_lists(self):
-        assert resolve_pipeline("full") is PIPELINE_PRESETS["full"]
+        assert resolve_pipeline("full") is REGISTRY.get("pipeline-preset", "full")
         assert resolve_pipeline("constants, branches").stages == (
             "constants", "branches",
         )
@@ -166,15 +163,13 @@ class TestFlowSpec:
 
 
 # ----------------------------------------------------------------------
-# Back-compat: boolean path == FlowSpec preset path, byte for byte
+# No pipeline (stages from the booleans) == FlowSpec preset, byte for byte
 # ----------------------------------------------------------------------
 class TestPresetEquivalence:
-    @pytest.mark.parametrize("config", sorted(PRESET_CONFIGS))
+    @pytest.mark.parametrize("config", sorted(REGISTRY.names("config")))
     def test_preset_config_equals_pipeline_preset(self, config):
-        params = ObfuscationParameters(**PRESET_CONFIGS[config])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = TaoFlow(params=params).obfuscate(SOURCE, "kernel")
+        params = ObfuscationParameters(**REGISTRY.get("config", config))
+        legacy = TaoFlow(params=params).obfuscate(SOURCE, "kernel")
         piped = TaoFlow(pipeline=CONFIG_PIPELINES[config]).obfuscate(
             SOURCE, "kernel"
         )
@@ -184,9 +179,9 @@ class TestPresetEquivalence:
         assert legacy.correct_working_key == piped.correct_working_key
 
     def test_every_preset_config_has_a_pipeline(self):
-        assert set(CONFIG_PIPELINES) == set(PRESET_CONFIGS)
+        assert set(CONFIG_PIPELINES) == set(REGISTRY.names("config"))
         for name in CONFIG_PIPELINES.values():
-            assert name in PIPELINE_PRESETS
+            assert REGISTRY.has("pipeline-preset", name)
 
     def test_dfg_diversity_option_equals_params_knob(self):
         via_params = TaoFlow(
@@ -283,36 +278,6 @@ class TestRandomnessStreams:
 
 
 # ----------------------------------------------------------------------
-# The deprecated boolean shim
-# ----------------------------------------------------------------------
-class TestBooleanShim:
-    def test_non_default_booleans_warn_once(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "_BOOLEAN_SHIM_WARNED", False)
-        params = ObfuscationParameters(obfuscate_dfg=False)
-        with pytest.warns(DeprecationWarning, match="pipeline"):
-            TaoFlow(params=params).obfuscate(SOURCE, "kernel")
-        # Second use in the same process stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TaoFlow(params=params).obfuscate(SOURCE, "kernel")
-
-    def test_default_parameters_do_not_warn(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "_BOOLEAN_SHIM_WARNED", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TaoFlow().obfuscate(SOURCE, "kernel")
-
-    def test_explicit_from_parameters_does_not_warn(self, monkeypatch):
-        monkeypatch.setattr(flow_module, "_BOOLEAN_SHIM_WARNED", False)
-        params = ObfuscationParameters(obfuscate_constants=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TaoFlow(
-                params=params, pipeline=FlowSpec.from_parameters(params)
-            ).obfuscate(SOURCE, "kernel")
-
-
-# ----------------------------------------------------------------------
 # Campaign pipeline axis
 # ----------------------------------------------------------------------
 class TestCampaignPipelineAxis:
@@ -325,9 +290,8 @@ class TestCampaignPipelineAxis:
             benchmarks=("sobel",),
             pipelines=("params", "constants,branches", "full"),
             n_keys=2,
-            jobs=1,
         )
-        result = run_campaign(spec, collect_cache_stats=True)
+        result = run_campaign(spec, ExecutionOptions(collect_cache_stats=True))
         assert len(result.units) == 3
         assert result.cache["golden"]["misses"] == 1
         assert result.cache["frontend"]["misses"] == 1
@@ -361,8 +325,8 @@ class TestCampaignPipelineAxis:
             n_keys=2,
             seed=21,
         )
-        serial = run_campaign(CampaignSpec(jobs=1, **base))
-        parallel = run_campaign(CampaignSpec(jobs=4, **base))
+        serial = run_campaign(CampaignSpec(**base))
+        parallel = run_campaign(CampaignSpec(**base), ExecutionOptions(jobs=4))
         assert serial.to_json() == parallel.to_json()
 
     def test_unknown_pipeline_fails_in_worker(self):
