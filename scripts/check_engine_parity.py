@@ -15,11 +15,10 @@ Usage::
     check_engine_parity.py --dump-state-source sobel [-o OUT.py]
 
 The first form exits non-zero with a diagnostic when the contract is
-violated.  The second dumps the codegen tier's generated source for
-the named benchmark (obfuscated with the ``full`` preset): the entry
-state's lockstep step function, then the ``_sweep`` module that
-campaigns actually run — uploaded as a CI artifact so a parity
-failure in the generated tier can be debugged from the run page.
+violated.  The second dumps the codegen tier's generated ``_sweep``
+module for the named benchmark (obfuscated with the ``full`` preset)
+— uploaded as a CI artifact so a parity failure in the generated tier
+can be debugged from the run page.
 """
 
 from __future__ import annotations
@@ -69,12 +68,9 @@ def compare_documents(documents: dict[str, dict]) -> list[str]:
 
 
 def dump_state_source(benchmark: str, output: Path | None) -> int:
-    """Write the generated source of the ``full``-preset ``benchmark``.
-
-    The entry state's lockstep step function, followed by the sweep
-    module (:attr:`CodegenDesign.source`) — deterministic, so
-    consecutive CI runs produce diffable artifacts.
-    """
+    """Write the generated sweep module (:attr:`CodegenDesign.source`)
+    of the ``full``-preset ``benchmark`` — deterministic, so
+    consecutive CI runs produce diffable artifacts."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.benchsuite import get_benchmark
     from repro.sim.codegen import codegen_for
@@ -82,15 +78,9 @@ def dump_state_source(benchmark: str, output: Path | None) -> int:
 
     bench = get_benchmark(benchmark)
     component = TaoFlow(pipeline="full").obfuscate(bench.source, bench.top)
-    plan = codegen_for(component.design)
-    state_idx = plan.layout.entry_idx
     text = (
-        f"# codegen step function: benchmark={benchmark} "
-        f"state={plan.layout.state_names[state_idx]}\n"
-        f"{plan.state_source(state_idx)}\n\n"
-        f"# codegen sweep module (the driver campaigns run): "
-        f"benchmark={benchmark}\n"
-        f"{plan.source}"
+        f"# codegen sweep module: benchmark={benchmark}\n"
+        f"{codegen_for(component.design).source}"
     )
     if output is None:
         print(text, end="")
@@ -105,9 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("documents", nargs="*", type=Path,
                         help="two or more same-spec campaign JSON files")
     parser.add_argument("--dump-state-source", metavar="BENCHMARK",
-                        help="dump the entry state's generated codegen "
-                        "step function and the sweep module instead of "
-                        "comparing documents")
+                        help="dump the generated codegen sweep module "
+                        "instead of comparing documents")
     parser.add_argument("-o", "--output", type=Path, default=None,
                         help="file for --dump-state-source (default stdout)")
     args = parser.parse_args(argv)

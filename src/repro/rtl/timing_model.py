@@ -78,6 +78,7 @@ def estimate_timing(design: FsmdDesign) -> TimingReport:
             for op in ops:
                 path, description = _op_path_delay(
                     design,
+                    block_name,
                     op,
                     fu_input_count,
                     register_input_count,
@@ -108,12 +109,14 @@ def estimate_timing(design: FsmdDesign) -> TimingReport:
 
 def _op_path_delay(
     design: FsmdDesign,
+    block_name: str,
     op,
     fu_input_count: dict[str, int],
     register_input_count: dict[str, int],
     merged_optypes,
 ) -> tuple[float, str]:
-    """Register-to-register delay of one scheduled operation."""
+    """Register-to-register delay of one scheduled operation of
+    ``block_name`` (a baseline instruction or a DFG variant op)."""
     from repro.hls.design import VariantOp
 
     if isinstance(op, Instruction):
@@ -126,13 +129,7 @@ def _op_path_delay(
         opcode = op.opcode
         result = op.result
         operands = op.operands
-        baseline = design.func.blocks[
-            next(
-                name
-                for name, variant in design.block_variants.items()
-                if any(op in ops for ops in variant.variants.values())
-            )
-        ].instructions
+        baseline = design.func.blocks[block_name].instructions
         bound_inst = baseline[op.slot] if op.slot < len(baseline) else None
 
     if opcode in (Opcode.JUMP, Opcode.RET):

@@ -9,8 +9,8 @@ Two hot paths dominate every validation campaign:
 * the front-end compilation + optimization pipeline, which
   ``TaoFlow.synthesize_pair`` used to run twice on the same source
   (baseline + obfuscated) — :class:`FrontEndCache` memoizes the
-  optimized module keyed on the SHA-256 of the source text and hands
-  out deep copies so callers may mutate freely.
+  optimized module, pickled, keyed on the SHA-256 of the source text
+  and unpickles a fresh copy per lookup so callers may mutate freely.
 
 Cache keys:
 
@@ -50,8 +50,8 @@ stays honest across nested process pools.
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
@@ -271,23 +271,24 @@ class GoldenCache:
 class FrontEndCache:
     """Memoizes front-end compilation keyed on the source text hash.
 
-    Stores the pristine optimized module and returns a deep copy per
-    lookup: the TAO obfuscation passes mutate the IR in place, so the
-    master must never escape.  The requested module name is applied to
-    the copy, letting baseline and obfuscated compilations of the same
-    source share one entry.
+    Stores the pristine optimized module as pickle bytes and unpickles
+    a fresh copy per lookup (several times cheaper than a deep copy of
+    the same module): the TAO obfuscation passes mutate the IR in
+    place, so the master must never escape.  The requested module name
+    is applied to the copy, letting baseline and obfuscated
+    compilations of the same source share one entry.
     """
 
     def __init__(self) -> None:
-        self._modules: dict[str, "Module"] = {}
+        self._masters: dict[str, bytes] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._modules)
+        return len(self._masters)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        self._modules.clear()
+        self._masters.clear()
         self.stats.reset()
 
     @staticmethod
@@ -302,14 +303,14 @@ class FrontEndCache:
     ) -> "Module":
         """Return a private copy of the optimized module for ``source``."""
         key = self.source_key(source)
-        master = self._modules.get(key)
+        master = self._masters.get(key)
         if master is not None:
             self.stats.hits += 1
         else:
             self.stats.misses += 1
-            master = compile_fn(source, name)
-            self._modules[key] = master
-        module = copy.deepcopy(master)
+            master = pickle.dumps(compile_fn(source, name), pickle.HIGHEST_PROTOCOL)
+            self._masters[key] = master
+        module = pickle.loads(master)
         module.name = name
         return module
 

@@ -7,12 +7,12 @@ tuple append — a dozen Python-level calls per cycle for states whose
 work is three integer adds.  This module is the third tier of the
 engine architecture and removes that too:
 
-* **Straight-line code generation.**  For every FSM state one Python
-  step function is generated as source text and ``exec()``-compiled
-  once per design: operand reads, opcode arithmetic (wrap masks folded
-  in as literals), ROM decodes, DFG-variant dispatch and the
-  controller transition are all inlined into the function body.  A
-  cycle in one state is a single Python call, not a closure per op.
+* **Straight-line code generation.**  One Python sweep function is
+  generated as source text and ``exec()``-compiled once per design:
+  every state's operand reads, opcode arithmetic (wrap masks folded in
+  as literals), ROM decodes, DFG-variant dispatch and controller
+  transition are inlined into its body, so a cycle is straight-line
+  code, not a closure call per op.
 
 * **Key-batched lanes.**  The register file and the memories are
   vectorized into lane-indexed storage (``regs[slot][lane]``,
@@ -26,22 +26,14 @@ engine architecture and removes that too:
   out exactly like a scalar run (``completed=False``,
   ``cycles == max_cycles``).
 
-Two generated drivers share the per-state code:
-
-* the **lockstep driver** (traced runs) buckets live lanes by current
-  state each cycle and calls each state's step function on its bucket
-  — the straightforward rendering of the architecture.  No campaign
-  runs it, so it is generated on first use: the first traced
-  :meth:`CodegenDesign.run_batch` or
-  :meth:`CodegenDesign.state_source` call;
-* the **sweep driver** (untraced runs, the hot path) chains
-  consecutive ``SEQ`` states into straight-line multi-cycle runs,
-  hoists the lane's registers, memories and key material into Python
-  locals, and retires each lane inside generated code — the per-cycle
-  driver overhead (bucketing, list indexing, one call per state)
-  disappears entirely, which is what the wrong-key workloads need:
-  corrupted lanes diverge in control flow, so cycle-lockstep buckets
-  degenerate to singletons while the sweep never pays for divergence.
+The **sweep driver** runs each lane to retirement on its own: it
+chains consecutive states into straight-line multi-cycle runs, hoists
+the lane's registers, memories and key material into Python locals,
+and retires the lane inside generated code.  That is what the
+wrong-key workloads need: corrupted lanes diverge in control flow, and
+the sweep never pays for divergence.  This tier records no state
+trace; the reference interpreter is the traced oracle, and the
+compiled tier traces too.
 
 Emission renders nothing twice: each (state, variant arm) body is
 rendered once, with body-local temporaries, and each inlined
@@ -61,10 +53,8 @@ class (asserted differentially in ``tests/test_sim_compiled.py`` and
 ``scripts/check_engine_parity.py``).
 
 Debuggability: the sweep module source is kept on
-:attr:`CodegenDesign.source` and the lockstep step functions are
-available per state via :meth:`CodegenDesign.state_source` — CI dumps
-the entry state's step function and the sweep module as an artifact
-next to the parity gate.
+:attr:`CodegenDesign.source` — CI dumps it as an artifact next to the
+parity gate.
 
 Like the compiled plan, instances hold code objects and are
 deliberately not picklable; worker processes generate their own via
@@ -86,11 +76,6 @@ from repro.sim.fsmd_sim import (
     zero_size_memory_error,
 )
 from repro.sim.layout import COND, SEQ, DesignLayout, PlanCache, wrap_fn
-
-#: Retirement marker written into the per-lane state array by the
-#: lockstep step functions: the lane completed this cycle (returned,
-#: hit a done state, or transitioned off the FSM).
-RETIRED = -1
 
 _CMP_OPS = {
     Opcode.EQ: "==",
@@ -114,13 +99,11 @@ def _wrap_expr(expr: str, type_: IntType) -> str:
 class _Emitter:
     """Emits straight-line source for one state's datapath ops.
 
-    Two addressing modes share the op lowering: *lane mode* (the
-    lockstep step functions — storage accessed as ``row[lane]``) and
-    *scalar mode* (the sweep — the lane's values live in hoisted
-    locals like ``_v3``/``_kc0``).  Tracks which register slots,
-    memories and key arrays the emitted code touches so the enclosing
-    function can hoist exactly those, and allocates temporaries for
-    the two-phase (read-then-commit) clock-edge semantics.
+    The lane's values live in locals the sweep hoists, like
+    ``_v3``/``_kc0``.  Tracks which register slots, memories and key
+    arrays the emitted code touches so the sweep can hoist exactly
+    those, and allocates temporaries for the two-phase
+    (read-then-commit) clock-edge semantics.
 
     Temporaries are numbered from zero in every body, so a body's text
     depends only on its op list.  No temporary is live across bodies:
@@ -128,9 +111,8 @@ class _Emitter:
     by the retire lines right after it.
     """
 
-    def __init__(self, plan: "CodegenDesign", scalar: bool) -> None:
+    def __init__(self, plan: "CodegenDesign") -> None:
         self.plan = plan
-        self.scalar = scalar
         self.used_regs: set[int] = set()
         self.used_mems: set[int] = set()
         self.used_keys: set[str] = set()
@@ -143,11 +125,9 @@ class _Emitter:
         return f"{prefix}{self._tmp}"
 
     def _key_ref(self, array_name: str) -> str:
-        """A per-lane read of one key array, in the current mode."""
+        """The hoisted local holding the lane's entry of one key array."""
         self.used_keys.add(array_name)
-        if self.scalar:
-            return "_" + array_name.lower()  # hoisted local, e.g. _kc0
-        return f"{array_name}[lane]"
+        return "_" + array_name.lower()  # e.g. _kc0
 
     # ------------------------------------------------------------------
     # Expressions
@@ -164,7 +144,7 @@ class _Emitter:
         slot = plan.layout.reg_slots[register.name]
         self.used_regs.add(slot)
         assert isinstance(value.type, IntType)
-        base = f"_v{slot}" if self.scalar else f"_r{slot}[lane]"
+        base = f"_v{slot}"
         if plan.layout.elidable_read(slot, value.type):
             return base
         return _wrap_expr(base, value.type)
@@ -249,16 +229,15 @@ class _Emitter:
         reads: list[str] = []
         reg_commits: list[tuple[int, str]] = []
         mem_commits: list[str] = []
-        mem_aliases: set[int] = set()
         ret_temp: Optional[str] = None
         # Intra-cycle writes are never read back (the two-phase clock
         # edge: every read sees pre-cycle values), so of multiple
         # writes to one slot only the last is live — earlier ones keep
         # their read phase (a dead LOAD must still raise on a
-        # zero-size memory) but drop their commit.  Scalar mode
-        # additionally writes the slot's local directly when no later
-        # op reads it this cycle, skipping the temp; transitions read
-        # post-commit values, so they never force a temp.
+        # zero-size memory) but drop their commit.  A live write goes
+        # straight to the slot's local when no later op reads it this
+        # cycle, skipping the temp; transitions read post-commit
+        # values, so they never force a temp.
         future_reads: list[set[int]] = [set() for _ in ops]
         last_write: dict[int, int] = {}
         register_of = plan.design.binding.register_of
@@ -276,14 +255,8 @@ class _Emitter:
                 last_write.setdefault(slot, position)
 
         def mem_alias(mem_idx: int) -> str:
-            self.used_mems.add(mem_idx)
-            alias = f"_a{mem_idx}"
-            if not self.scalar and mem_idx not in mem_aliases:
-                # Scalar mode hoists the lane's memory once per lane;
-                # lane mode aliases it once per step call.
-                mem_aliases.add(mem_idx)
-                reads.append(f"{alias} = _M{mem_idx}[lane]")
-            return alias
+            self.used_mems.add(mem_idx)  # the sweep hoists it per lane
+            return f"_a{mem_idx}"
 
         def commit_result(position: int, slot: int, expression: str) -> None:
             """Route one register write: dead / direct local / temp."""
@@ -293,7 +266,7 @@ class _Emitter:
                 # read phase for its side effects, drop the commit.
                 reads.append(f"{self.temp()} = {expression}")
                 return
-            if self.scalar and slot not in future_reads[position]:
+            if slot not in future_reads[position]:
                 reads.append(f"_v{slot} = {expression}")
                 return
             temp = self.temp()
@@ -358,10 +331,7 @@ class _Emitter:
                 expression = self.arith(opcode, operands, result_type)
             commit_result(position, slot, expression)
 
-        if self.scalar:
-            commits = [f"_v{slot} = {temp}" for slot, temp in reg_commits]
-        else:
-            commits = [f"_r{slot}[lane] = {temp}" for slot, temp in reg_commits]
+        commits = [f"_v{slot} = {temp}" for slot, temp in reg_commits]
         commits.extend(mem_commits)
         return reads, commits, ret_temp
 
@@ -373,9 +343,7 @@ class CodegenDesign:
     source is :attr:`source`), then :meth:`run_batch` any number of
     key batches; :meth:`bind_keys` fills the per-lane key arrays and
     is called automatically.  :meth:`run` is the scalar view — a batch
-    of one lane.  The lockstep step functions are generated and
-    exec'd into the same namespace on first use: the first traced
-    :meth:`run_batch` or :meth:`state_source` call.
+    of one lane.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
@@ -400,10 +368,6 @@ class CodegenDesign:
             sel_name = self._sel_name(variants)
             for idx, per_selector in tables:
                 self._variant_states[idx] = (sel_name, per_selector)
-        # Generate and exec the sweep module; the lockstep step
-        # functions wait for their first caller (_build_lockstep).
-        self._state_sources: Optional[list[str]] = None
-        self._step_fns: Optional[list] = None
         self.source = (
             f"# Generated by repro.sim.codegen for design {design.name!r}.\n"
             f"# The per-lane `_sweep` driver; storage is lane-indexed\n"
@@ -482,16 +446,17 @@ class CodegenDesign:
         return self.layout.reg_slots[register.name], result.type
 
     # ------------------------------------------------------------------
-    # Lockstep step functions (one per state; the traced driver)
+    # The sweep driver: chained states, hoisted lanes
     # ------------------------------------------------------------------
     def _emit_ops_and_retire(
         self, emitter: _Emitter, state_idx: int, retire, transition
     ) -> list[str]:
-        """Ops + retire-or-transition lines for one state, either mode.
+        """Ops + retire-or-transition lines for one state.
 
         ``retire(ret_temp)`` renders lane retirement (with or without
         a return value) and ``transition(spec)`` renders the
-        controller transition — the two drivers differ only there.
+        controller transition — each rendering of a cycle (checked,
+        unchecked, inlined) differs only there.
         """
         variant = self._variant_states.get(state_idx)
         layout = self.layout
@@ -541,62 +506,6 @@ class CodegenDesign:
             lines.extend(f"    {line}" for line in branch)
         return lines
 
-    def _emit_state(self, state_idx: int) -> str:
-        emitter = _Emitter(self, scalar=False)
-
-        def retire(ret_temp: Optional[str]) -> list[str]:
-            lines = []
-            if ret_temp is not None:
-                lines.append(f"rv[lane] = {ret_temp}")
-            lines.append(f"states[lane] = {RETIRED}")
-            return lines
-
-        def transition(spec: tuple) -> list[str]:
-            if spec[0] == COND:
-                _, condition, key_bit, true_idx, false_idx = spec
-                true_target = RETIRED if true_idx is None else true_idx
-                false_target = RETIRED if false_idx is None else false_idx
-                test = f"({emitter.operand(condition)}) & 1"
-                if key_bit is not None:
-                    test = f"({test}) ^ {emitter._key_ref(self._kb_name(key_bit))}"
-                return [f"states[lane] = {true_target} if {test} else {false_target}"]
-            next_idx = spec[1]
-            return [f"states[lane] = {RETIRED if next_idx is None else next_idx}"]
-
-        body = self._emit_ops_and_retire(emitter, state_idx, retire, transition)
-        lines = [f"def _s{state_idx}(lanes, regs, mems, sizes, states, rv):"]
-        lines.append(f"    # state {self.layout.state_names[state_idx]}")
-        for slot in sorted(emitter.used_regs):
-            lines.append(f"    _r{slot} = regs[{slot}]")
-        for mem_idx in sorted(emitter.used_mems):
-            lines.append(f"    _M{mem_idx} = mems[{mem_idx}]")
-            lines.append(f"    _z{mem_idx} = sizes[{mem_idx}]")
-        lines.append("    for lane in lanes:")
-        lines.extend(f"        {line}" for line in body)
-        return "\n".join(lines)
-
-    def _build_lockstep(self) -> None:
-        """Generate and exec the lockstep step functions, once."""
-        if self._step_fns is not None:
-            return
-        states = range(len(self.layout.states))
-        self._state_sources = [self._emit_state(idx) for idx in states]
-        code = compile(
-            "\n\n".join(self._state_sources) + "\n",
-            f"<codegen:{self.design.name}:lockstep>",
-            "exec",
-        )
-        exec(code, self._namespace)
-        self._step_fns = [self._namespace[f"_s{idx}"] for idx in states]
-
-    def state_source(self, state_idx: int) -> str:
-        """The generated step function of one state (CI artifact hook)."""
-        self._build_lockstep()
-        return self._state_sources[state_idx]
-
-    # ------------------------------------------------------------------
-    # The sweep driver (untraced runs): chained states, hoisted lanes
-    # ------------------------------------------------------------------
     def _build_chains(self) -> list[list[int]]:
         """Partition states into maximal straight-line multi-cycle runs.
 
@@ -669,7 +578,7 @@ class CodegenDesign:
         ``break``; ``_done`` distinguishes them.
         """
         layout = self.layout
-        emitter = _Emitter(self, scalar=True)
+        emitter = _Emitter(self)
         chains = self._build_chains()
 
         def condition_test(spec: tuple) -> str:
@@ -910,15 +819,14 @@ class CodegenDesign:
         arrays: Optional[dict[str, list[int]]] = None,
         working_keys: Sequence[int] = (),
         max_cycles: int = 2_000_000,
-        trace: bool = False,
     ) -> list[SimulationResult]:
         """Simulate one lane per working key; all lanes share the workload.
 
         Every lane starts from the same arguments and initial memory
         images (each lane gets private copies) and advances through the
         FSM; lanes retire independently.  The result list is
-        lane-indexed: ``result[i]`` is field-identical to a scalar run
-        of ``working_keys[i]`` on any engine.
+        lane-indexed: ``result[i]`` is field-identical to an untraced
+        scalar run of ``working_keys[i]`` on any engine.
         """
         layout = self.layout
         if len(args) != layout.n_scalar_params:
@@ -930,8 +838,6 @@ class CodegenDesign:
         n_lanes = len(keys)
         if n_lanes == 0:
             return []
-        if trace:
-            self._build_lockstep()
         self.bind_keys(keys)
         regs: list[list[int]] = [[0] * n_lanes for _ in range(layout.n_regs)]
         for latch, arg in zip(layout.param_latches, args):
@@ -955,62 +861,19 @@ class CodegenDesign:
         rv: list[Optional[int]] = [None] * n_lanes
         completed = [False] * n_lanes
         retire_cycle = [0] * n_lanes
-        traces: list[list[str]] = [[] for _ in range(n_lanes)]
-        if trace:
-            self._run_lockstep(
-                n_lanes, regs, mems, sizes, rv, completed, retire_cycle,
-                traces, max_cycles,
-            )
-        else:
-            self._sweep(
-                range(n_lanes), regs, mems, sizes, rv, completed, retire_cycle,
-                max_cycles,
-            )
+        self._sweep(
+            range(n_lanes), regs, mems, sizes, rv, completed, retire_cycle,
+            max_cycles,
+        )
         return [
             SimulationResult(
                 return_value=rv[lane],
                 arrays=arrays_by_lane[lane],
                 cycles=retire_cycle[lane],
                 completed=completed[lane],
-                state_trace=traces[lane],
             )
             for lane in range(n_lanes)
         ]
-
-    def _run_lockstep(
-        self, n_lanes, regs, mems, sizes, rv, completed, retire_cycle,
-        traces, max_cycles,
-    ) -> None:
-        """Cycle-lockstep driver: bucket live lanes by state, step each
-        bucket through its state's generated function (traced runs)."""
-        step_fns = self._step_fns
-        state_names = self.layout.state_names
-        states = [self.layout.entry_idx] * n_lanes
-        live = list(range(n_lanes))
-        cycles = 0
-        while live and cycles < max_cycles:
-            cycles += 1
-            for lane in live:
-                traces[lane].append(state_names[states[lane]])
-            buckets: dict[int, list[int]] = {}
-            for lane in live:
-                bucket = buckets.get(states[lane])
-                if bucket is None:
-                    buckets[states[lane]] = [lane]
-                else:
-                    bucket.append(lane)
-            for state_idx, lanes in buckets.items():
-                step_fns[state_idx](lanes, regs, mems, sizes, states, rv)
-            retained = []
-            for lane in live:
-                if states[lane] < 0:
-                    completed[lane] = True
-                    retire_cycle[lane] = cycles
-                else:
-                    retained.append(lane)
-            live = retained
-        for lane in live:  # budget expired with the lane still running
-            retire_cycle[lane] = cycles
 
     def run(
         self,
@@ -1018,7 +881,6 @@ class CodegenDesign:
         arrays: Optional[dict[str, list[int]]] = None,
         working_key: int = 0,
         max_cycles: int = 2_000_000,
-        trace: bool = False,
     ) -> SimulationResult:
         """One scalar trial — a batch of one lane."""
         return self.run_batch(
@@ -1026,7 +888,6 @@ class CodegenDesign:
             arrays=arrays,
             working_keys=[working_key],
             max_cycles=max_cycles,
-            trace=trace,
         )[0]
 
 

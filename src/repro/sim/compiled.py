@@ -22,8 +22,9 @@ which the codegen tier consumes too):
   are resolved at compile time — no per-cycle dispatch;
 * controller transitions are pre-resolved into ``(condition reader,
   key-bit cell, true index, false index)`` records;
-* per-block DFG variant tables are compiled for every selector value
-  up front, so selecting a variant under a key is a dict hit.
+* a DFG variant arm is compiled the first time a bound key selects
+  it and kept on the plan, so a sweep cell that binds two keys
+  compiles at most two of each variant state's arms.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
@@ -264,7 +265,8 @@ class CompiledDesign:
 
     Compile once (the constructor), then :meth:`run` any number of
     trials; :meth:`bind_key` specializes the key-dependent cells per
-    working key and is called automatically by :meth:`run`.  Instances
+    working key, compiling each DFG variant arm the first time a key
+    selects it, and is called automatically by :meth:`run`.  Instances
     hold closures and are deliberately **not picklable** — worker
     processes compile their own plan from the (picklable) design via
     :func:`compiled_for`.
@@ -283,6 +285,8 @@ class CompiledDesign:
         self._rom_cells: dict[str, list[int]] = {}
         self._rom_binds: list[tuple] = []
         self._kb_binds: list[tuple[int, list[int]]] = []
+        #: Per obfuscated block, ``(BlockVariants, [(state idx, {selector:
+        #: op list}, {selector: compiled arm})])``; arms compile on first bind.
         self._variant_binds: list[tuple] = []
         self._bound_key: Optional[int] = None
         self._n_scalar_params = layout.n_scalar_params
@@ -297,11 +301,9 @@ class CompiledDesign:
                 self._state_ops[idx] = self._compile_ops(ops)
             self._compile_transition(layout.transition_specs[idx])
         for variants, tables in layout.variant_tables:
-            compiled_tables = [
-                (idx, {sel: self._compile_ops(ops) for sel, ops in per_selector.items()})
-                for idx, per_selector in tables
-            ]
-            self._variant_binds.append((variants, compiled_tables))
+            self._variant_binds.append(
+                (variants, [(idx, per_selector, {}) for idx, per_selector in tables])
+            )
         self._entry_idx = layout.entry_idx
 
     # ------------------------------------------------------------------
@@ -488,25 +490,35 @@ class CompiledDesign:
     # Per-key specialization
     # ------------------------------------------------------------------
     def bind_key(self, working_key: int) -> None:
-        """Fill every key-dependent cell for ``working_key``.
+        """Select the variant arms and fill every key-dependent cell for
+        ``working_key``.
 
-        Cheap — O(obfuscated constants + ROMs + masked branches +
-        variant blocks), independent of cycle count — and memoized on
-        the last bound key, so re-running the same key rebinds nothing.
+        An arm the key selects for the first time is compiled here and
+        kept on the plan; after that, binding is cheap — O(obfuscated
+        constants + ROMs + masked branches + variant blocks),
+        independent of cycle count — and memoized on the last bound
+        key, so re-running the same key rebinds nothing.  A selector
+        with no arm in its block's table raises ``KeyError``, and the
+        failed bind leaves no key memoized.
         """
         if working_key == self._bound_key:
             return
+        self._bound_key = None
+        # Arms first: compiling a new arm can add constant and ROM cells.
+        state_ops = self._state_ops
+        for variants, tables in self._variant_binds:
+            selector = variants.selector(working_key)
+            for idx, per_selector, arms in tables:
+                arm = arms.get(selector)
+                if arm is None:
+                    arm = arms[selector] = self._compile_ops(per_selector[selector])
+                state_ops[idx] = arm
         for oc, cell in self._kconst_cells.items():
             cell[0] = oc.decode(working_key)
         for rom, element_type, cell in self._rom_binds:
             cell[0] = rom.mask_for(element_type, working_key)
         for bit, cell in self._kb_binds:
             cell[0] = (working_key >> bit) & 1
-        state_ops = self._state_ops
-        for variants, tables in self._variant_binds:
-            selector = variants.selector(working_key)
-            for idx, per_selector in tables:
-                state_ops[idx] = per_selector[selector]
         self._bound_key = working_key
 
     # ------------------------------------------------------------------

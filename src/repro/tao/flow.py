@@ -144,8 +144,9 @@ class TaoFlow:
         Memoized in :data:`repro.runtime.cache.FRONTEND_CACHE` keyed on
         the source hash: ``synthesize_pair`` (and repeated sweeps over
         the same kernel) compile and optimize each source exactly once
-        per process.  The returned module is a private deep copy, safe
-        for the in-place obfuscation passes to mutate.
+        per process.  The returned module is a private copy, unpickled
+        from the cached master, safe for the in-place obfuscation
+        passes to mutate.
         """
         return FRONTEND_CACHE.get_or_compile(source, name, _compile_and_optimize)
 

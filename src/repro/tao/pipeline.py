@@ -156,7 +156,7 @@ class StageReport:
 class FlowContext:
     """Mutable state the pipeline threads through its stages.
 
-    Frontend stages mutate ``func`` (a private deep copy from the
+    Frontend stages mutate ``func`` (in a private copy from the
     front-end cache); the driver then schedules/binds the module and
     publishes the result as ``design`` for post-schedule stages.
     ``base_seed`` feeds :meth:`stage_seed`/:meth:`stage_rng` so each

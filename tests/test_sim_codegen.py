@@ -6,9 +6,9 @@ wrong-corrupting / timeout keys retiring at different cycles in one
 run_batch call), batch-vs-scalar identity, the bind_keys lifecycle
 (memoization, out-of-table selector KeyError parity with the compiled
 tier, no poisoned memo after a failed bind), the codegen plan cache,
-generated-source introspection (the on-demand lockstep driver, source
-determinism, linear emission), and the key_batches chunking contract
-the campaign runtime feeds the batched trial path with.
+generated-source introspection (source determinism, linear emission),
+and the key_batches chunking contract the campaign runtime feeds the
+batched trial path with.
 """
 
 import functools
@@ -96,8 +96,7 @@ class TestMixedFateBatch:
     """One batch, three lane fates — the satellite contract: every lane
     is field-identical to a scalar run of the same key."""
 
-    @pytest.mark.parametrize("trace", (False, True))
-    def test_lanes_retire_independently(self, trace):
+    def test_lanes_retire_independently(self):
         component, workload, correct, corrupting, timeout, budget = (
             _mixed_fate_setup()
         )
@@ -108,11 +107,10 @@ class TestMixedFateBatch:
             dict(workload.arrays),
             working_keys=keys,
             max_cycles=budget,
-            trace=trace,
         )
         assert len(batch) == len(keys)
         scalars = [
-            FsmdSimulator(design, max_cycles=budget, trace=trace).run(
+            FsmdSimulator(design, max_cycles=budget).run(
                 workload.args, dict(workload.arrays), key
             )
             for key in keys
@@ -255,41 +253,9 @@ class TestGeneratedSource:
     def test_state_source_is_inspectable(self):
         component, _ = _obfuscated("gsm", "full")
         plan = CodegenDesign(component.design)
-        # The sweep module is all a fresh plan generates; the lockstep
-        # step functions wait for a traced run or state_source.
+        # The sweep module is all a plan generates.
         assert "def _sweep(" in plan.source
         assert not re.search(r"^def _s\d+\(", plan.source, re.MULTILINE)
-        entry = plan.layout.entry_idx
-        source = plan.state_source(entry)
-        assert source.startswith(f"def _s{entry}(")
-        assert "for lane in lanes" in source
-
-    def test_traced_run_after_untraced_run_on_same_batch(self):
-        component, workload, correct, corrupting, timeout, budget = (
-            _mixed_fate_setup()
-        )
-        design = component.design
-        plan = CodegenDesign(design)
-        keys = [correct, corrupting, timeout]
-        run = functools.partial(
-            plan.run_batch,
-            workload.args,
-            dict(workload.arrays),
-            working_keys=keys,
-            max_cycles=budget,
-        )
-        run()
-        assert plan._bound_keys == tuple(keys)
-        traced = run(trace=True)  # memo hit; builds the lockstep driver
-        scalars = [
-            FsmdSimulator(design, max_cycles=budget, trace=True).run(
-                workload.args, dict(workload.arrays), key
-            )
-            for key in keys
-        ]
-        assert [result_fields(r) for r in traced] == [
-            result_fields(r) for r in scalars
-        ]
 
     def test_source_independent_of_process_history(self):
         """One design's source is the same bytes whatever was built
@@ -304,9 +270,8 @@ class TestGeneratedSource:
 class TestLinearEmission:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_each_state_arm_renders_once(self, name, monkeypatch):
-        """Building a plan renders each (state, variant arm) op list at
-        most once, however often the sweep inlines the state, and
-        renders no lockstep step function at all."""
+        """Building a plan renders each (state, variant arm) op list
+        exactly once, however often the sweep inlines the state."""
         component, _ = _obfuscated(name, "full")
         renders: Counter = Counter()
         render = _Emitter.body
@@ -314,7 +279,7 @@ class TestLinearEmission:
         def counted(emitter, ops):
             # Op lists live in the plan's layout for the whole build, so
             # their ids name (state, arm) pairs.
-            renders[(emitter.scalar, id(ops))] += 1
+            renders[id(ops)] += 1
             return render(emitter, ops)
 
         monkeypatch.setattr(_Emitter, "body", counted)
@@ -326,10 +291,8 @@ class TestLinearEmission:
             for _, per_selector in tables
         )
         plain = sum(ops is not None for ops in layout.state_op_lists)
-        sweep = [count for (scalar, _), count in renders.items() if scalar]
-        assert max(sweep) == 1
-        assert len(sweep) == plain + arms
-        assert len(renders) == len(sweep)  # no lockstep step function
+        assert max(renders.values()) == 1
+        assert len(renders) == plain + arms
 
 
 class TestKeyBatches:

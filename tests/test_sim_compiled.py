@@ -1,7 +1,8 @@
 """Fast FSMD engines: differential bit-identity of the compiled and
 codegen tiers against the reference interpreter, the engine seam, the
-compile-once cache, and the zero-size-memory regression (all three
-engines)."""
+compile-once cache, the compiled tier's bind lifecycle (arms compiled
+on first bind, no poisoned memo after a failed bind), and the
+zero-size-memory regression (all three engines)."""
 
 import functools
 
@@ -22,7 +23,12 @@ from repro.sim import (
     run_testbench,
     simulate,
 )
-from repro.sim.compiled import DEFAULT_ENGINE, ENGINE_ENV, _COMPILE_CACHE
+from repro.sim.compiled import (
+    DEFAULT_ENGINE,
+    ENGINE_ENV,
+    _COMPILE_CACHE,
+    CompiledDesign,
+)
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
 
@@ -39,7 +45,11 @@ def result_fields(result):
 
 
 def assert_identical(design, args, arrays, working_key, max_cycles, trace=False):
-    """Run all three engines on one trial; assert field-identical results."""
+    """Run all three engines on one trial; assert field-identical results.
+
+    ``trace`` compares state sequences on the tiers that record one
+    (the interpreter and the compiled plan); codegen records none.
+    """
     interp = FsmdSimulator(design, max_cycles=max_cycles, trace=trace).run(
         args, dict(arrays) if arrays else None, working_key
     )
@@ -56,9 +66,9 @@ def assert_identical(design, args, arrays, working_key, max_cycles, trace=False)
         dict(arrays) if arrays else None,
         working_key=working_key,
         max_cycles=max_cycles,
-        trace=trace,
     )
-    assert result_fields(interp) == result_fields(codegen)
+    assert result_fields(interp)[:-1] == result_fields(codegen)[:-1]
+    assert codegen.state_trace == []
     return interp
 
 
@@ -89,8 +99,11 @@ class TestDifferentialAcrossSuite:
         assert baseline.completed
         cap = max(8 * baseline.cycles, 4000)
         # Wrong keys from distinct corruption patterns (bit flips in
-        # different slices), capped like the validation campaign.
-        for flip in (1, (1 << (width // 2)) | 1, (1 << (width - 1)) | 3):
+        # different slices), capped like the validation campaign.  The
+        # 0 flip rebinds the correct key between two wrong ones (keys
+        # A, B, A, C on one cached plan), so a variant arm compiled by
+        # an earlier bind is reused and a new key still compiles its own.
+        for flip in (1, 0, (1 << (width // 2)) | 1, (1 << (width - 1)) | 3):
             assert_identical(
                 design, workload.args, workload.arrays, correct ^ flip, cap
             )
@@ -229,6 +242,84 @@ class TestCompileOnceCache:
         bound = plan._bound_key
         plan.bind_key(component.correct_working_key)
         assert plan._bound_key == bound == component.correct_working_key
+
+    def test_failed_bind_does_not_poison_memoization(self):
+        """A bind that raises forgets the memoized key: the next run of
+        the previously bound key rebinds instead of running on the
+        failed key's cells and arms."""
+        bench = get_benchmark("gsm")
+        component = TaoFlow(pipeline="full").obfuscate(bench.source, bench.top)
+        design = component.design
+        # Fresh (not the lru-cached fixture): the last variant table
+        # loses one wrong-selector arm, and the bad key steers into
+        # that hole with every other key bit flipped.
+        variants = list(design.block_variants.values())[-1]
+        missing = next(
+            selector
+            for selector in sorted(variants.variants)
+            if selector != variants.correct_value
+        )
+        del variants.variants[missing]
+        correct = component.correct_working_key
+        slice_mask = ((1 << variants.key_bits) - 1) << variants.key_offset
+        flipped = correct ^ ((1 << component.working_key_bits) - 1)
+        bad_key = (flipped & ~slice_mask) | (missing << variants.key_offset)
+        _, workload = _obfuscated("gsm", "full")
+        plan = compiled_for(design)
+
+        def run_correct():
+            return plan.run(
+                workload.args,
+                dict(workload.arrays),
+                working_key=correct,
+                max_cycles=200_000,
+            )
+
+        run_correct()
+        with pytest.raises(KeyError):
+            plan.bind_key(bad_key)
+        assert plan._bound_key is None
+        oracle = FsmdSimulator(design, max_cycles=200_000).run(
+            workload.args, dict(workload.arrays), correct
+        )
+        assert result_fields(run_correct()) == result_fields(oracle)
+
+
+class TestLazyArms:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_two_binds_compile_at_most_two_arms(self, name, monkeypatch):
+        """Binding the correct key and one wrong key compiles only the
+        two selected arms of each variant state table, not all of them."""
+        component, _ = _obfuscated(name, "full")
+        compiled: list[int] = []
+        compile_ops = CompiledDesign._compile_ops
+
+        def counted(plan, ops):
+            # Op lists live in the plan's layout, so their ids name
+            # (state, arm) pairs.
+            compiled.append(id(ops))
+            return compile_ops(plan, ops)
+
+        monkeypatch.setattr(CompiledDesign, "_compile_ops", counted)
+        plan = CompiledDesign(component.design)
+        correct = component.correct_working_key
+        wrong = correct ^ ((1 << component.working_key_bits) - 1)
+        plan.bind_key(correct)
+        plan.bind_key(wrong)
+        tables = [
+            (variants, per_selector)
+            for variants, state_tables in plan.layout.variant_tables
+            for _, per_selector in state_tables
+        ]
+        assert tables, "full preset should variant-obfuscate"
+        for variants, per_selector in tables:
+            arms = [id(ops) for ops in per_selector.values()]
+            selected = {
+                id(per_selector[variants.selector(key)]) for key in (correct, wrong)
+            }
+            compiled_arms = [i for i in compiled if i in arms]
+            assert len(compiled_arms) <= 2
+            assert set(compiled_arms) == selected
 
 
 class TestInterpreterOpsMemoization:
