@@ -539,19 +539,20 @@ def build_parser() -> argparse.ArgumentParser:
             "  The execution stack is a three-tier seam (repro.sim):\n"
             "  'interp' is the reference interpreter, kept as the oracle\n"
             "  for differential tests.  'compiled' (default) lowers each\n"
-            "  FSMD design once into a slot-indexed closure plan\n"
-            "  (repro.sim.compiled): operand readers, opcode dispatch,\n"
-            "  per-state op lists and controller transitions are resolved\n"
-            "  at compile time, and the plan is specialized per key by a\n"
-            "  cheap bind_key step — one compilation serves every key\n"
-            "  trial of a campaign.  'codegen' (repro.sim.codegen) goes\n"
-            "  one tier further: it exec()-generates straight-line Python\n"
-            "  for the whole FSM and vectorizes registers/memories into\n"
-            "  lane-indexed storage, so a single bind_keys(keys) call\n"
-            "  specializes the plan for a whole key batch and the\n"
-            "  generated sweep retires lanes independently (campaign\n"
-            "  workers receive key batches, not single keys, on this\n"
-            "  path).  Determinism contract: all three engines produce\n"
+            "  FSMD design once into a slot-indexed plan\n"
+            "  (repro.sim.compiled): each op becomes one fused closure\n"
+            "  that writes its register or memory in place, and each\n"
+            "  straight-line run of states runs as one dispatch; the plan\n"
+            "  is specialized per key by a cheap bind_key step — one\n"
+            "  compilation serves every key trial of a campaign.\n"
+            "  'codegen' (repro.sim.codegen) goes one tier further: it\n"
+            "  exec()-generates straight-line Python for the whole FSM,\n"
+            "  with registers held in local variables, and vectorizes\n"
+            "  registers/memories into lane-indexed storage, so a single\n"
+            "  bind_keys(keys) call specializes the plan for a whole key\n"
+            "  batch and the generated sweep retires lanes independently\n"
+            "  (campaign workers receive key batches, not single keys, on\n"
+            "  this path).  Determinism contract: all three engines produce\n"
             "  field-identical simulation results, so campaign JSON is\n"
             "  byte-identical regardless of engine or batch layout (the\n"
             "  engine, like --jobs, never enters the serialized spec);\n"

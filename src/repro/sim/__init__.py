@@ -1,7 +1,7 @@
 """Simulation: golden IR interpreter, the three-tier cycle-accurate
 FSMD engine stack (``interp`` reference interpreter, ``compiled``
-closure plans, ``codegen`` generated + key-batched source) and the
-testbench harness.  :func:`resolve_engine` picks the FSMD engine:
+plans of fused per-op closures dispatched a chain of states at a time,
+``codegen`` generated + key-batched source) and the testbench harness.  :func:`resolve_engine` picks the FSMD engine:
 explicit argument > ``$REPRO_SIM_ENGINE`` > ``"compiled"``; batched
 trials enter through :func:`simulate_batch` /
 :func:`run_testbench_batch`."""

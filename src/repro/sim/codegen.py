@@ -1,18 +1,20 @@
 """Codegen FSMD execution tier: exec()-generated, key-batched step code.
 
 The compiled tier (:mod:`repro.sim.compiled`) removed per-cycle
-*resolution* but still pays per-op *dispatch*: every operation is a
-closure call, every operand read another, and every register write a
-tuple append — a dozen Python-level calls per cycle for states whose
-work is three integer adds.  This module is the third tier of the
-engine architecture and removes that too:
+*resolution* and runs each op as one fused closure that writes its
+register in place, but it still pays one Python call per op, keeps the
+register file in a list, and simulates one key at a time.  This module
+is the third tier of the engine architecture and adds two things on
+top:
 
-* **Straight-line code generation.**  One Python sweep function is
-  generated as source text and ``exec()``-compiled once per design:
-  every state's operand reads, opcode arithmetic (wrap masks folded in
-  as literals), ROM decodes, DFG-variant dispatch and controller
-  transition are inlined into its body, so a cycle is straight-line
-  code, not a closure call per op.
+* **Registers hoisted into locals, ops inlined.**  One Python sweep
+  function is generated as source text and ``exec()``-compiled once
+  per design: every state's operand reads, opcode arithmetic (rendered
+  by :func:`repro.sim.layout.arith_expr`, wrap masks as literals), ROM
+  decodes, DFG-variant dispatch and controller transition are inlined
+  into its body, and the lane's registers, memories and key material
+  live in Python locals, so a cycle is straight-line local-variable
+  code with no call per op.
 
 * **Key-batched lanes.**  The register file and the memories are
   vectorized into lane-indexed storage (``regs[slot][lane]``,
@@ -69,31 +71,22 @@ from repro.hls.design import FsmdDesign
 from repro.ir.instructions import Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
-from repro.sim.compiled import _arith_fn, _op_fields
+from repro.opt.constant_folding import evaluate_op
 from repro.sim.fsmd_sim import (
     SimulationError,
     SimulationResult,
     zero_size_memory_error,
 )
-from repro.sim.layout import COND, SEQ, DesignLayout, PlanCache, wrap_fn
-
-_CMP_OPS = {
-    Opcode.EQ: "==",
-    Opcode.NE: "!=",
-    Opcode.LT: "<",
-    Opcode.LE: "<=",
-    Opcode.GT: ">",
-    Opcode.GE: ">=",
-}
-
-
-def _wrap_expr(expr: str, type_: IntType) -> str:
-    """Inline ``type_.wrap`` as a source expression (masks as literals)."""
-    mask = (1 << type_.width) - 1
-    if not type_.signed:
-        return f"(({expr}) & {mask})"
-    sign = 1 << (type_.width - 1)
-    return f"(((({expr}) + {sign}) & {mask}) - {sign})"
+from repro.sim.layout import (
+    COND,
+    EXPR_HELPERS,
+    SEQ,
+    DesignLayout,
+    PlanCache,
+    arith_expr,
+    op_fields,
+    wrap_expr,
+)
 
 
 class _Emitter:
@@ -147,56 +140,16 @@ class _Emitter:
         base = f"_v{slot}"
         if plan.layout.elidable_read(slot, value.type):
             return base
-        return _wrap_expr(base, value.type)
+        return wrap_expr(base, value.type)
 
     def arith(self, opcode: Opcode, operands: list[Value], result_type: IntType) -> str:
         """Inline arithmetic for one datapath op (wrap folded in)."""
-        a = self.operand(operands[0])
-        b = self.operand(operands[1]) if len(operands) > 1 else None
         types: list[IntType] = []
         for operand in operands:
             assert isinstance(operand.type, IntType)
             types.append(operand.type)
-
-        def wrap(expression: str) -> str:
-            return _wrap_expr(expression, result_type)
-
-        if opcode is Opcode.ADD:
-            return wrap(f"{a} + {b}")
-        if opcode is Opcode.SUB:
-            return wrap(f"{a} - {b}")
-        if opcode is Opcode.MUL:
-            return wrap(f"{a} * {b}")
-        if opcode is Opcode.NEG:
-            return wrap(f"-({a})")
-        if opcode is Opcode.NOT:
-            return wrap(f"~({a})")
-        if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-            mask0 = (1 << types[0].width) - 1
-            mask1 = (1 << types[1].width) - 1
-            symbol = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}[opcode]
-            return wrap(f"(({a}) & {mask0}) {symbol} (({b}) & {mask1})")
-        if opcode in (Opcode.SHL, Opcode.SHR):
-            modulus = max(1, result_type.width)
-            if opcode is Opcode.SHL:
-                return wrap(f"({a}) << (({b}) % {modulus})")
-            if types[0].signed:
-                return wrap(f"({a}) >> (({b}) % {modulus})")
-            mask0 = (1 << types[0].width) - 1
-            return wrap(f"(({a}) & {mask0}) >> (({b}) % {modulus})")
-        if opcode in _CMP_OPS:
-            true_value = wrap_fn(result_type)(1)
-            false_value = wrap_fn(result_type)(0)
-            return f"({true_value} if ({a}) {_CMP_OPS[opcode]} ({b}) else {false_value})"
-        if opcode is Opcode.MOV:
-            return wrap(a)
-        if opcode in (Opcode.DIV, Opcode.REM):
-            # Division totality (the |0 quotient, sign conventions) is
-            # easier to keep bit-identical by reusing the compiled
-            # tier's closure than by inlining the conditionals.
-            helper = self.plan._helper_name(opcode, types, result_type)
-            return f"{helper}({a}, {b})"
-        raise SimulationError(f"cannot evaluate opcode {opcode}")
+        rendered = [self.operand(operand) for operand in operands]
+        return arith_expr(opcode, rendered, types, result_type)
 
     def _read_slots(self, operands: Sequence[Value]) -> set[int]:
         """Register slots an op's read phase touches (for direct-assign)."""
@@ -244,7 +197,7 @@ class _Emitter:
         pending: set[int] = set()
         for position in range(len(ops) - 1, -1, -1):
             future_reads[position] = set(pending)
-            opcode, result, operands, _ = _op_fields(ops[position])
+            opcode, result, operands, _ = op_fields(ops[position])
             pending |= self._read_slots(operands)
             if (
                 result is not None
@@ -274,7 +227,7 @@ class _Emitter:
             reg_commits.append((slot, temp))
 
         for position, op in enumerate(ops):
-            opcode, result, operands, array_name = _op_fields(op)
+            opcode, result, operands, array_name = op_fields(op)
             if opcode in (Opcode.JUMP, Opcode.BRANCH):
                 continue  # handled by the generated transition
             if opcode is Opcode.RET:
@@ -297,10 +250,10 @@ class _Emitter:
                     element_type = plan.design.func.arrays[array_name].element_type
                     element_mask = (1 << element_type.width) - 1
                     mask_ref = self._key_ref(plan._rom_name(array_name, element_type))
-                    raw = _wrap_expr(
+                    raw = wrap_expr(
                         f"({raw} & {element_mask}) ^ {mask_ref}", element_type
                     )
-                commit_result(position, slot, _wrap_expr(raw, result_type))
+                commit_result(position, slot, wrap_expr(raw, result_type))
                 continue
             if opcode is Opcode.STORE:
                 assert array_name is not None
@@ -312,7 +265,7 @@ class _Emitter:
                 reads.append(f"{index_temp} = {self.operand(operands[0])}")
                 reads.append(
                     f"{value_temp} = "
-                    f"{_wrap_expr(self.operand(operands[1]), element_type)}"
+                    f"{wrap_expr(self.operand(operands[1]), element_type)}"
                 )
                 mem_commits.append(f"if not _z{mem_idx}: raise _zero({array_name!r})")
                 mem_commits.append(f"{alias}[{index_temp} % _z{mem_idx}] = {value_temp}")
@@ -322,11 +275,15 @@ class _Emitter:
             slot, result_type = plan._result_slot(result)
             if all(isinstance(v, Constant) for v in operands):
                 # Fully-constant op: fold at generation time.
-                operand_types = [v.type for v in operands]
-                fn = _arith_fn(opcode, operand_types, result_type)
-                if fn is None:
+                value = evaluate_op(
+                    opcode,
+                    [v.value for v in operands],
+                    [v.type for v in operands],
+                    result_type,
+                )
+                if value is None:
                     raise SimulationError(f"cannot evaluate opcode {opcode}")
-                expression = repr(fn(*[v.value for v in operands]))
+                expression = repr(value)
             else:
                 expression = self.arith(opcode, operands, result_type)
             commit_result(position, slot, expression)
@@ -351,7 +308,10 @@ class CodegenDesign:
         layout = self.layout = DesignLayout(design)
         # Key-dependent per-lane arrays (filled by bind_keys) and the
         # namespace the generated module executes in.
-        self._namespace: dict[str, object] = {"_zero": zero_size_memory_error}
+        self._namespace: dict[str, object] = {
+            "_zero": zero_size_memory_error,
+            **EXPR_HELPERS,
+        }
         self._kconst_binds: list[tuple[ObfuscatedConstant, list[int]]] = []
         self._kconst_names: dict[ObfuscatedConstant, str] = {}
         self._rom_binds: list[tuple] = []
@@ -360,7 +320,6 @@ class CodegenDesign:
         self._kb_names: dict[int, str] = {}
         self._sel_binds: list[tuple] = []
         self._sel_names: dict[str, str] = {}
-        self._helpers: dict[tuple, str] = {}
         self._bound_keys: Optional[tuple[int, ...]] = None
         # Variant dispatch: state idx -> (selector array name, tables).
         self._variant_states: dict[int, tuple[str, dict[int, list]]] = {}
@@ -382,7 +341,7 @@ class CodegenDesign:
         self._sweep = self._namespace["_sweep"]
 
     # ------------------------------------------------------------------
-    # Name registries (key-dependent per-lane arrays, helper closures)
+    # Name registries (key-dependent per-lane arrays)
     # ------------------------------------------------------------------
     def _kconst_name(self, value: ObfuscatedConstant) -> str:
         name = self._kconst_names.get(value)
@@ -423,19 +382,6 @@ class CodegenDesign:
             array: list[int] = []
             self._sel_binds.append((variants, array, frozenset(variants.variants)))
             self._namespace[name] = array
-        return name
-
-    def _helper_name(
-        self, opcode: Opcode, operand_types: list[IntType], result_type: IntType
-    ) -> str:
-        key = (opcode, tuple(operand_types), result_type)
-        name = self._helpers.get(key)
-        if name is None:
-            name = f"_h{len(self._helpers)}"
-            self._helpers[key] = name
-            fn = _arith_fn(opcode, list(operand_types), result_type)
-            assert fn is not None
-            self._namespace[name] = fn
         return name
 
     def _result_slot(self, result: Value) -> tuple[int, IntType]:

@@ -16,15 +16,30 @@ which the codegen tier consumes too):
 * registers become a ``list[int]`` with slot indices precomputed per
   value, and memories a ``list[list[int]]`` with slot indices
   precomputed per array;
-* each state's operations are pre-filtered by cstep and compiled into
-  straight-line step closures whose operand readers (constant /
-  obfuscated-constant decode / register slot) and opcode arithmetic
-  are resolved at compile time — no per-cycle dispatch;
-* controller transitions are pre-resolved into ``(condition reader,
-  key-bit cell, true index, false index)`` records;
+* each op becomes **one fused closure** that reads its register slots,
+  key cells and constants inline, folds its result wrap into the
+  arithmetic and writes its register or memory in place.  The closure
+  comes from a factory per op *shape* — the op's rendered body, with
+  slots, masks and constants as factory arguments — that is built
+  with ``compile()`` on first use and cached for the process.  The
+  arithmetic is rendered by :func:`repro.sim.layout.arith_expr`, the
+  renderer the codegen tier uses too;
+* writes commit in place, except in a state or DFG arm where a later
+  op of the same cycle reads an earlier op's register or memory write:
+  that op list keeps the two-phase clock edge (all reads, then all
+  commits) as one closure, chosen once at compile time;
+* runs of ``SEQ`` states become **chains**: one dispatch runs the
+  chain's ops back to back and charges its length in cycles.  A chain
+  ends at its first ``COND`` state, whose transition closes the
+  dispatch, and holds no done state, no state with a ``RET`` in any
+  arm and no state twice; those states run alone.  When the cycle
+  budget ends inside a chain, only the states that fit run;
+* controller transitions are pre-resolved into fused condition
+  closures (key-bit XOR included) and next-state indices;
 * a DFG variant arm is compiled the first time a bound key selects
   it and kept on the plan, so a sweep cell that binds two keys
-  compiles at most two of each variant state's arms.
+  compiles at most two of each variant state's arms; a chain through a
+  variant state runs the bound arm, so binding rebuilds its op list.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
@@ -33,9 +48,10 @@ compilation serves every key of a campaign.
 
 This is the middle tier of the three-tier engine architecture:
 ``interp`` (the reference oracle) < ``compiled`` (this module: one
-closure call per op per cycle) < ``codegen``
-(:mod:`repro.sim.codegen`: one exec()-generated straight-line step
-function per state, lane-vectorized across a whole key batch).
+dispatch per chain, one fused closure call per op) < ``codegen``
+(:mod:`repro.sim.codegen`: one exec()-generated sweep function per
+design, registers in locals, lane-vectorized across a whole key
+batch).
 
 Determinism contract: for any design, arguments, arrays, key and cycle
 budget, every engine's :class:`~repro.sim.fsmd_sim.SimulationResult`
@@ -60,10 +76,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.hls.design import FsmdDesign, VariantOp
-from repro.ir.instructions import Instruction, Opcode
+from repro.hls.design import FsmdDesign
+from repro.ir.instructions import Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
+from repro.opt.constant_folding import evaluate_op
 from repro.registry import REGISTRY
 from repro.sim.fsmd_sim import (
     FsmdSimulator,
@@ -71,9 +88,15 @@ from repro.sim.fsmd_sim import (
     SimulationResult,
     zero_size_memory_error,
 )
-from repro.sim.layout import DesignLayout, PlanCache
-from repro.sim.layout import COND as _COND
-from repro.sim.layout import wrap_fn as _wrap_fn
+from repro.sim.layout import (
+    COND,
+    EXPR_HELPERS,
+    DesignLayout,
+    PlanCache,
+    arith_expr,
+    op_fields,
+    wrap_expr,
+)
 
 #: Environment variable selecting the default simulation engine.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
@@ -168,108 +191,82 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return choice
 
 
-_Reader = Callable[[list], int]
+#: Dispatch-entry kinds: a chain of states, a state of a block that
+#: returns, and a done state.
+_CHAIN = 0
+_RETURNS = 1
+_DONE = 2
+
+#: Op shape (the fused closure's body text) -> its factory, compiled on
+#: first use and kept for the process.  A factory depends only on its
+#: body text, so every plan in the process shares one per shape.
+_OP_FACTORIES: dict[str, Callable] = {}
 
 
-def _arith_fn(
-    opcode: Opcode, operand_types: list[IntType], result_type: IntType
-) -> Optional[Callable]:
-    """Compile one datapath opcode to a closure over Python ints.
+def _store_zero_error(mems: list, later: tuple, name: str) -> SimulationError:
+    """The error a STORE raises when its memory ``name`` is empty.
 
-    Mirrors :func:`repro.opt.constant_folding.evaluate_op` exactly
-    (including division-by-zero totality, shift-modulo semantics and
-    the operand-type bit masking of the bitwise ops), with the result
-    wrap folded in — the bit-identity contract with the interpreter
-    rests on this correspondence.
+    A two-phase cycle commits its stores after every read, so a LOAD
+    later in the same cycle from another empty memory raises first;
+    ``later`` lists those LOADs as ``(memory slot, name)`` and the
+    in-place STORE reports what the interpreter would.
     """
-    wrap = _wrap_fn(result_type)
-    if opcode is Opcode.ADD:
-        return lambda a, b: wrap(a + b)
-    if opcode is Opcode.SUB:
-        return lambda a, b: wrap(a - b)
-    if opcode is Opcode.MUL:
-        return lambda a, b: wrap(a * b)
-    if opcode is Opcode.DIV:
-
-        def div(a: int, b: int) -> int:
-            if b == 0:
-                return wrap(0)
-            quotient = abs(a) // abs(b)
-            return wrap(-quotient if (a < 0) != (b < 0) else quotient)
-
-        return div
-    if opcode is Opcode.REM:
-
-        def rem(a: int, b: int) -> int:
-            if b == 0:
-                return wrap(0)
-            magnitude = abs(a) % abs(b)
-            return wrap(-magnitude if a < 0 else magnitude)
-
-        return rem
-    if opcode is Opcode.NEG:
-        return lambda a: wrap(-a)
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        mask0 = (1 << operand_types[0].width) - 1
-        mask1 = (1 << operand_types[1].width) - 1
-        if opcode is Opcode.AND:
-            return lambda a, b: wrap((a & mask0) & (b & mask1))
-        if opcode is Opcode.OR:
-            return lambda a, b: wrap((a & mask0) | (b & mask1))
-        return lambda a, b: wrap((a & mask0) ^ (b & mask1))
-    if opcode is Opcode.NOT:
-        return lambda a: wrap(~a)
-    if opcode in (Opcode.SHL, Opcode.SHR):
-        modulus = max(1, result_type.width)
-        if opcode is Opcode.SHL:
-            return lambda a, b: wrap(a << (b % modulus))
-        if operand_types[0].signed:
-            return lambda a, b: wrap(a >> (b % modulus))
-        mask0 = (1 << operand_types[0].width) - 1
-        return lambda a, b: wrap((a & mask0) >> (b % modulus))
-    if opcode in (Opcode.EQ, Opcode.NE, Opcode.LT, Opcode.LE, Opcode.GT, Opcode.GE):
-        true_value = wrap(1)
-        false_value = wrap(0)
-        if opcode is Opcode.EQ:
-            return lambda a, b: true_value if a == b else false_value
-        if opcode is Opcode.NE:
-            return lambda a, b: true_value if a != b else false_value
-        if opcode is Opcode.LT:
-            return lambda a, b: true_value if a < b else false_value
-        if opcode is Opcode.LE:
-            return lambda a, b: true_value if a <= b else false_value
-        if opcode is Opcode.GT:
-            return lambda a, b: true_value if a > b else false_value
-        return lambda a, b: true_value if a >= b else false_value
-    if opcode is Opcode.MOV:
-        return lambda a: wrap(a)
-    return None
+    for mem_idx, load_name in later:
+        if not mems[mem_idx]:
+            return zero_size_memory_error(load_name)
+    return zero_size_memory_error(name)
 
 
-def _op_fields(op) -> tuple:
-    """``(opcode, result, operands, array_name)`` of a scheduled op or
-    a DFG :class:`VariantOp` — the two shapes the fast tiers execute."""
-    if isinstance(op, Instruction):
-        return (
-            op.opcode,
-            op.result,
-            list(op.operands),
-            op.array.name if op.array is not None else None,
-        )
-    assert isinstance(op, VariantOp)
-    return op.opcode, op.result, list(op.operands), op.array_name
+_OP_GLOBALS: dict = {
+    "_zero": zero_size_memory_error,
+    "_store_zero": _store_zero_error,
+    **EXPR_HELPERS,
+}
+
+
+class _Shape:
+    """One op being rendered: its body lines name every slot, mask,
+    constant and key cell as a factory argument (``_0``, ``_1``, …), so
+    ops that differ only in those share one factory."""
+
+    def __init__(self) -> None:
+        self.args: list = []
+
+    def lit(self, value: object) -> str:
+        self.args.append(value)
+        return f"_{len(self.args) - 1}"
+
+    def closure(self, lines: list[str]) -> Callable:
+        """The op's ``op(regs, mems)`` closure, from its shape's factory
+        (compiled the first time any design needs the shape)."""
+        body = "\n".join(lines)
+        factory = _OP_FACTORIES.get(body)
+        if factory is None:
+            params = ", ".join(f"_{i}" for i in range(len(self.args)))
+            indented = "".join(f"        {line}\n" for line in lines)
+            source = (
+                f"def _make({params}):\n    def op(regs, mems):\n{indented}"
+                "    return op\n"
+            )
+            namespace = dict(_OP_GLOBALS)
+            exec(compile(source, "<compiled op>", "exec"), namespace)
+            factory = _OP_FACTORIES[body] = namespace["_make"]
+        return factory(*self.args)
 
 
 class CompiledDesign:
     """One FSMD design lowered into a slot-indexed execution plan.
 
     Compile once (the constructor), then :meth:`run` any number of
-    trials; :meth:`bind_key` specializes the key-dependent cells per
-    working key, compiling each DFG variant arm the first time a key
-    selects it, and is called automatically by :meth:`run`.  Instances
-    hold closures and are deliberately **not picklable** — worker
-    processes compile their own plan from the (picklable) design via
-    :func:`compiled_for`.
+    trials.  The plan is a dispatch table over the states a run can
+    enter: each entry is a chain of states whose fused op closures run
+    back to back, followed by one transition.  :meth:`bind_key`
+    specializes the key-dependent cells per working key, compiling each
+    DFG variant arm the first time a key selects it and refreshing the
+    chains that run it, and is called automatically by :meth:`run`.
+    Instances hold closures and are deliberately **not picklable** —
+    worker processes compile their own plan from the (picklable)
+    design via :func:`compiled_for`.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
@@ -278,8 +275,6 @@ class CompiledDesign:
         self._reg_slots = layout.reg_slots
         self._n_regs = layout.n_regs
         self._mem_slots = layout.mem_slots
-        self._mem_names = layout.mem_names
-        self._memory_specs = layout.memory_specs
         # --- key-dependent cells (filled by bind_key) --------------
         self._kconst_cells: dict[ObfuscatedConstant, list[int]] = {}
         self._rom_cells: dict[str, list[int]] = {}
@@ -291,47 +286,68 @@ class CompiledDesign:
         self._bound_key: Optional[int] = None
         self._n_scalar_params = layout.n_scalar_params
         self._param_latches = layout.param_latches
-        # --- states, ops and transitions ---------------------------
-        self._state_names = layout.state_names
-        self._done = layout.done
-        self._trans: list[tuple] = []
-        self._state_ops: list[list] = [[] for _ in layout.states]
+        # --- per-state op closures ---------------------------------
+        #: Per state, the compiled op list; a variant state holds its
+        #: bound arm.
+        self._state_units: list[list] = [[] for _ in layout.states]
         for idx, ops in enumerate(layout.state_op_lists):
             if ops is not None:
-                self._state_ops[idx] = self._compile_ops(ops)
-            self._compile_transition(layout.transition_specs[idx])
+                self._state_units[idx] = self._compile_ops(ops)
+        variant_states: set[int] = set()
         for variants, tables in layout.variant_tables:
             self._variant_binds.append(
                 (variants, [(idx, per_selector, {}) for idx, per_selector in tables])
             )
+            variant_states.update(idx for idx, _ in tables)
+        # Every state of a block that returns runs alone: which of them
+        # holds the RET can depend on the bound DFG arm.
+        returning = {
+            name
+            for name, block_schedule in design.schedule.blocks.items()
+            if any(i.opcode is Opcode.RET for i in block_schedule.block.instructions)
+        }
+        returns = [state.block in returning for state in layout.states]
+        # --- dispatch entries ----------------------------------------
         self._entry_idx = layout.entry_idx
+        #: Per dispatch target, the entry tuple ``(kind, units, length,
+        #: condition, next, alternative, chain, names)``; None for states
+        #: no run enters by dispatch.
+        self._entries: list[Optional[tuple]] = [None] * len(layout.states)
+        #: Dispatch targets whose chain runs a variant state.
+        self._variant_heads: list[int] = []
+        pending = [layout.entry_idx]
+        while pending:
+            head = pending.pop()
+            if head is None or self._entries[head] is not None:
+                continue
+            entry = self._lower_entry(head, returns)
+            self._entries[head] = entry
+            if variant_states.intersection(entry[6]):
+                self._variant_heads.append(head)
+            pending.extend((entry[4], entry[5]))
 
     # ------------------------------------------------------------------
     # Compilation helpers
     # ------------------------------------------------------------------
-    def _reader(self, value: Value) -> _Reader:
-        """Compile one operand read against the flat register file."""
-        if isinstance(value, ObfuscatedConstant):
-            cell = self._kconst_cells.setdefault(value, [0])
-            return lambda regs, _c=cell: _c[0]
-        if isinstance(value, Constant):
-            return lambda regs, _v=value.value: _v
+    def _slot_of(self, value: Value) -> int:
         register = self.design.binding.register_of.get(value)
         if register is None:
             raise SimulationError(f"value {value} has no bound register")
-        slot = self._reg_slots[register.name]
-        assert isinstance(value.type, IntType)
-        if self.layout.elidable_read(slot, value.type):
-            return lambda regs, _s=slot: regs[_s]
-        wrap = _wrap_fn(value.type)
-        return lambda regs, _s=slot, _w=wrap: _w(regs[_s])
+        return self._reg_slots[register.name]
 
-    def _result_slot(self, result: Value) -> tuple[int, Callable[[int], int]]:
-        register = self.design.binding.register_of.get(result)
-        if register is None:
-            raise SimulationError(f"value {result} has no bound register")
-        assert isinstance(result.type, IntType)
-        return self._reg_slots[register.name], _wrap_fn(result.type)
+    def _operand(self, value: Value, lit: Callable[[object], str]) -> str:
+        """One operand read as source: a key cell, a constant, or a
+        register slot (re-wrapped unless every writer shares its type)."""
+        if isinstance(value, ObfuscatedConstant):
+            return f"{lit(self._kconst_cells.setdefault(value, [0]))}[0]"
+        if isinstance(value, Constant):
+            return lit(value.value)
+        slot = self._slot_of(value)
+        assert isinstance(value.type, IntType)
+        read = f"regs[{lit(slot)}]"
+        if self.layout.elidable_read(slot, value.type):
+            return read
+        return wrap_expr(read, value.type, lit)
 
     def _rom_cell(self, array_name: str, element_type: IntType) -> list[int]:
         cell = self._rom_cells.get(array_name)
@@ -343,148 +359,211 @@ class CompiledDesign:
         return cell
 
     def _compile_ops(self, ops: Sequence) -> list:
-        compiled = [self._compile_op(op) for op in ops]
-        return [ex for ex in compiled if ex is not None]
+        """The closures running one state's (or arm's) ops for a cycle.
 
-    def _compile_op(self, op) -> Optional[Callable]:
-        opcode, result, operands, array_name = _op_fields(op)
+        Ops write in place unless a later op would read an earlier op's
+        register or memory write; then the list keeps the two-phase
+        clock edge as one closure.
+        """
+        fields = [
+            op_fields(op)
+            for op in ops
+            if op.opcode is not Opcode.JUMP and op.opcode is not Opcode.BRANCH
+        ]
+        if self._reads_own_writes(fields):
+            return [self._two_phase(fields)]
+        loads = [
+            (position, (self._mem_slots[array_name], array_name))
+            for position, (opcode, _, _, array_name) in enumerate(fields)
+            if opcode is Opcode.LOAD
+        ]
+        return [
+            self._fuse(op, True, tuple(load for at, load in loads if at > position))
+            for position, op in enumerate(fields)
+        ]
 
-        if opcode in (Opcode.JUMP, Opcode.BRANCH):
-            return None  # handled by the compiled transitions
+    def _reads_own_writes(self, fields: Sequence[tuple]) -> bool:
+        """True when an op reads a register or memory that an earlier op
+        of the same cycle writes (so in-place writes would be seen)."""
+        register_of = self.design.binding.register_of
+        written: set[str] = set()
+        stored: set[str] = set()
+        for opcode, result, operands, array_name in fields:
+            for value in operands:
+                register = register_of.get(value)
+                if register is not None and register.name in written:
+                    return True
+            if opcode is Opcode.LOAD and array_name in stored:
+                return True
+            if opcode is Opcode.STORE:
+                stored.add(array_name)
+            elif result in register_of:
+                written.add(register_of[result].name)
+        return False
+
+    def _fuse(self, fields: tuple, in_place: bool, later_loads: tuple = ()) -> Callable:
+        """One op, given as its :func:`op_fields`, as one closure
+        ``op(regs, mems)``.
+
+        In place, the closure writes its register or memory; otherwise
+        it returns the value (a STORE returns ``(index, value)``) for
+        :meth:`_two_phase` to commit.  A ``RET`` returns its value
+        either way.  ``later_loads`` are the LOADs after an in-place
+        STORE in the same cycle (see :func:`_store_zero_error`).
+        """
+        opcode, result, operands, array_name = fields
+        shape = _Shape()
+        lit = shape.lit
+
+        def assign(expression: str) -> list[str]:
+            if in_place:
+                return [f"regs[{lit(self._slot_of(result))}] = {expression}"]
+            return [f"return {expression}"]
+
         if opcode is Opcode.RET:
-            if operands:
-                read = self._reader(operands[0])
-
-                def ex_ret(regs, mems, writes, memw, _r=read):
-                    return _r(regs)
-
-                return ex_ret
-
-            def ex_ret_void(regs, mems, writes, memw):
-                return 0
-
-            return ex_ret_void
-        if opcode is Opcode.LOAD:
-            assert array_name is not None and result is not None
-            mem_idx = self._mem_slots[array_name]
-            index_read = self._reader(operands[0])
-            slot, wrap = self._result_slot(result)
-            rom = self.design.obfuscated_roms.get(array_name)
-            if rom is None:
-
-                def ex_load(
-                    regs,
-                    mems,
-                    writes,
-                    memw,
-                    _m=mem_idx,
-                    _i=index_read,
-                    _s=slot,
-                    _w=wrap,
-                    _name=array_name,
-                ):
-                    memory = mems[_m]
-                    size = len(memory)
-                    if size == 0:
-                        raise zero_size_memory_error(_name)
-                    writes.append((_s, _w(memory[_i(regs) % size])))
-
-                return ex_load
-            element_type = self.design.func.arrays[array_name].element_type
-            element_mask = (1 << element_type.width) - 1
-            element_wrap = _wrap_fn(element_type)
-            cell = self._rom_cell(array_name, element_type)
-
-            def ex_load_rom(
-                regs,
-                mems,
-                writes,
-                memw,
-                _m=mem_idx,
-                _i=index_read,
-                _s=slot,
-                _w=wrap,
-                _em=element_mask,
-                _ew=element_wrap,
-                _c=cell,
-                _name=array_name,
-            ):
-                memory = mems[_m]
-                size = len(memory)
-                if size == 0:
-                    raise zero_size_memory_error(_name)
-                raw = memory[_i(regs) % size]
-                writes.append((_s, _w(_ew((raw & _em) ^ _c[0]))))
-
-            return ex_load_rom
-        if opcode is Opcode.STORE:
-            assert array_name is not None
-            mem_idx = self._mem_slots[array_name]
-            index_read = self._reader(operands[0])
-            value_read = self._reader(operands[1])
-            element_type = self.design.func.arrays[array_name].element_type
-            element_wrap = _wrap_fn(element_type)
-
-            def ex_store(
-                regs,
-                mems,
-                writes,
-                memw,
-                _m=mem_idx,
-                _i=index_read,
-                _v=value_read,
-                _ew=element_wrap,
-            ):
-                memw.append((_m, _i(regs), _ew(_v(regs))))
-
-            return ex_store
-        if opcode is Opcode.CALL:
+            value = self._operand(operands[0], lit) if operands else "0"
+            lines = [f"return {value}"]
+        elif opcode is Opcode.CALL:
             raise SimulationError("calls must be inlined before simulation")
-        # Datapath op or MOV.
-        assert result is not None
-        assert isinstance(result.type, IntType)
-        operand_types: list[IntType] = []
-        for operand in operands:
-            assert isinstance(operand.type, IntType)
-            operand_types.append(operand.type)
-        fn = _arith_fn(opcode, operand_types, result.type)
-        if fn is None:
-            raise SimulationError(f"cannot evaluate opcode {opcode}")
-        slot, _ = self._result_slot(result)
-        if all(isinstance(v, Constant) for v in operands):
-            # Fully-constant op: fold at compile time (the interpreter
-            # recomputes the same value every cycle).
-            value = fn(*[v.value for v in operands])
-
-            def ex_const(regs, mems, writes, memw, _s=slot, _v=value):
-                writes.append((_s, _v))
-
-            return ex_const
-        readers = [self._reader(v) for v in operands]
-        if len(readers) == 1:
-
-            def ex_unary(regs, mems, writes, memw, _r=readers[0], _f=fn, _s=slot):
-                writes.append((_s, _f(_r(regs))))
-
-            return ex_unary
-
-        def ex_binary(
-            regs, mems, writes, memw, _a=readers[0], _b=readers[1], _f=fn, _s=slot
-        ):
-            writes.append((_s, _f(_a(regs), _b(regs))))
-
-        return ex_binary
-
-    def _compile_transition(self, spec: tuple) -> None:
-        if spec[0] == _COND:
-            _, condition, key_bit, true_idx, false_idx = spec
-            reader = self._reader(condition)
-            key_bit_cell = [0]
-            if key_bit is not None:
-                self._kb_binds.append((key_bit, key_bit_cell))
-            self._trans.append((1, reader, key_bit_cell, true_idx, false_idx))
+        elif opcode is Opcode.STORE:
+            assert array_name is not None
+            element_type = self.design.func.arrays[array_name].element_type
+            index = self._operand(operands[0], lit)
+            value = wrap_expr(self._operand(operands[1], lit), element_type, lit)
+            if in_place:
+                lines = [
+                    f"m = mems[{lit(self._mem_slots[array_name])}]",
+                    f"if not m: raise _store_zero(mems, {lit(later_loads)}, "
+                    f"{lit(array_name)})",
+                    f"m[({index}) % len(m)] = {value}",
+                ]
+            else:
+                lines = [f"return ({index}, {value})"]
+        elif opcode is Opcode.LOAD:
+            assert array_name is not None
+            assert result is not None and isinstance(result.type, IntType)
+            lines = [
+                f"m = mems[{lit(self._mem_slots[array_name])}]",
+                f"if not m: raise _zero({lit(array_name)})",
+            ]
+            loaded = f"m[({self._operand(operands[0], lit)}) % len(m)]"
+            if array_name in self.design.obfuscated_roms:
+                element_type = self.design.func.arrays[array_name].element_type
+                cell = self._rom_cell(array_name, element_type)
+                mask = lit((1 << element_type.width) - 1)
+                loaded = wrap_expr(
+                    f"({loaded} & {mask}) ^ {lit(cell)}[0]", element_type, lit
+                )
+            lines += assign(wrap_expr(loaded, result.type, lit))
         else:
-            self._trans.append((0, spec[1]))
+            # Datapath op or MOV.
+            assert result is not None and isinstance(result.type, IntType)
+            types: list[IntType] = []
+            for operand in operands:
+                assert isinstance(operand.type, IntType)
+                types.append(operand.type)
+            if all(isinstance(v, Constant) for v in operands):
+                # Fully-constant op: fold at compile time (the interpreter
+                # recomputes the same value every cycle).
+                folded = evaluate_op(opcode, [v.value for v in operands], types, result.type)
+                if folded is None:
+                    raise SimulationError(f"cannot evaluate opcode {opcode}")
+                expression = lit(folded)
+            else:
+                rendered = [self._operand(v, lit) for v in operands]
+                expression = arith_expr(opcode, rendered, types, result.type, lit)
+            lines = assign(expression)
+        return shape.closure(lines)
+
+    def _two_phase(self, fields: Sequence[tuple]) -> Callable:
+        """One cycle's ops as a single closure with the two-phase clock
+        edge: every op reads pre-cycle values, then the register writes
+        and the memory writes commit in op order."""
+        reads = [self._fuse(op, False) for op in fields]
+        reg_commits: list[tuple[int, int]] = []
+        mem_commits: list[tuple[int, int, str]] = []
+        ret: Optional[int] = None
+        for position, (opcode, result, _, array_name) in enumerate(fields):
+            if opcode is Opcode.RET:
+                ret = position
+            elif opcode is Opcode.STORE:
+                mem_commits.append((position, self._mem_slots[array_name], array_name))
+            else:
+                reg_commits.append((position, self._slot_of(result)))
+
+        def two_phase_cycle(regs, mems):
+            values = [read(regs, mems) for read in reads]
+            for position, slot in reg_commits:
+                regs[slot] = values[position]
+            for position, mem_idx, name in mem_commits:
+                memory = mems[mem_idx]
+                if not memory:
+                    raise zero_size_memory_error(name)
+                index, value = values[position]
+                memory[index % len(memory)] = value
+            return None if ret is None else values[ret]
+
+        return two_phase_cycle
+
+    def _condition(self, spec: tuple) -> Callable:
+        """A ``COND`` transition as a closure returning the branch bit,
+        the key bit XORed in."""
+        _, condition, key_bit, _, _ = spec
+        shape = _Shape()
+        test = f"({self._operand(condition, shape.lit)}) & 1"
+        if key_bit is not None:
+            cell = [0]
+            self._kb_binds.append((key_bit, cell))
+            test = f"({test}) ^ {shape.lit(cell)}[0]"
+        return shape.closure([f"return {test}"])
+
+    def _lower_entry(self, head: int, returns: list[bool]) -> tuple:
+        """The dispatch entry for a run that enters state ``head``.
+
+        A done state, or a state of a block that returns, runs alone;
+        otherwise the chain follows ``SEQ`` edges through other states,
+        stopping before a repeat and after the first ``COND`` state,
+        whose transition ends the entry.
+        """
+        layout = self.layout
+        specs = layout.transition_specs
+        if layout.done[head]:
+            kind, chain = _DONE, [head]
+        elif returns[head]:
+            kind, chain = _RETURNS, [head]
+        else:
+            kind, chain = _CHAIN, []
+            state: Optional[int] = head
+            while (
+                state is not None
+                and state not in chain
+                and not layout.done[state]
+                and not returns[state]
+            ):
+                chain.append(state)
+                if specs[state][0] == COND:
+                    break
+                state = specs[state][1]
+        spec = specs[chain[-1]]
+        if spec[0] == COND:
+            condition, following, alternative = self._condition(spec), spec[3], spec[4]
+        else:
+            condition, following, alternative = None, spec[1], None
+        names = tuple(layout.state_names[idx] for idx in chain)
+        return (
+            kind,
+            self._chain_units(chain),
+            len(chain),
+            condition,
+            following,
+            alternative,
+            tuple(chain),
+            names,
+        )
+
+    def _chain_units(self, chain: Sequence[int]) -> list:
+        units = self._state_units
+        return [unit for idx in chain for unit in units[idx]]
 
     # ------------------------------------------------------------------
     # Per-key specialization
@@ -494,25 +573,40 @@ class CompiledDesign:
         ``working_key``.
 
         An arm the key selects for the first time is compiled here and
-        kept on the plan; after that, binding is cheap — O(obfuscated
-        constants + ROMs + masked branches + variant blocks),
-        independent of cycle count — and memoized on the last bound
-        key, so re-running the same key rebinds nothing.  A selector
-        with no arm in its block's table raises ``KeyError``, and the
-        failed bind leaves no key memoized.
+        kept on the plan, and the chains that run a state whose arm
+        changed get their op lists rebuilt; after that, binding is cheap
+        — O(obfuscated constants + ROMs + masked branches + variant
+        blocks), independent of cycle count — and memoized on the last
+        bound key, so re-running the same key rebinds nothing.  A
+        selector with no arm in its block's table raises ``KeyError``,
+        and the failed bind leaves no key memoized.
         """
         if working_key == self._bound_key:
             return
         self._bound_key = None
         # Arms first: compiling a new arm can add constant and ROM cells.
-        state_ops = self._state_ops
+        # Every arm is looked up before any is bound, so a bind that
+        # raises leaves the bound arms and the chains that run them as
+        # they were.
+        selected = []
         for variants, tables in self._variant_binds:
             selector = variants.selector(working_key)
             for idx, per_selector, arms in tables:
                 arm = arms.get(selector)
                 if arm is None:
                     arm = arms[selector] = self._compile_ops(per_selector[selector])
-                state_ops[idx] = arm
+                selected.append((idx, arm))
+        state_units = self._state_units
+        changed = False
+        for idx, arm in selected:
+            if state_units[idx] is not arm:
+                state_units[idx] = arm
+                changed = True
+        if changed:
+            entries = self._entries
+            for head in self._variant_heads:
+                entry = entries[head]
+                entries[head] = (entry[0], self._chain_units(entry[6])) + entry[2:]
         for oc, cell in self._kconst_cells.items():
             cell[0] = oc.decode(working_key)
         for rom, element_type, cell in self._rom_binds:
@@ -545,62 +639,50 @@ class CompiledDesign:
                 regs[slot] = wrap(arg)
         mems, arrays_by_name = self.layout.initial_memories(arrays)
 
-        state_ops = self._state_ops
-        transitions = self._trans
-        done = self._done
-        state_names = self._state_names
-        mem_names = self._mem_names
-        state = self._entry_idx
+        entries = self._entries
+        state: Optional[int] = self._entry_idx
         state_trace: list[str] = []
-        writes: list[tuple[int, int]] = []
-        memory_writes: list[tuple[int, int, int]] = []
         cycles = 0
         completed = False
-        return_register_value: Optional[int] = None
-        while cycles < max_cycles:
-            cycles += 1
+        returned: Optional[int] = None
+        while True:
+            kind, units, length, condition, following, alternative, chain, names = (
+                entries[state]
+            )
+            if cycles + length > max_cycles:
+                # The budget ends inside this entry: run the states that fit.
+                if max_cycles > cycles:
+                    fits = chain[: max_cycles - cycles]
+                    if trace:
+                        state_trace.extend(names[: len(fits)])
+                    for unit in self._chain_units(fits):
+                        unit(regs, mems)
+                    cycles = max_cycles
+                break
+            cycles += length
             if trace:
-                state_trace.append(state_names[state])
-            returned: Optional[int] = None
-            ops = state_ops[state]
-            if ops:
-                # Phase 1: combinational reads against old register
-                # values; Phase 2: clock edge — commit the writes.
-                del writes[:]
-                del memory_writes[:]
-                for ex in ops:
-                    value = ex(regs, mems, writes, memory_writes)
+                state_trace.extend(names)
+            if kind == _CHAIN:
+                for unit in units:
+                    unit(regs, mems)
+            else:
+                for unit in units:
+                    value = unit(regs, mems)
                     if value is not None:
                         returned = value
-                for slot, value in writes:
-                    regs[slot] = value
-                for mem_idx, index, value in memory_writes:
-                    memory = mems[mem_idx]
-                    size = len(memory)
-                    if size == 0:
-                        raise zero_size_memory_error(mem_names[mem_idx])
-                    memory[index % size] = value
-            if returned is not None or done[state]:
-                return_register_value = returned
-                completed = True
-                break
-            transition = transitions[state]
-            if transition[0]:
-                condition = transition[1](regs)
-                next_state = (
-                    transition[3]
-                    if (condition & 1) ^ transition[2][0]
-                    else transition[4]
-                )
+                if returned is not None or kind == _DONE:
+                    completed = True
+                    break
+            if condition is None or condition(regs, mems):
+                state = following
             else:
-                next_state = transition[1]
-            if next_state is None:
+                state = alternative
+            if state is None:
                 completed = True
                 break
-            state = next_state
 
         return SimulationResult(
-            return_value=return_register_value,
+            return_value=returned,
             arrays=arrays_by_name,
             cycles=cycles,
             completed=completed,

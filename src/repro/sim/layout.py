@@ -9,7 +9,13 @@ read-side wrap elision), scalar-parameter latch points, a dense state
 index with pre-resolved transitions, per-state op lists filtered by
 cstep, and per-block DFG variant tables.  :class:`DesignLayout`
 computes all of that **once** per design; the tiers consume it to build
-their own execution artifacts (closures there, Python source here).
+their own execution artifacts: one small fused closure per op in the
+compiled tier, one generated sweep function in the codegen tier.
+
+Both tiers also render datapath arithmetic through the same
+:func:`arith_expr` (with :func:`wrap_expr` for the two's-complement
+wraps), so an opcode's semantics are written down once for the fast
+tiers.
 
 Keeping the analysis in one place is what keeps the tiers honest: both
 engines agree on slot numbering, wrap elision and transition targets by
@@ -32,9 +38,11 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.hls.controller import StateId
-from repro.hls.design import FsmdDesign
+from repro.hls.design import FsmdDesign, VariantOp
+from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Value
+from repro.sim.fsmd_sim import SimulationError
 
 
 def wrap_fn(type_: IntType) -> Callable[[int], int]:
@@ -44,6 +52,126 @@ def wrap_fn(type_: IntType) -> Callable[[int], int]:
         return lambda v: v & mask
     sign = 1 << (type_.width - 1)
     return lambda v: ((v + sign) & mask) - sign
+
+
+def op_fields(op) -> tuple:
+    """``(opcode, result, operands, array_name)`` of a scheduled op or
+    a DFG :class:`VariantOp` — the two shapes the fast tiers execute."""
+    if isinstance(op, Instruction):
+        return (
+            op.opcode,
+            op.result,
+            op.operands,
+            op.array.name if op.array is not None else None,
+        )
+    assert isinstance(op, VariantOp)
+    return op.opcode, op.result, op.operands, op.array_name
+
+
+# ----------------------------------------------------------------------
+# Arithmetic as Python source (shared by the compiled and codegen tiers)
+# ----------------------------------------------------------------------
+def trunc_div(a: int, b: int) -> int:
+    """C division, truncating toward zero; total (``a / 0`` is 0)."""
+    if b == 0:
+        return 0
+    quotient = abs(a) // abs(b)
+    return -quotient if (a < 0) != (b < 0) else quotient
+
+
+def trunc_rem(a: int, b: int) -> int:
+    """C remainder, with the dividend's sign; total (``a % 0`` is 0)."""
+    if b == 0:
+        return 0
+    magnitude = abs(a) % abs(b)
+    return -magnitude if a < 0 else magnitude
+
+
+#: Names :func:`arith_expr` calls; the namespace running the rendered
+#: source must bind them.
+EXPR_HELPERS = {"_div": trunc_div, "_rem": trunc_rem}
+
+_CMP_SYMBOLS = {
+    Opcode.EQ: "==",
+    Opcode.NE: "!=",
+    Opcode.LT: "<",
+    Opcode.LE: "<=",
+    Opcode.GT: ">",
+    Opcode.GE: ">=",
+}
+_BITWISE_SYMBOLS = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+
+
+def wrap_expr(expr: str, type_: IntType, lit: Callable[[int], str] = str) -> str:
+    """``type_.wrap`` of ``expr`` as a source expression.
+
+    ``lit`` renders each number the expression needs: the default
+    writes literals, and the compiled tier passes one that turns them
+    into factory arguments.
+    """
+    mask = lit((1 << type_.width) - 1)
+    if not type_.signed:
+        return f"(({expr}) & {mask})"
+    sign = lit(1 << (type_.width - 1))
+    return f"(((({expr}) + {sign}) & {mask}) - {sign})"
+
+
+def arith_expr(
+    opcode: Opcode,
+    operands: list[str],
+    operand_types: list[IntType],
+    result_type: IntType,
+    lit: Callable[[int], str] = str,
+) -> str:
+    """One datapath op over the rendered ``operands``, wrap folded in.
+
+    Mirrors :func:`repro.opt.constant_folding.evaluate_op` exactly —
+    division totality, shift amounts modulo the result width, operand
+    masks on the bitwise ops — which is what the bit-identity contract
+    with the interpreter rests on.  ``lit`` is as in :func:`wrap_expr`;
+    division and remainder call the :data:`EXPR_HELPERS`.
+    """
+    a = operands[0]
+    b = operands[1] if len(operands) > 1 else None
+
+    def wrap(expression: str) -> str:
+        return wrap_expr(expression, result_type, lit)
+
+    if opcode is Opcode.ADD:
+        return wrap(f"{a} + {b}")
+    if opcode is Opcode.SUB:
+        return wrap(f"{a} - {b}")
+    if opcode is Opcode.MUL:
+        return wrap(f"{a} * {b}")
+    if opcode is Opcode.DIV:
+        return wrap(f"_div({a}, {b})")
+    if opcode is Opcode.REM:
+        return wrap(f"_rem({a}, {b})")
+    if opcode is Opcode.NEG:
+        return wrap(f"-({a})")
+    if opcode is Opcode.NOT:
+        return wrap(f"~({a})")
+    if opcode in _BITWISE_SYMBOLS:
+        mask0 = lit((1 << operand_types[0].width) - 1)
+        mask1 = lit((1 << operand_types[1].width) - 1)
+        symbol = _BITWISE_SYMBOLS[opcode]
+        return wrap(f"(({a}) & {mask0}) {symbol} (({b}) & {mask1})")
+    if opcode in (Opcode.SHL, Opcode.SHR):
+        modulus = lit(max(1, result_type.width))
+        if opcode is Opcode.SHL:
+            return wrap(f"({a}) << (({b}) % {modulus})")
+        if operand_types[0].signed:
+            return wrap(f"({a}) >> (({b}) % {modulus})")
+        mask0 = lit((1 << operand_types[0].width) - 1)
+        return wrap(f"(({a}) & {mask0}) >> (({b}) % {modulus})")
+    if opcode in _CMP_SYMBOLS:
+        true_value = lit(result_type.wrap(1))
+        false_value = lit(result_type.wrap(0))
+        symbol = _CMP_SYMBOLS[opcode]
+        return f"({true_value} if ({a}) {symbol} ({b}) else {false_value})"
+    if opcode is Opcode.MOV:
+        return wrap(a)
+    raise SimulationError(f"cannot evaluate opcode {opcode}")
 
 
 #: Transition record kinds (first tuple element of a transition spec).

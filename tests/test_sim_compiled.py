@@ -1,8 +1,9 @@
 """Fast FSMD engines: differential bit-identity of the compiled and
-codegen tiers against the reference interpreter, the engine seam, the
-compile-once cache, the compiled tier's bind lifecycle (arms compiled
-on first bind, no poisoned memo after a failed bind), and the
-zero-size-memory regression (all three engines)."""
+codegen tiers against the reference interpreter (budgets ending inside
+a chain, and every DFG arm that keeps the two-phase commit), the engine
+seam, the compile-once cache, the compiled tier's bind lifecycle (arms
+compiled on first bind, no poisoned memo after a failed bind), and the
+zero-size-memory errors of LOAD and STORE (all three engines)."""
 
 import functools
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
+from repro.ir.instructions import Opcode
 from repro.registry import REGISTRY
 from repro.runtime.campaign import CampaignSpec, plan_campaign
 from repro.runtime.executor import ExecutionOptions, execute_plan
@@ -30,6 +32,7 @@ from repro.sim.compiled import (
     CompiledDesign,
 )
 from repro.sim.fsmd_sim import FsmdSimulator
+from repro.sim.layout import op_fields
 from repro.tao.flow import TaoFlow
 
 
@@ -107,13 +110,17 @@ class TestDifferentialAcrossSuite:
             assert_identical(
                 design, workload.args, workload.arrays, correct ^ flip, cap
             )
-        # Timeout class: a budget far below the baseline latency must
-        # report completed=False identically (cycles == budget).
-        timed_out = assert_identical(
-            design, workload.args, workload.arrays, correct, 7
-        )
-        assert not timed_out.completed
-        assert timed_out.cycles == 7
+        # Timeout class: a budget below the baseline latency must report
+        # completed=False identically (cycles == budget), with the
+        # traced prefix.  The budgets end inside the first state, early
+        # in the run, and one cycle before the end, so most end inside
+        # a chain of the compiled plan.
+        for budget in (1, 7, baseline.cycles - 1):
+            timed_out = assert_identical(
+                design, workload.args, workload.arrays, correct, budget, trace=True
+            )
+            assert not timed_out.completed
+            assert timed_out.cycles == budget
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
     def test_run_testbench_outcome_parity(self, bench_name):
@@ -148,13 +155,17 @@ class TestDifferentialAcrossSuite:
 
 class TestDifferentialRandomKeys:
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.booleans())
-    def test_random_working_keys_small_design(self, key_bits, timeout):
+    @given(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.booleans(),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_random_working_keys_small_design(self, key_bits, timeout, short_budget):
         component, workload = _obfuscated("gsm", "full")
         baseline = FsmdSimulator(component.design, max_cycles=100_000).run(
             workload.args, dict(workload.arrays), component.correct_working_key
         )
-        budget = 23 if timeout else max(8 * baseline.cycles, 4000)
+        budget = short_budget if timeout else max(8 * baseline.cycles, 4000)
         width = component.working_key_bits
         working_key = key_bits & ((1 << width) - 1)
         assert_identical(
@@ -246,7 +257,9 @@ class TestCompileOnceCache:
     def test_failed_bind_does_not_poison_memoization(self):
         """A bind that raises forgets the memoized key: the next run of
         the previously bound key rebinds instead of running on the
-        failed key's cells and arms."""
+        failed key's cells and arms.  It also leaves the bound arms as
+        they were, so a key that selects the failed key's other arms
+        still rebuilds the chains that run them."""
         bench = get_benchmark("gsm")
         component = TaoFlow(pipeline="full").obfuscate(bench.source, bench.top)
         design = component.design
@@ -283,6 +296,16 @@ class TestCompileOnceCache:
             workload.args, dict(workload.arrays), correct
         )
         assert result_fields(run_correct()) == result_fields(oracle)
+        # The correct key with the failed key's arms in every block but
+        # the last: the same arms the failed bind reached before the
+        # hole, so only a plan the failed bind left untouched rebinds them.
+        near_key = correct
+        for other in list(design.block_variants.values())[:-1]:
+            other_mask = ((1 << other.key_bits) - 1) << other.key_offset
+            near_key = (near_key & ~other_mask) | (flipped & other_mask)
+        with pytest.raises(KeyError):
+            plan.bind_key(bad_key)
+        assert_identical(design, workload.args, workload.arrays, near_key, 200_000)
 
 
 class TestLazyArms:
@@ -320,6 +343,69 @@ class TestLazyArms:
             compiled_arms = [i for i in compiled if i in arms]
             assert len(compiled_arms) <= 2
             assert set(compiled_arms) == selected
+
+
+def _reads_own_writes(design, ops) -> bool:
+    """True when an op of one cycle reads a register, or LOADs from a
+    memory, that an earlier op of the same cycle writes."""
+    register_of = design.binding.register_of
+    written, stored = set(), set()
+    for opcode, result, operands, array in map(op_fields, ops):
+        if opcode in (Opcode.JUMP, Opcode.BRANCH):
+            continue
+        if any(register_of.get(v) in written for v in operands):
+            return True
+        if opcode is Opcode.LOAD and array in stored:
+            return True
+        if opcode is Opcode.STORE:
+            stored.add(array)
+        elif opcode is not Opcode.RET and result in register_of:
+            written.add(register_of[result])
+    return False
+
+
+class TestTwoPhaseArms:
+    def test_every_two_phase_arm_matches_interp(self):
+        """No baseline state needs the two-phase commit, only some DFG
+        decoy arms, which random wrong keys rarely select.  Steer a key
+        into each such arm of sobel under ``full`` (the correct key with
+        the block's selector slice replaced), check the plan committed
+        that arm in two phases, and compare a capped, traced run."""
+        component, workload = _obfuscated("sobel", "full")
+        design = component.design
+        correct = component.correct_working_key
+        baseline = FsmdSimulator(design, max_cycles=200_000).run(
+            workload.args, dict(workload.arrays), correct
+        )
+        cap = max(8 * baseline.cycles, 4000)
+        plan = compiled_for(design)
+        assert not any(
+            _reads_own_writes(design, ops)
+            for ops in plan.layout.state_op_lists
+            if ops is not None
+        )
+        checked = 0
+        for variants, tables in plan.layout.variant_tables:
+            slice_mask = ((1 << variants.key_bits) - 1) << variants.key_offset
+            for selector in sorted(variants.variants):
+                arms = [
+                    (idx, per_selector[selector])
+                    for idx, per_selector in tables
+                    if _reads_own_writes(design, per_selector[selector])
+                ]
+                if not arms:
+                    continue
+                key = (correct & ~slice_mask) | (selector << variants.key_offset)
+                assert variants.selector(key) == selector
+                plan.bind_key(key)
+                for idx, _ in arms:
+                    units = plan._state_units[idx]
+                    assert [unit.__name__ for unit in units] == ["two_phase_cycle"]
+                    checked += 1
+                assert_identical(
+                    design, workload.args, workload.arrays, key, cap, trace=True
+                )
+        assert checked == 19
 
 
 class TestInterpreterOpsMemoization:
@@ -362,6 +448,36 @@ class TestZeroSizeMemory:
                 working_key=component.correct_working_key,
                 engine=engine,
             )
+
+    @pytest.mark.parametrize("engine", ("interp", "compiled", "codegen"))
+    @pytest.mark.parametrize(
+        "source, args, failing",
+        [
+            (
+                "int f(int x) { int t[2] = {1, 2}; t[x & 1] = x; "
+                "return t[0] + t[1]; }",
+                [3],
+                "t",
+            ),
+            # The STORE to `a` and the LOAD from `b` share the first
+            # cycle, the STORE first: under the two-phase clock edge the
+            # LOAD raises before the STORE commits.
+            (
+                "int f(int x, int i) { int a[2] = {1, 2}; int b[2] = {3, 4}; "
+                "a[i] = x; return b[i] + x; }",
+                [3, 1],
+                "b",
+            ),
+        ],
+    )
+    def test_store_to_zero_size_memory_raises(self, engine, source, args, failing):
+        """A STORE commits in place on the compiled plan, so it raises
+        where it runs; the error must still be the interpreter's."""
+        design = hls_flow(compile_c(source), "f")
+        for array in design.func.arrays.values():
+            array.initializer = []
+        with pytest.raises(SimulationError, match=f"memory '{failing}' has zero size"):
+            simulate(design, args, engine=engine)
 
 
 class TestCampaignEngineParity:
