@@ -49,6 +49,14 @@ class BlockVariants:
     key; ``correct_value`` is the slice value under the correct key.
     ``variants`` maps each selector value to the op list to execute;
     the entry at ``correct_value`` reproduces the baseline block.
+
+    Several selectors may share one op list object: under the default
+    ``variant_diversity="distance"`` every selector at one Hamming
+    distance from ``correct_value`` maps to the same list, so a 4-bit
+    block holds 5 distinct lists.  The lists and their ops are
+    read-only once the DFG stage returns — a mutation would change
+    every selector that shares the list — and consumers may do
+    per-list work once per distinct list object.
     """
 
     block_name: str

@@ -55,6 +55,8 @@ import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
+from repro.ir.values import ObfuscatedConstant
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.hls.design import FsmdDesign
     from repro.ir.function import Module
@@ -103,8 +105,6 @@ def _semantic_operand(operand) -> str:
     IR) is what makes the fingerprint identical across every parameter
     config, key scheme and resource budget of one benchmark.
     """
-    from repro.ir.values import ObfuscatedConstant
-
     if isinstance(operand, ObfuscatedConstant):
         operand = operand.original
     return str(operand)
@@ -222,13 +222,22 @@ class GoldenCache:
         self._entries.clear()
         self.stats.reset()
 
-    def golden_for(
+    def goldens_for(
         self,
         design: "FsmdDesign",
         bench: "Testbench",
         observed: Sequence[str],
-    ) -> tuple["ExecutionResult", list[int]]:
-        """Golden execution + output bit vector, computed at most once."""
+        lanes: int,
+    ) -> list[tuple["ExecutionResult", list[int]]]:
+        """Golden execution + output bit vector for ``lanes`` trials of
+        one workload, computed at most once.
+
+        The key is hashed once per call, but the counters move as
+        ``lanes`` separate lookups would: a miss computes the entry and
+        the other lanes hit it.  Every lane gets its own copy.
+        """
+        if lanes <= 0:
+            return []
         module = design.module
         func_name = design.func.name
         key = (
@@ -238,15 +247,16 @@ class GoldenCache:
         )
         entry = self._entries.get(key)
         if entry is not None:
-            self.stats.hits += 1
+            self.stats.hits += lanes
         else:
             self.stats.misses += 1
+            self.stats.hits += lanes - 1
             entry = self._compute(module, func_name, bench, observed)
             while len(self._entries) >= max(1, self.max_entries):
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = entry
         golden, bits = entry
-        return _copy_execution_result(golden), list(bits)
+        return [(_copy_execution_result(golden), list(bits)) for _ in range(lanes)]
 
     # ------------------------------------------------------------------
     def _compute(

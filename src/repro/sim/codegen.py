@@ -37,10 +37,10 @@ the sweep never pays for divergence.  This tier records no state
 trace; the reference interpreter is the traced oracle, and the
 compiled tier traces too.
 
-Emission renders nothing twice: each (state, variant arm) body is
-rendered once, with body-local temporaries, and each inlined
-transition block once per (target, depth); every further use copies
-the text.
+Emission renders nothing twice: each (state, op list) body is
+rendered once, with body-local temporaries — selectors that share a
+DFG variant list share its body — and each inlined transition block
+once per (target, depth); every further use copies the text.
 
 The batch lifecycle is: ``codegen_for(design)`` (generate once per
 process) → ``bind_keys(keys)`` (cheap, per batch; called by
@@ -110,8 +110,10 @@ class _Emitter:
         self.used_mems: set[int] = set()
         self.used_keys: set[str] = set()
         self._tmp = 0
-        #: (state idx, variant selector or None) -> rendered body.
-        self.bodies: dict[tuple[int, Optional[int]], tuple] = {}
+        #: (state idx, id(op list)) -> rendered body.  The layout keeps
+        #: the lists alive, and selectors that share a variant list
+        #: share its filtered list, so each distinct arm renders once.
+        self.bodies: dict[tuple[int, int], tuple] = {}
 
     def temp(self, prefix: str = "_t") -> str:
         self._tmp += 1
@@ -167,10 +169,10 @@ class _Emitter:
     # One op list -> (read-phase lines, commit lines, ret temp or None)
     # ------------------------------------------------------------------
     def state_body(
-        self, state_idx: int, selector: Optional[int], ops: Sequence
+        self, state_idx: int, ops: Sequence
     ) -> tuple[list[str], list[str], Optional[str]]:
-        """:meth:`body` of one (state, variant arm), rendered once."""
-        key = (state_idx, selector)
+        """:meth:`body` of one (state, op list), rendered once."""
+        key = (state_idx, id(ops))
         rendered = self.bodies.get(key)
         if rendered is None:
             rendered = self.bodies[key] = self.body(ops)
@@ -416,7 +418,7 @@ class CodegenDesign:
 
         if variant is None:
             ops = layout.state_op_lists[state_idx]
-            reads, commits, ret_temp = emitter.state_body(state_idx, None, ops)
+            reads, commits, ret_temp = emitter.state_body(state_idx, ops)
             return reads + commits + tail(ret_temp)
         sel_name, per_selector = variant
         # Temporaries are body-local, so semantically identical
@@ -430,7 +432,7 @@ class CodegenDesign:
         groups: dict[tuple[str, ...], list[int]] = {}
         for selector in sorted(per_selector):
             reads, commits, ret_temp = emitter.state_body(
-                state_idx, selector, per_selector[selector]
+                state_idx, per_selector[selector]
             )
             branch = tuple(reads + commits + tail(ret_temp))
             groups.setdefault(branch, []).append(selector)

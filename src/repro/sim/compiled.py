@@ -40,6 +40,10 @@ which the codegen tier consumes too):
   it and kept on the plan, so a sweep cell that binds two keys
   compiles at most two of each variant state's arms; a chain through a
   variant state runs the bound arm, so binding rebuilds its op list.
+  Arms are keyed by the layout's filtered op list, so selectors that
+  share a list (equal Hamming distance, by default) share one arm, and
+  a key that moves selectors only within those classes rebuilds
+  nothing.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
@@ -281,7 +285,9 @@ class CompiledDesign:
         self._rom_binds: list[tuple] = []
         self._kb_binds: list[tuple[int, list[int]]] = []
         #: Per obfuscated block, ``(BlockVariants, [(state idx, {selector:
-        #: op list}, {selector: compiled arm})])``; arms compile on first bind.
+        #: op list}, {id(op list): compiled arm})])``; arms compile on
+        #: first bind, once per distinct op list (the layout keeps the
+        #: lists alive, so their ids are stable).
         self._variant_binds: list[tuple] = []
         self._bound_key: Optional[int] = None
         self._n_scalar_params = layout.n_scalar_params
@@ -573,8 +579,9 @@ class CompiledDesign:
         ``working_key``.
 
         An arm the key selects for the first time is compiled here and
-        kept on the plan, and the chains that run a state whose arm
-        changed get their op lists rebuilt; after that, binding is cheap
+        kept on the plan (one per distinct op list, whichever selector
+        reaches it), and the chains that run a state whose arm changed
+        get their op lists rebuilt; after that, binding is cheap
         — O(obfuscated constants + ROMs + masked branches + variant
         blocks), independent of cycle count — and memoized on the last
         bound key, so re-running the same key rebinds nothing.  A
@@ -592,9 +599,10 @@ class CompiledDesign:
         for variants, tables in self._variant_binds:
             selector = variants.selector(working_key)
             for idx, per_selector, arms in tables:
-                arm = arms.get(selector)
+                ops = per_selector[selector]
+                arm = arms.get(id(ops))
                 if arm is None:
-                    arm = arms[selector] = self._compile_ops(per_selector[selector])
+                    arm = arms[id(ops)] = self._compile_ops(ops)
                 selected.append((idx, arm))
         state_units = self._state_units
         changed = False

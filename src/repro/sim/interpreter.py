@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import IntType
-from repro.ir.values import ArrayValue, Constant, Value
+from repro.ir.values import ArrayValue, Constant, ObfuscatedConstant, Value
+from repro.opt.constant_folding import evaluate_op
 
 
 class InterpreterError(Exception):
@@ -173,8 +174,6 @@ class Interpreter:
         assert isinstance(result_type, IntType)
         operand_values = [self._read(v, env) for v in inst.operands]
         operand_types = [v.type for v in inst.operands]
-        from repro.opt.constant_folding import evaluate_op
-
         value = evaluate_op(op, operand_values, operand_types, result_type)  # type: ignore[arg-type]
         if value is None:
             raise InterpreterError(f"cannot evaluate {inst}")
@@ -216,8 +215,6 @@ class Interpreter:
 
     @staticmethod
     def _read(value: Value, env: dict[Value, int]) -> int:
-        from repro.ir.values import ObfuscatedConstant
-
         if isinstance(value, ObfuscatedConstant):
             # Golden semantics: the design-time plaintext constant.
             return value.original.value

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.hls.controller import StateId
-from repro.hls.design import FsmdDesign, VariantOp
+from repro.hls.design import BlockVariants, FsmdDesign, VariantOp
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Value
@@ -179,6 +179,12 @@ SEQ = 0
 COND = 1
 
 
+def _distinct_lists(variants: BlockVariants) -> dict[int, list]:
+    """The distinct op lists of one block's variants, by ``id``
+    (selectors may share a list), in first-selector order."""
+    return {id(ops): ops for ops in variants.variants.values()}
+
+
 class DesignLayout:
     """Slot-indexed view of one FSMD design, shared by the fast tiers.
 
@@ -201,7 +207,11 @@ class DesignLayout:
     * ``state_op_lists`` — per state, the cstep-filtered baseline op
       list, or ``None`` for states of variant-obfuscated blocks;
     * ``variant_tables`` — per obfuscated block, ``(BlockVariants,
-      [(state_idx, {selector: cstep-filtered op list})])``.
+      [(state_idx, {selector: cstep-filtered op list})])``.  Each
+      distinct variant op list is filtered once per state, so
+      selectors that share a list (see
+      :class:`~repro.hls.design.BlockVariants`) share one filtered
+      list object — one arm — in every state of the block.
     """
 
     def __init__(self, design: FsmdDesign) -> None:
@@ -254,12 +264,17 @@ class DesignLayout:
             self._lower_transition(state)
         self.variant_tables: list[tuple] = []
         for block_name, variants in design.block_variants.items():
+            distinct = _distinct_lists(variants)
             tables: list[tuple[int, dict[int, list]]] = []
             for state, idx in self.idx_of.items():
                 if state.block != block_name:
                     continue
+                arms = {
+                    key: [op for op in ops if op.cstep == state.step]
+                    for key, ops in distinct.items()
+                }
                 per_selector = {
-                    selector: [op for op in ops if op.cstep == state.step]
+                    selector: arms[id(ops)]
                     for selector, ops in variants.variants.items()
                 }
                 tables.append((idx, per_selector))
@@ -291,7 +306,7 @@ class DesignLayout:
             for inst in block_schedule.block.instructions:
                 note(inst.result)
         for variants in design.block_variants.values():
-            for ops in variants.variants.values():
+            for ops in _distinct_lists(variants).values():
                 for op in ops:
                     note(op.result)
         return written

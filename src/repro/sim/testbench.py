@@ -149,9 +149,10 @@ def run_testbench_batch(
     """Run one workload under a batch of working keys; compare each lane.
 
     The golden reference is key-independent, so the batch needs it only
-    once — but with a cache attached the lookup is repeated per lane so
-    cache telemetry (hits per trial) stays identical to running the
-    same keys through scalar :func:`run_testbench` calls; with
+    once: with a cache attached, one lookup hashes the module once and
+    counts one hit or miss per lane, so cache telemetry (lookups per
+    trial) stays identical to running the same keys through scalar
+    :func:`run_testbench` calls, and every lane gets its own copy; with
     ``golden_cache=None`` the interpreter runs once and every lane
     shares the result.  Simulation goes through
     :func:`repro.sim.fsmd_sim.simulate_batch` — one ``bind_keys`` +
@@ -174,9 +175,7 @@ def run_testbench_batch(
         )
         goldens = [(golden, golden_bits)] * len(working_keys)
     else:
-        goldens = [
-            cache.golden_for(design, bench, observed) for _ in working_keys
-        ]
+        goldens = cache.goldens_for(design, bench, observed, len(working_keys))
     simulated_batch = simulate_batch(
         design,
         bench.args,

@@ -181,6 +181,12 @@ def create_dfg_variants(
     and the merged multiplexer network stays compact.  With
     ``diversity="selector"`` every selector value draws independent
     randomness — maximal structural diversity at higher area cost.
+
+    One op list is built per distinct RNG salt — the baseline for the
+    correct selector, then one per distance (``distance``) or per
+    selector (``selector``) — and every selector the salt covers points
+    at it: under ``distance`` a ``B``-bit block holds ``B + 1`` lists,
+    not ``2**B`` (see :class:`~repro.hls.design.BlockVariants`).
     """
     variants = BlockVariants(
         block_name=block.name,
@@ -191,17 +197,23 @@ def create_dfg_variants(
     # Stable across processes (str hash is salted per interpreter run,
     # which would make the generated hardware non-reproducible).
     block_hash = zlib.crc32(block.name.encode()) & 0xFFFF
+    # RNG salt (None for the correct selector) -> its op list.
+    built: dict[Optional[int], list[VariantOp]] = {}
     for selector in range(1 << key_bits):
-        ops = _baseline_variant_ops(block, cstep_of)
-        if selector != correct_value:
-            distance = hamming_distance(selector, correct_value)
-            if diversity == "selector":
-                salt = selector
-            else:
-                salt = distance
-            rng = random.Random((seed << 20) ^ (salt << 8) ^ block_hash)
-            _swap_operation_types(ops, distance, rng)
-            _rearrange_dependences(ops, distance, rng)
+        distance = hamming_distance(selector, correct_value)
+        if selector == correct_value:
+            salt = None
+        elif diversity == "selector":
+            salt = selector
+        else:
+            salt = distance
+        ops = built.get(salt)
+        if ops is None:
+            ops = built[salt] = _baseline_variant_ops(block, cstep_of)
+            if salt is not None:
+                rng = random.Random((seed << 20) ^ (salt << 8) ^ block_hash)
+                _swap_operation_types(ops, distance, rng)
+                _rearrange_dependences(ops, distance, rng)
         variants.variants[selector] = ops
     return variants
 

@@ -40,15 +40,18 @@ class ObfuscationParameters:
     ``variant_diversity`` controls Algorithm 1's randomness scope:
     ``"distance"`` (default) derives each variant's swaps from its
     Hamming distance to the correct selector, so equal-distance
-    selectors share a structure; ``"selector"`` gives every selector an
-    independent structure (more diversity, more multiplexer area — see
-    the A1 ablation bench).
+    selectors share a structure (and one op list); ``"selector"`` gives
+    every selector an independent structure (more diversity, more
+    multiplexer area — see the A1 ablation bench).
+
+    Every block gets ``2**block_bits`` selectors; nothing caps the
+    count (``block_bits=6`` builds 64 selectors per block, of which 7
+    are distinct under ``"distance"``).
     """
 
     constant_width: int = 32  # C
     branch_bits: int = 1  # key bits per conditional branch
     block_bits: int = 4  # B_i, uniform over blocks
-    max_variants_per_block: int = 16  # 2**block_bits cap
     obfuscate_constants: bool = True
     obfuscate_branches: bool = True
     obfuscate_dfg: bool = True
@@ -57,9 +60,6 @@ class ObfuscationParameters:
     variant_diversity: str = "distance"
     locking_key_bits: int = 256
     seed: int = 0xDAC2018  # deterministic design-time randomness
-
-    def variants_per_block(self) -> int:
-        return min(1 << self.block_bits, self.max_variants_per_block)
 
 
 @dataclass

@@ -55,10 +55,13 @@ class ReplicationKeyManager:
         return math.ceil(self.working_key_bits / self.locking_key_width)
 
     def derive_working_key(self, locking_key: LockingKey) -> int:
-        working = 0
-        for i in range(self.working_key_bits):
-            working |= locking_key.bit(i) << i
-        return working
+        """Bit ``i`` is locking-key bit ``i mod K`` (K the key's own
+        width, as in :meth:`LockingKey.bit`): the key's bits repeated
+        every K bits, cut to W."""
+        width = locking_key.width
+        copies = -(-self.working_key_bits // width)  # ceil(W / K)
+        replicated = sum(locking_key.bits << (j * width) for j in range(copies))
+        return replicated & ((1 << self.working_key_bits) - 1)
 
     def install(self, correct_working_key: int) -> LockingKey:
         """Design-time: choose the locking key that yields ``correct_working_key``.

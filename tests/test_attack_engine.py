@@ -34,7 +34,7 @@ from repro.tao.flow import obfuscate_source
 # 256-candidate pool encloses the true key; under the full pipeline
 # two 32-bit constant slices dwarf them (see TestPruningAsymmetry).
 SOURCE = "int kernel(int a, int b) { int x = a * 3 + b; int y = x * x - a; return y + 7; }"
-PARAMS = ObfuscationParameters(block_bits=8, max_variants_per_block=256)
+PARAMS = ObfuscationParameters(block_bits=8)
 BENCHES = [Testbench(args=[3, 5]), Testbench(args=[-2, 9])]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.runtime.cache as cache_module
 from repro.runtime.cache import (
     FRONTEND_CACHE,
     GOLDEN_CACHE,
@@ -12,7 +13,7 @@ from repro.runtime.cache import (
     reset_caches,
     stats_delta,
 )
-from repro.sim import Testbench, run_testbench
+from repro.sim import Testbench, run_testbench, run_testbench_batch
 from repro.tao import ObfuscationParameters, TaoFlow
 
 SOURCE = """
@@ -66,6 +67,36 @@ class TestGoldenCache:
         outcome_b = run_testbench(component.design, BENCH, working_key=key)
         assert outcome_b.golden_bits  # cached master untouched
         assert outcome_b.golden.arrays["out"][0] != outcome_a.golden.arrays["out"][0]
+
+    def test_batch_hashes_once_and_counts_per_lane(self, component, monkeypatch):
+        """A cold N-lane batch fingerprints the module once, counts one
+        miss plus N-1 hits, and hands every lane its own copy."""
+        calls = []
+        fingerprint = cache_module.golden_fingerprint
+
+        def counted(module):
+            calls.append(module)
+            return fingerprint(module)
+
+        monkeypatch.setattr(cache_module, "golden_fingerprint", counted)
+        key = component.correct_working_key
+        lanes = 4
+        outcomes = run_testbench_batch(
+            component.design, BENCH, [key] * lanes, max_cycles=2000
+        )
+        assert len(calls) == 1
+        assert GOLDEN_CACHE.stats.misses == 1
+        assert GOLDEN_CACHE.stats.hits == lanes - 1
+        intact = list(outcomes[1].golden.arrays["out"])
+        outcomes[0].golden.arrays["out"][0] ^= 0xFFFF
+        outcomes[0].golden_bits[:] = []
+        assert outcomes[1].golden.arrays["out"] == intact
+        assert outcomes[1].golden_bits == outcomes[2].golden_bits != []
+        # A warm batch hits on every lane, still hashing once.
+        run_testbench_batch(component.design, BENCH, [key] * lanes, max_cycles=2000)
+        assert len(calls) == 2
+        assert GOLDEN_CACHE.stats.misses == 1
+        assert GOLDEN_CACHE.stats.hits == 2 * lanes - 1
 
     def test_opt_out_bypasses_cache(self, component):
         GOLDEN_CACHE.stats.reset()

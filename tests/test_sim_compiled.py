@@ -2,8 +2,9 @@
 codegen tiers against the reference interpreter (budgets ending inside
 a chain, and every DFG arm that keeps the two-phase commit), the engine
 seam, the compile-once cache, the compiled tier's bind lifecycle (arms
-compiled on first bind, no poisoned memo after a failed bind), and the
-zero-size-memory errors of LOAD and STORE (all three engines)."""
+compiled on first bind and shared by equal-distance selectors, no
+poisoned memo after a failed bind), and the zero-size-memory errors of
+LOAD and STORE (all three engines)."""
 
 import functools
 
@@ -343,6 +344,60 @@ class TestLazyArms:
             compiled_arms = [i for i in compiled if i in arms]
             assert len(compiled_arms) <= 2
             assert set(compiled_arms) == selected
+
+
+class TestSharedArms:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_rebind_within_distance_classes_rebuilds_nothing(self, name, monkeypatch):
+        """Selectors at one Hamming distance share one compiled arm: a
+        second key that moves every block's selector to another one at
+        the same distance compiles no arm and rebuilds no chain, and
+        still runs as the interpreter does."""
+        component, workload = _obfuscated(name, "full")
+        design = component.design
+        correct = component.correct_working_key
+        blocks = list(design.block_variants.values())
+        assert blocks, "full preset should variant-obfuscate"
+        # Distance 1 in every block: flip the slice's lowest bit, then
+        # its second bit instead.
+        first = second = correct
+        for variants in blocks:
+            assert variants.key_bits >= 2
+            first ^= 1 << variants.key_offset
+            second ^= 2 << variants.key_offset
+        assert all(
+            v.selector(first) != v.selector(second) for v in blocks
+        )
+        calls = {"_compile_ops": 0, "_chain_units": 0}
+        for method in calls:
+            original = getattr(CompiledDesign, method)
+
+            def counted(plan, *args, _method=method, _original=original):
+                calls[_method] += 1
+                return _original(plan, *args)
+
+            monkeypatch.setattr(CompiledDesign, method, counted)
+        plan = CompiledDesign(design)
+        plan.bind_key(first)
+        assert calls["_compile_ops"] > 0
+        calls.update(dict.fromkeys(calls, 0))
+        plan.bind_key(second)
+        assert calls == {"_compile_ops": 0, "_chain_units": 0}
+        baseline = FsmdSimulator(design, max_cycles=200_000).run(
+            workload.args, dict(workload.arrays), correct
+        )
+        cap = max(8 * baseline.cycles, 4000)
+        interp = FsmdSimulator(design, max_cycles=cap, trace=True).run(
+            workload.args, dict(workload.arrays), second
+        )
+        compiled = plan.run(
+            workload.args,
+            dict(workload.arrays),
+            working_key=second,
+            max_cycles=cap,
+            trace=True,
+        )
+        assert result_fields(compiled) == result_fields(interp)
 
 
 def _reads_own_writes(design, ops) -> bool:

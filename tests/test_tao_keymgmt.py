@@ -27,6 +27,23 @@ class TestReplication:
         for i in range(10):
             assert (working >> i) & 1 == key.bit(i % 4)
 
+    @pytest.mark.parametrize("key_width", [1, 8, 256])
+    @pytest.mark.parametrize("working_bits", [0, 1, 255, 256, 257, 4625])
+    def test_closed_form_matches_bitwise_loop(self, working_bits, key_width):
+        def reference(key: LockingKey) -> int:
+            # The bitwise definition: bit i is locking-key bit i mod K.
+            working = 0
+            for i in range(working_bits):
+                working |= key.bit(i) << i
+            return working
+
+        rng = random.Random(working_bits * 1000 + key_width)
+        manager = ReplicationKeyManager(working_bits, locking_key_width=key_width)
+        keys = [LockingKey(0, key_width), LockingKey((1 << key_width) - 1, key_width)]
+        keys += [LockingKey.random(rng, key_width) for _ in range(3)]
+        for key in keys:
+            assert manager.derive_working_key(key) == reference(key)
+
     def test_install_consistency(self):
         rng = random.Random(0)
         key = LockingKey.random(rng)

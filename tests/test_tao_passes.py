@@ -2,6 +2,7 @@
 masking and DFG variants."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,9 @@ from repro.sim import Testbench, run_testbench, simulate
 from repro.tao.branch_pass import mask_branches
 from repro.tao.constants_pass import obfuscate_constants
 from repro.tao.dfg_variants import (
+    _baseline_variant_ops,
+    _rearrange_dependences,
+    _swap_operation_types,
     create_dfg_variants,
     hamming_distance,
     obfuscate_dfgs,
@@ -239,3 +243,60 @@ class TestDfgVariants:
             block_schedule = design.schedule.blocks[variants.block_name]
             for ops in variants.variants.values():
                 assert all(0 <= op.cstep < block_schedule.n_steps for op in ops)
+
+
+def _per_selector_variants(block, cstep_of, key_bits, correct_value, seed, diversity):
+    """Reference: Algorithm 1 as a per-selector loop that builds a
+    fresh op list for every selector value."""
+    variants = {}
+    block_hash = zlib.crc32(block.name.encode()) & 0xFFFF
+    for selector in range(1 << key_bits):
+        ops = _baseline_variant_ops(block, cstep_of)
+        if selector != correct_value:
+            distance = hamming_distance(selector, correct_value)
+            if diversity == "selector":
+                salt = selector
+            else:
+                salt = distance
+            rng = random.Random((seed << 20) ^ (salt << 8) ^ block_hash)
+            _swap_operation_types(ops, distance, rng)
+            _rearrange_dependences(ops, distance, rng)
+        variants[selector] = ops
+    return variants
+
+
+class TestDfgVariantSharing:
+    @pytest.mark.parametrize("diversity", ["distance", "selector"])
+    def test_one_list_per_salt_equal_to_per_selector_build(self, diversity):
+        """``distance`` builds B+1 lists per block, one per Hamming
+        distance, shared by the selectors at that distance; ``selector``
+        builds 2**B; every selector's list equals the per-selector
+        reference build."""
+        module, func, apportionment = prepared()
+        design = synthesize_function(module, "f")
+        working_key = random.Random(15).getrandbits(apportionment.working_key_bits)
+        created = obfuscate_dfgs(
+            design, apportionment, working_key, seed=1, diversity=diversity
+        )
+        assert created
+        for variants in created.values():
+            bits = variants.key_bits
+            distinct = {id(ops) for ops in variants.variants.values()}
+            expected = bits + 1 if diversity == "distance" else 1 << bits
+            assert len(distinct) == expected
+            if diversity == "distance":
+                by_distance = {}
+                for selector, ops in variants.variants.items():
+                    distance = hamming_distance(selector, variants.correct_value)
+                    assert by_distance.setdefault(distance, ops) is ops
+            block_schedule = design.schedule.blocks[variants.block_name]
+            reference = _per_selector_variants(
+                block_schedule.block,
+                block_schedule.cstep_of,
+                bits,
+                variants.correct_value,
+                1,
+                diversity,
+            )
+            assert variants.variants == reference
+        assert any(variant_divergence(v) > 0 for v in created.values())
