@@ -56,7 +56,8 @@ class BlockVariants:
     block holds 5 distinct lists.  The lists and their ops are
     read-only once the DFG stage returns — a mutation would change
     every selector that shares the list — and consumers may do
-    per-list work once per distinct list object.
+    per-list work once per distinct list object
+    (:meth:`distinct_lists`).
     """
 
     block_name: str
@@ -71,6 +72,15 @@ class BlockVariants:
 
     def select(self, working_key: int) -> list[VariantOp]:
         return self.variants[self.selector(working_key)]
+
+    def distinct_lists(self) -> dict[int, list[VariantOp]]:
+        """The distinct op lists, by ``id``, in first-selector order.
+
+        Per-list work (lowering, walks that aggregate into sets or
+        keep the first maximum) runs once per entry here instead of
+        once per selector.
+        """
+        return {id(ops): ops for ops in self.variants.values()}
 
 
 @dataclass
@@ -154,7 +164,7 @@ class FsmdDesign:
                     add(fu, port, operand)
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for ops in variants.distinct_lists().values():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     if base_inst is None:
@@ -190,7 +200,7 @@ class FsmdDesign:
                     add(inst.result, f"mem:{inst.array.name}")
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for ops in variants.distinct_lists().values():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     fu = self.binding.fu_for(base_inst) if base_inst else None
@@ -214,7 +224,7 @@ class FsmdDesign:
                             self._source_id(operand)
                         )
         for variants in self.block_variants.values():
-            for ops in variants.variants.values():
+            for ops in variants.distinct_lists().values():
                 for op in ops:
                     if op.opcode in (Opcode.LOAD, Opcode.STORE) and op.array_name:
                         for operand in op.operands:
@@ -230,7 +240,7 @@ class FsmdDesign:
         }
         for variants in self.block_variants.values():
             baseline = self._baseline_slots(variants.block_name)
-            for ops in variants.variants.values():
+            for ops in variants.distinct_lists().values():
                 for op in ops:
                     base_inst = baseline.get(op.slot)
                     if base_inst is None:

@@ -73,7 +73,7 @@ def estimate_timing(design: FsmdDesign) -> TimingReport:
         variants = design.block_variants.get(block_name)
         op_lists: list[list] = [list(block_schedule.block.instructions)]
         if variants is not None:
-            op_lists.extend(variants.variants.values())
+            op_lists.extend(variants.distinct_lists().values())
         for ops in op_lists:
             for op in ops:
                 path, description = _op_path_delay(

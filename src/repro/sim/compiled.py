@@ -28,12 +28,24 @@ which the codegen tier consumes too):
   op of the same cycle reads an earlier op's register or memory write:
   that op list keeps the two-phase clock edge (all reads, then all
   commits) as one closure, chosen once at compile time;
+* a memory whose every image has one length — an encrypted ROM, or an
+  array with no initializer or a full-length one — is indexed modulo
+  that length, with no empty-memory check; any other memory keeps the
+  checked access.  A LOAD at its memory's element type and a MOV of an
+  already-wrapped register skip their identity wraps;
 * runs of ``SEQ`` states become **chains**: one dispatch runs the
   chain's ops back to back and charges its length in cycles.  A chain
   ends at its first ``COND`` state, whose transition closes the
   dispatch, and holds no done state, no state with a ``RET`` in any
   arm and no state twice; those states run alone.  When the cycle
   budget ends inside a chain, only the states that fit run;
+* a chain dispatched :data:`_FUSE_AFTER` times is **fused**: rendered
+  as one closure that runs every op of every state inline (a two-phase
+  op list stays one call) and returns the next dispatch target.  A
+  run, traced or not, dispatches a fused chain with that one call when
+  the chain fits its budget; unfused chains, states that run alone and
+  a budget that ends inside a chain run the per-state closures.
+  Dispatch counts and fused closures live on the plan across runs;
 * controller transitions are pre-resolved into fused condition
   closures (key-bit XOR included) and next-state indices;
 * a DFG variant arm is compiled the first time a bound key selects
@@ -43,16 +55,18 @@ which the codegen tier consumes too):
   Arms are keyed by the layout's filtered op list, so selectors that
   share a list (equal Hamming distance, by default) share one arm, and
   a key that moves selectors only within those classes rebuilds
-  nothing.
+  nothing.  A bind that changes a state's arm drops the fused closure
+  and the dispatch count of exactly the chains that run that state, so
+  a plan holds at most one fused closure per chain.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
 that :meth:`CompiledDesign.bind_key` fills per working key, so one
 compilation serves every key of a campaign.
 
-This is the middle tier of the three-tier engine architecture:
-``interp`` (the reference oracle) < ``compiled`` (this module: one
-dispatch per chain, one fused closure call per op) < ``codegen``
+This is one of three engine tiers: ``interp`` (the reference
+oracle), ``compiled`` (this module: one dispatch per chain, one
+closure call per op, or one per hot chain) and ``codegen``
 (:mod:`repro.sim.codegen`: one exec()-generated sweep function per
 design, registers in locals, lane-vectorized across a whole key
 batch).
@@ -71,7 +85,9 @@ then the ``REPRO_SIM_ENGINE`` environment variable, then the default
 ``"compiled"``.  :func:`compiled_for` memoizes compilations per design
 object (guarded by a cheap obfuscation-metadata fingerprint, so
 re-obfuscating a design in place recompiles rather than running stale
-code).
+code).  A plan also assumes the design's memory images keep the
+lengths they had when it was lowered; a run that builds an image of
+another length raises :class:`~repro.sim.fsmd_sim.SimulationError`.
 """
 
 from __future__ import annotations
@@ -201,10 +217,17 @@ _CHAIN = 0
 _RETURNS = 1
 _DONE = 2
 
-#: Op shape (the fused closure's body text) -> its factory, compiled on
+#: Op shape (the op closure's body text) -> its factory, compiled on
 #: first use and kept for the process.  A factory depends only on its
-#: body text, so every plan in the process shares one per shape.
+#: body text, so every plan in the process shares one per shape.  Fused
+#: chains keep their factories on their plan (see :class:`_Shape`).
 _OP_FACTORIES: dict[str, Callable] = {}
+
+#: Dispatches of a chain entry after which the plan renders the whole
+#: chain as one closure.  Most entries of a few-key sweep cell never
+#: get there; the hot loops of a capped wrong-key trial do within the
+#: first trial.
+_FUSE_AFTER = 256
 
 
 def _store_zero_error(mems: list, later: tuple, name: str) -> SimulationError:
@@ -231,12 +254,23 @@ _OP_GLOBALS: dict = {
 class _Shape:
     """One op being rendered: its body lines name every slot, mask,
     constant and key cell as a factory argument (``_0``, ``_1``, …), so
-    ops that differ only in those share one factory."""
+    ops that differ only in those share one factory.
 
-    def __init__(self) -> None:
+    A fused chain passes its plan's own ``factories``: it writes its
+    numbers (and ``None``) into the body, which runs faster than reading
+    closure cells, and keeps only key cells, names and closures as
+    arguments.  Such a body fits one chain of one design under one arm
+    combination, so its factory is kept with the plan, not the process.
+    """
+
+    def __init__(self, factories: Optional[dict[str, Callable]] = None) -> None:
         self.args: list = []
+        self.literals = factories is not None
+        self.factories = _OP_FACTORIES if factories is None else factories
 
     def lit(self, value: object) -> str:
+        if self.literals and (value is None or type(value) is int):
+            return f"({value!r})"
         self.args.append(value)
         return f"_{len(self.args) - 1}"
 
@@ -244,7 +278,7 @@ class _Shape:
         """The op's ``op(regs, mems)`` closure, from its shape's factory
         (compiled the first time any design needs the shape)."""
         body = "\n".join(lines)
-        factory = _OP_FACTORIES.get(body)
+        factory = self.factories.get(body)
         if factory is None:
             params = ", ".join(f"_{i}" for i in range(len(self.args)))
             indented = "".join(f"        {line}\n" for line in lines)
@@ -254,7 +288,7 @@ class _Shape:
             )
             namespace = dict(_OP_GLOBALS)
             exec(compile(source, "<compiled op>", "exec"), namespace)
-            factory = _OP_FACTORIES[body] = namespace["_make"]
+            factory = self.factories[body] = namespace["_make"]
         return factory(*self.args)
 
 
@@ -263,11 +297,14 @@ class CompiledDesign:
 
     Compile once (the constructor), then :meth:`run` any number of
     trials.  The plan is a dispatch table over the states a run can
-    enter: each entry is a chain of states whose fused op closures run
-    back to back, followed by one transition.  :meth:`bind_key`
+    enter: each entry is a chain of states whose op closures run back
+    to back, followed by one transition.  A chain that reaches
+    :data:`_FUSE_AFTER` dispatches is fused into one closure that runs
+    its ops inline and returns the next entry.  :meth:`bind_key`
     specializes the key-dependent cells per working key, compiling each
     DFG variant arm the first time a key selects it and refreshing the
-    chains that run it, and is called automatically by :meth:`run`.
+    chains that run it (which drops their fused closures), and is
+    called automatically by :meth:`run`.
     Instances hold closures and are deliberately **not picklable** —
     worker processes compile their own plan from the (picklable)
     design via :func:`compiled_for`.
@@ -283,7 +320,8 @@ class CompiledDesign:
         self._kconst_cells: dict[ObfuscatedConstant, list[int]] = {}
         self._rom_cells: dict[str, list[int]] = {}
         self._rom_binds: list[tuple] = []
-        self._kb_binds: list[tuple[int, list[int]]] = []
+        #: Key bit -> its cell, shared by every closure that tests it.
+        self._kb_cells: dict[int, list[int]] = {}
         #: Per obfuscated block, ``(BlockVariants, [(state idx, {selector:
         #: op list}, {id(op list): compiled arm})])``; arms compile on
         #: first bind, once per distinct op list (the layout keeps the
@@ -292,9 +330,13 @@ class CompiledDesign:
         self._bound_key: Optional[int] = None
         self._n_scalar_params = layout.n_scalar_params
         self._param_latches = layout.param_latches
+        self._mem_lengths = self._static_lengths()
         # --- per-state op closures ---------------------------------
-        #: Per state, the compiled op list; a variant state holds its
-        #: bound arm.
+        #: Per state, the op list it runs and its compiled closures; a
+        #: variant state holds its bound arm.
+        self._state_ops: list[Sequence] = [
+            ops if ops is not None else () for ops in layout.state_op_lists
+        ]
         self._state_units: list[list] = [[] for _ in layout.states]
         for idx, ops in enumerate(layout.state_op_lists):
             if ops is not None:
@@ -315,12 +357,21 @@ class CompiledDesign:
         returns = [state.block in returning for state in layout.states]
         # --- dispatch entries ----------------------------------------
         self._entry_idx = layout.entry_idx
-        #: Per dispatch target, the entry tuple ``(kind, units, length,
+        #: Per dispatch target, the entry tuple ``(kind, units,
         #: condition, next, alternative, chain, names)``; None for states
         #: no run enters by dispatch.
         self._entries: list[Optional[tuple]] = [None] * len(layout.states)
-        #: Dispatch targets whose chain runs a variant state.
-        self._variant_heads: list[int] = []
+        #: Per variant state, the dispatch targets whose chain runs it.
+        self._heads_through: dict[int, list[int]] = {}
+        #: Per dispatch target, its chain length (the cycles one dispatch
+        #: charges), its dispatches since it was lowered or last rebuilt,
+        #: and its chain fused into one closure once those reach
+        #: :data:`_FUSE_AFTER` (see :meth:`_fuse_chain`).
+        self._lengths = [0] * len(layout.states)
+        self._dispatches = [0] * len(layout.states)
+        self._fused: list[Optional[Callable]] = [None] * len(layout.states)
+        #: Fused chain body text -> its factory, for this plan alone.
+        self._chain_factories: dict[str, Callable] = {}
         pending = [layout.entry_idx]
         while pending:
             head = pending.pop()
@@ -328,9 +379,10 @@ class CompiledDesign:
                 continue
             entry = self._lower_entry(head, returns)
             self._entries[head] = entry
-            if variant_states.intersection(entry[6]):
-                self._variant_heads.append(head)
-            pending.extend((entry[4], entry[5]))
+            self._lengths[head] = len(entry[5])
+            for idx in variant_states.intersection(entry[5]):
+                self._heads_through.setdefault(idx, []).append(head)
+            pending.extend((entry[3], entry[4]))
 
     # ------------------------------------------------------------------
     # Compilation helpers
@@ -355,6 +407,25 @@ class CompiledDesign:
             return read
         return wrap_expr(read, value.type, lit)
 
+    def _static_lengths(self) -> dict[str, int]:
+        """Memory name -> the length of every image a run can build, for
+        the memories where that length is fixed and not zero: an
+        encrypted ROM, or an array with no initializer or a full-length
+        one (a provided array is padded or cut to the array's size).
+        Their accesses index with that length and need no empty check;
+        any other memory keeps the checked access."""
+        lengths: dict[str, int] = {}
+        for name, array, rom, _ in self.layout.memory_specs:
+            if rom is not None:
+                length = len(rom.encrypted_image)
+            elif array.initializer is None or len(array.initializer) == array.size:
+                length = array.size
+            else:
+                continue
+            if length:
+                lengths[name] = length
+        return lengths
+
     def _rom_cell(self, array_name: str, element_type: IntType) -> list[int]:
         cell = self._rom_cells.get(array_name)
         if cell is None:
@@ -364,6 +435,29 @@ class CompiledDesign:
             self._rom_binds.append((rom, element_type, cell))
         return cell
 
+    @staticmethod
+    def _fields(ops: Sequence) -> list[tuple]:
+        """The :func:`op_fields` of the ops a cycle executes (the
+        controller handles JUMP and BRANCH)."""
+        return [
+            op_fields(op)
+            for op in ops
+            if op.opcode is not Opcode.JUMP and op.opcode is not Opcode.BRANCH
+        ]
+
+    def _with_later_loads(self, fields: Sequence[tuple]) -> list[tuple]:
+        """Each op of an in-place op list with the LOADs after it in the
+        same cycle (see :func:`_store_zero_error`)."""
+        loads = [
+            (position, (self._mem_slots[array_name], array_name))
+            for position, (opcode, _, _, array_name) in enumerate(fields)
+            if opcode is Opcode.LOAD
+        ]
+        return [
+            (op, tuple(load for at, load in loads if at > position))
+            for position, op in enumerate(fields)
+        ]
+
     def _compile_ops(self, ops: Sequence) -> list:
         """The closures running one state's (or arm's) ops for a cycle.
 
@@ -371,21 +465,12 @@ class CompiledDesign:
         register or memory write; then the list keeps the two-phase
         clock edge as one closure.
         """
-        fields = [
-            op_fields(op)
-            for op in ops
-            if op.opcode is not Opcode.JUMP and op.opcode is not Opcode.BRANCH
-        ]
+        fields = self._fields(ops)
         if self._reads_own_writes(fields):
             return [self._two_phase(fields)]
-        loads = [
-            (position, (self._mem_slots[array_name], array_name))
-            for position, (opcode, _, _, array_name) in enumerate(fields)
-            if opcode is Opcode.LOAD
-        ]
         return [
-            self._fuse(op, True, tuple(load for at, load in loads if at > position))
-            for position, op in enumerate(fields)
+            self._fuse(op, True, later_loads)
+            for op, later_loads in self._with_later_loads(fields)
         ]
 
     def _reads_own_writes(self, fields: Sequence[tuple]) -> bool:
@@ -417,9 +502,19 @@ class CompiledDesign:
         either way.  ``later_loads`` are the LOADs after an in-place
         STORE in the same cycle (see :func:`_store_zero_error`).
         """
-        opcode, result, operands, array_name = fields
         shape = _Shape()
-        lit = shape.lit
+        return shape.closure(self._op_lines(fields, in_place, later_loads, shape.lit))
+
+    def _op_lines(
+        self,
+        fields: tuple,
+        in_place: bool,
+        later_loads: tuple,
+        lit: Callable[[object], str],
+    ) -> list[str]:
+        """The body lines of one op (see :meth:`_fuse`), every slot,
+        mask, constant and cell rendered by ``lit``."""
+        opcode, result, operands, array_name = fields
 
         def assign(expression: str) -> list[str]:
             if in_place:
@@ -436,31 +531,43 @@ class CompiledDesign:
             element_type = self.design.func.arrays[array_name].element_type
             index = self._operand(operands[0], lit)
             value = wrap_expr(self._operand(operands[1], lit), element_type, lit)
-            if in_place:
-                lines = [
-                    f"m = mems[{lit(self._mem_slots[array_name])}]",
-                    f"if not m: raise _store_zero(mems, {lit(later_loads)}, "
-                    f"{lit(array_name)})",
-                    f"m[({index}) % len(m)] = {value}",
-                ]
-            else:
+            length = self._mem_lengths.get(array_name)
+            if not in_place:
                 lines = [f"return ({index}, {value})"]
+            else:
+                memory = f"mems[{lit(self._mem_slots[array_name])}]"
+                if length is None:
+                    lines = [
+                        f"m = {memory}",
+                        f"if not m: raise _store_zero(mems, {lit(later_loads)}, "
+                        f"{lit(array_name)})",
+                        f"m[({index}) % len(m)] = {value}",
+                    ]
+                else:
+                    lines = [f"{memory}[({index}) % {lit(length)}] = {value}"]
         elif opcode is Opcode.LOAD:
             assert array_name is not None
             assert result is not None and isinstance(result.type, IntType)
-            lines = [
-                f"m = mems[{lit(self._mem_slots[array_name])}]",
-                f"if not m: raise _zero({lit(array_name)})",
-            ]
-            loaded = f"m[({self._operand(operands[0], lit)}) % len(m)]"
+            element_type = self.design.func.arrays[array_name].element_type
+            slot = lit(self._mem_slots[array_name])
+            length = self._mem_lengths.get(array_name)
+            if length is None:
+                lines = [f"m = mems[{slot}]", f"if not m: raise _zero({lit(array_name)})"]
+                memory, size = "m", "len(m)"
+            else:
+                lines, memory, size = [], f"mems[{slot}]", lit(length)
+            loaded = f"{memory}[({self._operand(operands[0], lit)}) % {size}]"
             if array_name in self.design.obfuscated_roms:
-                element_type = self.design.func.arrays[array_name].element_type
                 cell = self._rom_cell(array_name, element_type)
                 mask = lit((1 << element_type.width) - 1)
                 loaded = wrap_expr(
                     f"({loaded} & {mask}) ^ {lit(cell)}[0]", element_type, lit
                 )
-            lines += assign(wrap_expr(loaded, result.type, lit))
+                loaded = wrap_expr(loaded, result.type, lit)
+            elif element_type != result.type:
+                # Memories hold values wrapped at their element type.
+                loaded = wrap_expr(loaded, result.type, lit)
+            lines += assign(loaded)
         else:
             # Datapath op or MOV.
             assert result is not None and isinstance(result.type, IntType)
@@ -475,11 +582,23 @@ class CompiledDesign:
                 if folded is None:
                     raise SimulationError(f"cannot evaluate opcode {opcode}")
                 expression = lit(folded)
+            elif opcode is Opcode.MOV and self._read_in_range(operands[0], result.type):
+                expression = self._operand(operands[0], lit)
             else:
                 rendered = [self._operand(v, lit) for v in operands]
                 expression = arith_expr(opcode, rendered, types, result.type, lit)
             lines = assign(expression)
-        return shape.closure(lines)
+        return lines
+
+    def _read_in_range(self, value: Value, type_: IntType) -> bool:
+        """True when ``value`` is a register read at ``type_`` whose
+        re-wrap :meth:`_operand` elides, so the read is already in
+        ``type_``'s range."""
+        return (
+            not isinstance(value, (Constant, ObfuscatedConstant))
+            and value.type == type_
+            and self.layout.elidable_read(self._slot_of(value), type_)
+        )
 
     def _two_phase(self, fields: Sequence[tuple]) -> Callable:
         """One cycle's ops as a single closure with the two-phase clock
@@ -511,17 +630,20 @@ class CompiledDesign:
 
         return two_phase_cycle
 
-    def _condition(self, spec: tuple) -> Callable:
-        """A ``COND`` transition as a closure returning the branch bit,
-        the key bit XORed in."""
+    def _test(self, spec: tuple, lit: Callable[[object], str]) -> str:
+        """A ``COND`` transition's branch bit as an expression, the key
+        bit XORed in."""
         _, condition, key_bit, _, _ = spec
-        shape = _Shape()
-        test = f"({self._operand(condition, shape.lit)}) & 1"
+        test = f"({self._operand(condition, lit)}) & 1"
         if key_bit is not None:
-            cell = [0]
-            self._kb_binds.append((key_bit, cell))
-            test = f"({test}) ^ {shape.lit(cell)}[0]"
-        return shape.closure([f"return {test}"])
+            cell = self._kb_cells.setdefault(key_bit, [0])
+            test = f"({test}) ^ {lit(cell)}[0]"
+        return test
+
+    def _condition(self, spec: tuple) -> Callable:
+        """A ``COND`` transition as a closure returning the branch bit."""
+        shape = _Shape()
+        return shape.closure([f"return {self._test(spec, shape.lit)}"])
 
     def _lower_entry(self, head: int, returns: list[bool]) -> tuple:
         """The dispatch entry for a run that enters state ``head``.
@@ -559,7 +681,6 @@ class CompiledDesign:
         return (
             kind,
             self._chain_units(chain),
-            len(chain),
             condition,
             following,
             alternative,
@@ -570,6 +691,34 @@ class CompiledDesign:
     def _chain_units(self, chain: Sequence[int]) -> list:
         units = self._state_units
         return [unit for idx in chain for unit in units[idx]]
+
+    def _fuse_chain(self, head: int) -> Callable:
+        """Chain entry ``head`` as one closure ``step(regs, mems)``.
+
+        The closure runs every op of every state of the chain in place,
+        with each variant state's bound arm inlined, and returns the
+        dispatch target that follows (None when the run completes).  An
+        op list that keeps the two-phase commit stays one call of its
+        closure.  A bind that changes an arm of the chain drops it.
+        """
+        _, _, _, following, alternative, chain, _ = self._entries[head]
+        shape = _Shape(self._chain_factories)
+        lit = shape.lit
+        lines: list[str] = []
+        for idx in chain:
+            fields = self._fields(self._state_ops[idx])
+            if self._reads_own_writes(fields):
+                lines.append(f"{lit(self._state_units[idx][0])}(regs, mems)")
+                continue
+            for op, later_loads in self._with_later_loads(fields):
+                lines += self._op_lines(op, True, later_loads, lit)
+        spec = self.layout.transition_specs[chain[-1]]
+        if spec[0] == COND:
+            test = self._test(spec, lit)
+            lines.append(f"return {lit(following)} if {test} else {lit(alternative)}")
+        else:
+            lines.append(f"return {lit(following)}")
+        return shape.closure(lines)
 
     # ------------------------------------------------------------------
     # Per-key specialization
@@ -603,23 +752,25 @@ class CompiledDesign:
                 arm = arms.get(id(ops))
                 if arm is None:
                     arm = arms[id(ops)] = self._compile_ops(ops)
-                selected.append((idx, arm))
+                selected.append((idx, ops, arm))
         state_units = self._state_units
-        changed = False
-        for idx, arm in selected:
+        changed: set[int] = set()
+        for idx, ops, arm in selected:
             if state_units[idx] is not arm:
                 state_units[idx] = arm
-                changed = True
-        if changed:
-            entries = self._entries
-            for head in self._variant_heads:
-                entry = entries[head]
-                entries[head] = (entry[0], self._chain_units(entry[6])) + entry[2:]
+                self._state_ops[idx] = ops
+                changed.update(self._heads_through.get(idx, ()))
+        entries = self._entries
+        for head in changed:
+            entry = entries[head]
+            entries[head] = (entry[0], self._chain_units(entry[5])) + entry[2:]
+            self._fused[head] = None
+            self._dispatches[head] = 0
         for oc, cell in self._kconst_cells.items():
             cell[0] = oc.decode(working_key)
         for rom, element_type, cell in self._rom_binds:
             cell[0] = rom.mask_for(element_type, working_key)
-        for bit, cell in self._kb_binds:
+        for bit, cell in self._kb_cells.items():
             cell[0] = (working_key >> bit) & 1
         self._bound_key = working_key
 
@@ -646,17 +797,38 @@ class CompiledDesign:
                 slot, wrap = latch
                 regs[slot] = wrap(arg)
         mems, arrays_by_name = self.layout.initial_memories(arrays)
+        for name, length in self._mem_lengths.items():
+            if len(arrays_by_name[name]) != length:
+                raise SimulationError(
+                    f"memory {name!r} holds {len(arrays_by_name[name])} words, but "
+                    f"its compiled plan indexes {length}: the design changed "
+                    "after the plan was lowered"
+                )
 
         entries = self._entries
+        lengths = self._lengths
+        dispatches = self._dispatches
+        fused = self._fused
+        fuse_after = _FUSE_AFTER
         state: Optional[int] = self._entry_idx
         state_trace: list[str] = []
         cycles = 0
         completed = False
         returned: Optional[int] = None
         while True:
-            kind, units, length, condition, following, alternative, chain, names = (
-                entries[state]
-            )
+            step = fused[state]
+            length = lengths[state]
+            if step is not None and cycles + length <= max_cycles:
+                # A fused chain: one call runs it and picks the next entry.
+                cycles += length
+                if trace:
+                    state_trace.extend(entries[state][6])
+                state = step(regs, mems)
+                if state is None:
+                    completed = True
+                    break
+                continue
+            kind, units, condition, following, alternative, chain, names = entries[state]
             if cycles + length > max_cycles:
                 # The budget ends inside this entry: run the states that fit.
                 if max_cycles > cycles:
@@ -671,6 +843,9 @@ class CompiledDesign:
             if trace:
                 state_trace.extend(names)
             if kind == _CHAIN:
+                dispatches[state] += 1
+                if dispatches[state] >= fuse_after:
+                    fused[state] = self._fuse_chain(state)
                 for unit in units:
                     unit(regs, mems)
             else:

@@ -9,8 +9,9 @@ read-side wrap elision), scalar-parameter latch points, a dense state
 index with pre-resolved transitions, per-state op lists filtered by
 cstep, and per-block DFG variant tables.  :class:`DesignLayout`
 computes all of that **once** per design; the tiers consume it to build
-their own execution artifacts: one small fused closure per op in the
-compiled tier, one generated sweep function in the codegen tier.
+their own execution artifacts: per-op closures, and one closure per hot
+state chain, in the compiled tier; one generated sweep function in the
+codegen tier.
 
 Both tiers also render datapath arithmetic through the same
 :func:`arith_expr` (with :func:`wrap_expr` for the two's-complement
@@ -38,7 +39,7 @@ from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.hls.controller import StateId
-from repro.hls.design import BlockVariants, FsmdDesign, VariantOp
+from repro.hls.design import FsmdDesign, VariantOp
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.types import IntType
 from repro.ir.values import Value
@@ -179,12 +180,6 @@ SEQ = 0
 COND = 1
 
 
-def _distinct_lists(variants: BlockVariants) -> dict[int, list]:
-    """The distinct op lists of one block's variants, by ``id``
-    (selectors may share a list), in first-selector order."""
-    return {id(ops): ops for ops in variants.variants.values()}
-
-
 class DesignLayout:
     """Slot-indexed view of one FSMD design, shared by the fast tiers.
 
@@ -264,7 +259,7 @@ class DesignLayout:
             self._lower_transition(state)
         self.variant_tables: list[tuple] = []
         for block_name, variants in design.block_variants.items():
-            distinct = _distinct_lists(variants)
+            distinct = variants.distinct_lists()
             tables: list[tuple[int, dict[int, list]]] = []
             for state, idx in self.idx_of.items():
                 if state.block != block_name:
@@ -306,7 +301,7 @@ class DesignLayout:
             for inst in block_schedule.block.instructions:
                 note(inst.result)
         for variants in design.block_variants.values():
-            for ops in _distinct_lists(variants).values():
+            for ops in variants.distinct_lists().values():
                 for op in ops:
                     note(op.result)
         return written

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
+from repro.hls.design import BlockVariants
 from repro.hls.resources import (
     FUKind,
     fu_area,
@@ -19,6 +21,7 @@ from repro.hls.resources import (
     xor_area,
 )
 from repro.ir.instructions import Opcode
+from repro.registry import REGISTRY
 from repro.rtl import emit_verilog, estimate_area, estimate_timing
 from repro.tao import ObfuscationParameters, TaoFlow
 
@@ -152,6 +155,41 @@ class TestTimingModel:
     def test_frequency_ratio(self):
         base = estimate_timing(baseline_design())
         assert math.isclose(base.frequency_ratio(base), 1.0)
+
+
+class TestDistinctVariantWalk:
+    """Selectors may share one DFG op list, and the area and timing
+    models walk each distinct list once (``BlockVariants.
+    distinct_lists``).  Their reports must equal a walk over every
+    selector's list, shared lists repeated."""
+
+    @pytest.mark.parametrize("bench_name", benchmark_names())
+    @pytest.mark.parametrize("preset", sorted(REGISTRY.names("pipeline-preset")))
+    def test_reports_equal_per_selector_walk(self, bench_name, preset, monkeypatch):
+        bench = get_benchmark(bench_name)
+        design = TaoFlow(pipeline=preset).obfuscate(bench.source, bench.top).design
+        blocks = design.block_variants.values()
+        # Under the default diversity every variant block shares lists.
+        assert all(len(v.distinct_lists()) < len(v.variants) for v in blocks)
+
+        def reports():
+            return (
+                estimate_area(design),
+                estimate_area(design, include_key_storage=True),
+                estimate_timing(design),
+            )
+
+        distinct = reports()
+        # The reference walk: one entry per selector.
+        monkeypatch.setattr(
+            BlockVariants,
+            "distinct_lists",
+            lambda variants: dict(enumerate(variants.variants.values())),
+        )
+        assert sum(len(v.distinct_lists()) for v in blocks) == sum(
+            len(v.variants) for v in blocks
+        )
+        assert reports() == distinct
 
 
 class TestVerilogEmitter:

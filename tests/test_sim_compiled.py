@@ -3,10 +3,19 @@ codegen tiers against the reference interpreter (budgets ending inside
 a chain, and every DFG arm that keeps the two-phase commit), the engine
 seam, the compile-once cache, the compiled tier's bind lifecycle (arms
 compiled on first bind and shared by equal-distance selectors, no
-poisoned memo after a failed bind), and the zero-size-memory errors of
-LOAD and STORE (all three engines)."""
+poisoned memo after a failed bind), the zero-size-memory errors of
+LOAD and STORE (all three engines), and the compiled tier's fused
+chains (a second plan that fuses every chain at once in the
+differential, and the two-phase and zero-size tests rerun that way;
+hot entries fused at the default threshold; fused closures dropped
+only with the arms they inline) and static memory lengths."""
 
+import collections
 import functools
+import gc
+import random
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +35,9 @@ from repro.sim import (
     run_testbench,
     simulate,
 )
+import repro.sim.compiled as compiled_module
 from repro.sim.compiled import (
+    _CHAIN,
     DEFAULT_ENGINE,
     ENGINE_ENV,
     _COMPILE_CACHE,
@@ -48,23 +59,33 @@ def result_fields(result):
     )
 
 
-def assert_identical(design, args, arrays, working_key, max_cycles, trace=False):
+def assert_identical(
+    design, args, arrays, working_key, max_cycles, trace=False, fused=None
+):
     """Run all three engines on one trial; assert field-identical results.
 
     ``trace`` compares state sequences on the tiers that record one
     (the interpreter and the compiled plan); codegen records none.
+    ``fused`` is one more compiled plan, run with every chain fused on
+    its first dispatch and held to the same interpreter result.
     """
     interp = FsmdSimulator(design, max_cycles=max_cycles, trace=trace).run(
         args, dict(arrays) if arrays else None, working_key
     )
-    compiled = compiled_for(design).run(
-        args,
-        dict(arrays) if arrays else None,
-        working_key=working_key,
-        max_cycles=max_cycles,
-        trace=trace,
-    )
-    assert result_fields(interp) == result_fields(compiled)
+
+    def run(plan):
+        return plan.run(
+            args,
+            dict(arrays) if arrays else None,
+            working_key=working_key,
+            max_cycles=max_cycles,
+            trace=trace,
+        )
+
+    assert result_fields(interp) == result_fields(run(compiled_for(design)))
+    if fused is not None:
+        with mock.patch.object(compiled_module, "_FUSE_AFTER", 1):
+            assert result_fields(interp) == result_fields(run(fused))
     codegen = codegen_for(design).run(
         args,
         dict(arrays) if arrays else None,
@@ -95,10 +116,15 @@ class TestDifferentialAcrossSuite:
         design = component.design
         correct = component.correct_working_key
         width = max(1, component.working_key_bits)
+        # A second plan fuses every chain on its first dispatch: traced
+        # and untraced runs then call one fused closure per dispatch, and
+        # a budget that ends inside a chain runs the per-state closures
+        # that fit.
+        fused = CompiledDesign(design)
 
         # Correct key, traced: outputs, cycle count and state sequence.
         baseline = assert_identical(
-            design, workload.args, workload.arrays, correct, 200_000, trace=True
+            design, workload.args, workload.arrays, correct, 200_000, True, fused
         )
         assert baseline.completed
         cap = max(8 * baseline.cycles, 4000)
@@ -109,7 +135,7 @@ class TestDifferentialAcrossSuite:
         # an earlier bind is reused and a new key still compiles its own.
         for flip in (1, 0, (1 << (width // 2)) | 1, (1 << (width - 1)) | 3):
             assert_identical(
-                design, workload.args, workload.arrays, correct ^ flip, cap
+                design, workload.args, workload.arrays, correct ^ flip, cap, fused=fused
             )
         # Timeout class: a budget below the baseline latency must report
         # completed=False identically (cycles == budget), with the
@@ -118,10 +144,11 @@ class TestDifferentialAcrossSuite:
         # a chain of the compiled plan.
         for budget in (1, 7, baseline.cycles - 1):
             timed_out = assert_identical(
-                design, workload.args, workload.arrays, correct, budget, trace=True
+                design, workload.args, workload.arrays, correct, budget, True, fused
             )
             assert not timed_out.completed
             assert timed_out.cycles == budget
+        assert any(step is not None for step in fused._fused)
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
     def test_run_testbench_outcome_parity(self, bench_name):
@@ -351,8 +378,9 @@ class TestSharedArms:
     def test_rebind_within_distance_classes_rebuilds_nothing(self, name, monkeypatch):
         """Selectors at one Hamming distance share one compiled arm: a
         second key that moves every block's selector to another one at
-        the same distance compiles no arm and rebuilds no chain, and
-        still runs as the interpreter does."""
+        the same distance compiles no arm, rebuilds no chain and keeps
+        every fused chain, and still runs as the interpreter does."""
+        monkeypatch.setattr(compiled_module, "_FUSE_AFTER", 1)
         component, workload = _obfuscated(name, "full")
         design = component.design
         correct = component.correct_working_key
@@ -368,25 +396,34 @@ class TestSharedArms:
         assert all(
             v.selector(first) != v.selector(second) for v in blocks
         )
-        calls = {"_compile_ops": 0, "_chain_units": 0}
+        calls = {"_compile_ops": 0, "_chain_units": 0, "_fuse_chain": 0}
+        fused_heads: list[int] = []
         for method in calls:
             original = getattr(CompiledDesign, method)
 
             def counted(plan, *args, _method=method, _original=original):
                 calls[_method] += 1
+                if _method == "_fuse_chain":
+                    fused_heads.append(args[0])
                 return _original(plan, *args)
 
             monkeypatch.setattr(CompiledDesign, method, counted)
-        plan = CompiledDesign(design)
-        plan.bind_key(first)
-        assert calls["_compile_ops"] > 0
-        calls.update(dict.fromkeys(calls, 0))
-        plan.bind_key(second)
-        assert calls == {"_compile_ops": 0, "_chain_units": 0}
         baseline = FsmdSimulator(design, max_cycles=200_000).run(
             workload.args, dict(workload.arrays), correct
         )
         cap = max(8 * baseline.cycles, 4000)
+        plan = CompiledDesign(design)
+        plan.bind_key(first)
+        assert calls["_compile_ops"] > 0
+        # Fuse every chain the first key dispatches.
+        plan.run(workload.args, dict(workload.arrays), working_key=first, max_cycles=cap)
+        fused = list(plan._fused)
+        assert calls["_fuse_chain"] > 0
+        calls.update(dict.fromkeys(calls, 0))
+        fused_heads.clear()
+        plan.bind_key(second)
+        assert calls == {"_compile_ops": 0, "_chain_units": 0, "_fuse_chain": 0}
+        assert plan._fused == fused
         interp = FsmdSimulator(design, max_cycles=cap, trace=True).run(
             workload.args, dict(workload.arrays), second
         )
@@ -398,6 +435,11 @@ class TestSharedArms:
             trace=True,
         )
         assert result_fields(compiled) == result_fields(interp)
+        # Only chains the first key never dispatched fuse now.
+        assert not any(fused[head] is not None for head in fused_heads)
+        assert all(
+            plan._fused[head] is step for head, step in enumerate(fused) if step
+        )
 
 
 def _reads_own_writes(design, ops) -> bool:
@@ -523,6 +565,13 @@ class TestZeroSizeMemory:
                 [3, 1],
                 "b",
             ),
+            # A STORE in a loop: on the compiled plan it runs in a chain.
+            (
+                "int f(int n) { int t[2] = {1, 2}; "
+                "for (int i = 0; i < n; i++) t[i & 1] = i; return t[0] + t[1]; }",
+                [3],
+                "t",
+            ),
         ],
     )
     def test_store_to_zero_size_memory_raises(self, engine, source, args, failing):
@@ -551,3 +600,239 @@ class TestCampaignEngineParity:
         # The engine is an execution knob: it must not leak into the
         # serialized spec (that is what keeps the JSON comparable).
         assert '"engine"' not in documents["compiled"]
+
+
+@pytest.fixture
+def fuse_at_once(monkeypatch):
+    """Fuse each chain entry of the compiled plan on its first dispatch."""
+    monkeypatch.setattr(compiled_module, "_FUSE_AFTER", 1)
+
+
+@pytest.mark.usefixtures("fuse_at_once")
+class TestFusedTwoPhaseArms(TestTwoPhaseArms):
+    """Each two-phase arm runs as one call inside its chain's closure."""
+
+
+@pytest.mark.usefixtures("fuse_at_once")
+class TestFusedZeroSizeMemory(TestZeroSizeMemory):
+    """The zero-size errors raised from inside fused chains."""
+
+
+def _dispatch_starts(plan, state_trace) -> list[tuple[int, int]]:
+    """``(position, entry)`` of each dispatch of a traced compiled run."""
+    idx_of = {name: idx for idx, name in enumerate(plan.layout.state_names)}
+    assert len(idx_of) == len(plan.layout.state_names)
+    starts, position = [], 0
+    while position < len(state_trace):
+        head = idx_of[state_trace[position]]
+        starts.append((position, head))
+        position += plan._lengths[head]
+    return starts
+
+
+class TestFusionAtDefaultThreshold:
+    def test_capped_viterbi_runs_in_fused_chains(self):
+        """A capped wrong-key trial on viterbi under ``full`` fuses the
+        chains it spends its cycles in within one trial; untraced and
+        traced runs equal the interpreter's, and so does a budget that
+        ends inside a fused chain."""
+        component, workload = _obfuscated("viterbi", "full")
+        design = component.design
+        correct = component.correct_working_key
+        baseline = FsmdSimulator(design, max_cycles=200_000).run(
+            workload.args, dict(workload.arrays), correct
+        )
+        cap = max(8 * baseline.cycles, 4000)
+        wrong = correct ^ ((1 << component.working_key_bits) - 1)
+        plan = CompiledDesign(design)
+
+        def check(budget, trace):
+            interp = FsmdSimulator(design, max_cycles=budget, trace=trace).run(
+                workload.args, dict(workload.arrays), wrong
+            )
+            compiled = plan.run(
+                workload.args,
+                dict(workload.arrays),
+                working_key=wrong,
+                max_cycles=budget,
+                trace=trace,
+            )
+            assert result_fields(compiled) == result_fields(interp)
+            return interp
+
+        assert not check(cap, trace=False).completed
+        starts = _dispatch_starts(plan, check(cap, trace=True).state_trace)
+        fused = plan._fused
+        counts = collections.Counter(head for _, head in starts)
+        hot = [
+            head
+            for head, count in counts.items()
+            if plan._entries[head][0] == _CHAIN and count >= compiled_module._FUSE_AFTER
+        ]
+        assert hot and all(fused[head] is not None for head in hot)
+        in_fused = sum(plan._lengths[head] for _, head in starts if fused[head])
+        assert in_fused > 0.9 * cap
+        # The last dispatch of a fused chain of several states, cut
+        # after its first state.
+        position = max(
+            position
+            for position, head in starts
+            if fused[head] is not None and plan._lengths[head] > 1
+        )
+        for trace in (False, True):
+            timed_out = check(position + 1, trace)
+            assert timed_out.cycles == position + 1 and not timed_out.completed
+
+
+class TestFusionLifecycle:
+    def test_each_entry_holds_at_most_one_fused_closure(self, fuse_at_once, monkeypatch):
+        """Twenty keys on one plan: a rebind drops the fused closures of
+        the chains whose arms changed, so only the current one per
+        entry stays alive."""
+        component, workload = _obfuscated("gsm", "full")
+        made = []
+        fuse_chain = CompiledDesign._fuse_chain
+
+        def tracked(plan, head):
+            step = fuse_chain(plan, head)
+            made.append((head, weakref.ref(step)))
+            return step
+
+        monkeypatch.setattr(CompiledDesign, "_fuse_chain", tracked)
+        plan = CompiledDesign(component.design)
+        rng = random.Random(20)
+        for _ in range(20):
+            key = rng.getrandbits(component.working_key_bits)
+            plan.run(
+                workload.args, dict(workload.arrays), working_key=key, max_cycles=4000
+            )
+        gc.collect()
+        alive = [(head, ref()) for head, ref in made if ref() is not None]
+        assert len(made) > len(alive) > 0
+        assert len({head for head, _ in alive}) == len(alive)
+        assert all(plan._fused[head] is step for head, step in alive)
+
+    def test_fused_factories_die_with_their_plan(self, fuse_at_once):
+        """A fused chain's body names one design's slots and constants,
+        so its factory stays on the plan, out of the process-wide shape
+        cache, and dies with the plan."""
+        component, workload = _obfuscated("gsm", "full")
+        plan = CompiledDesign(component.design)
+        plan.run(
+            workload.args,
+            dict(workload.arrays),
+            working_key=component.correct_working_key,
+            max_cycles=200_000,
+        )
+        factories = list(plan._chain_factories.values())
+        shared = {id(factory) for factory in compiled_module._OP_FACTORIES.values()}
+        assert factories and not shared.intersection(map(id, factories))
+        refs = [weakref.ref(factory) for factory in factories]
+        del plan, factories
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_arm_change_drops_only_chains_through_its_block(self, name, fuse_at_once):
+        """Binding a key that changes one block's arm drops the fused
+        closure and the dispatch count of exactly the chains that run a
+        state of that block; the plan then still equals the interpreter."""
+        component, workload = _obfuscated(name, "full")
+        design = component.design
+        correct = component.correct_working_key
+        plan = CompiledDesign(design)
+        baseline = plan.run(
+            workload.args, dict(workload.arrays), working_key=correct, max_cycles=200_000
+        )
+        fused, counts = list(plan._fused), list(plan._dispatches)
+
+        def through(block_name):
+            states = {
+                idx
+                for idx, state in enumerate(plan.layout.states)
+                if state.block == block_name
+            }
+            return {
+                head
+                for head, entry in enumerate(plan._entries)
+                if entry is not None and states.intersection(entry[5])
+            }
+
+        # A block with a fused chain through it and one around it.
+        variants, dropped = next(
+            (v, heads)
+            for v in design.block_variants.values()
+            for heads in [through(v.block_name)]
+            if any(fused[head] for head in heads)
+            and any(step for head, step in enumerate(fused) if head not in heads)
+        )
+        key = correct ^ (1 << variants.key_offset)
+        plan.bind_key(key)
+        for head, step in enumerate(fused):
+            if head in dropped:
+                assert plan._fused[head] is None and plan._dispatches[head] == 0
+            else:
+                assert plan._fused[head] is step
+                assert plan._dispatches[head] == counts[head]
+        cap = max(8 * baseline.cycles, 4000)
+        interp = FsmdSimulator(design, max_cycles=cap, trace=True).run(
+            workload.args, dict(workload.arrays), key
+        )
+        compiled = plan.run(
+            workload.args,
+            dict(workload.arrays),
+            working_key=key,
+            max_cycles=cap,
+            trace=True,
+        )
+        assert result_fields(compiled) == result_fields(interp)
+
+
+SHORTENED_SOURCE = """
+int f(int n) {
+  int t[4] = {1, 2, 3, 4};
+  int u[4] = {5, 6, 7, 8};
+  int s = 0;
+  for (int i = 0; i < n; i++) { t[i] = t[i] + u[i]; s += t[i + 1]; }
+  return s;
+}
+"""
+
+
+class TestStaticMemoryLengths:
+    @pytest.mark.parametrize("provided", [None, {"t": [3, 1]}])
+    @pytest.mark.parametrize("fuse_after", [1, compiled_module._FUSE_AFTER])
+    def test_shortened_initializer_keeps_checked_access(
+        self, provided, fuse_after, monkeypatch
+    ):
+        """An initializer shortened after HLS makes the image length
+        depend on whether the run provides the array, so that memory
+        keeps the checked access; a full-length one indexes with the
+        array's size."""
+        monkeypatch.setattr(compiled_module, "_FUSE_AFTER", fuse_after)
+        design = hls_flow(compile_c(SHORTENED_SOURCE), "f")
+        design.func.arrays["t"].initializer = [9]
+        plan = CompiledDesign(design)
+        assert plan._mem_lengths == {"u": 4}
+        interp = FsmdSimulator(design, trace=True).run(
+            [6], dict(provided) if provided else None
+        )
+        compiled = plan.run([6], dict(provided) if provided else None, trace=True)
+        assert result_fields(compiled) == result_fields(interp)
+        assert len(compiled.arrays["t"]) == (4 if provided else 1)
+
+    def test_initializer_resized_after_lowering_fails_loudly(self):
+        """A plan indexes a static memory modulo the length it had when
+        it was lowered, so a run whose image of that memory has another
+        length raises instead of indexing it wrong; a provided array is
+        cut or padded to the array's size and still runs."""
+        design = hls_flow(compile_c(SHORTENED_SOURCE), "f")
+        plan = CompiledDesign(design)
+        assert plan._mem_lengths == {"t": 4, "u": 4}
+        design.func.arrays["u"].initializer = [5, 6]
+        with pytest.raises(SimulationError, match="memory 'u' holds 2 words"):
+            plan.run([3])
+        provided = {"u": [1, 2, 3, 4, 5]}
+        compiled = plan.run([3], dict(provided))
+        interp = FsmdSimulator(design).run([3], dict(provided))
+        assert result_fields(compiled) == result_fields(interp)
