@@ -32,8 +32,8 @@ from repro.attack.contract import inapplicable
 from repro.registry import REGISTRY
 from repro.sim.testbench import (
     hamming_distance_fraction,
+    iter_outcomes,
     run_testbench,
-    run_testbench_batch,
 )
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
@@ -80,32 +80,20 @@ class _FitnessOracle:
         self.oracle: dict[int, tuple[int, ...]] = {}
 
     def score(self, keys: Sequence[int]) -> list[float]:
-        from repro.runtime.campaign import key_batches
-        from repro.tao.metrics import resolve_key_batch_lanes
-
         missing = sorted({key for key in keys if key not in self.cache})
-        if missing:
-            lanes = resolve_key_batch_lanes(None)
-            sums = {key: 0.0 for key in missing}
-            for bench_index, bench in enumerate(self.benches):
-                for batch in key_batches(missing, 1, max_lanes=lanes):
-                    outcomes = run_testbench_batch(
-                        self.design,
-                        bench,
-                        batch,
-                        max_cycles=self.cap,
-                        engine=self.engine,
-                    )
-                    for key, outcome in zip(batch, outcomes):
-                        self.oracle.setdefault(
-                            bench_index, tuple(outcome.golden_bits)
-                        )
-                        sums[key] += hamming_distance_fraction(
-                            outcome.golden_bits, outcome.simulated_bits
-                        )
-                    self.trials += len(batch)
-            for key in missing:
-                self.cache[key] = sums[key] / len(self.benches)
+        sums = dict.fromkeys(missing, 0.0)
+        for bench_index, bench in enumerate(self.benches):
+            outcomes = iter_outcomes(
+                self.design, bench, missing, self.cap, self.engine
+            )
+            for key, outcome in zip(missing, outcomes):
+                self.oracle.setdefault(bench_index, tuple(outcome.golden_bits))
+                sums[key] += hamming_distance_fraction(
+                    outcome.golden_bits, outcome.simulated_bits
+                )
+            self.trials += len(missing)
+        for key in missing:
+            self.cache[key] = sums[key] / len(self.benches)
         return [self.cache[key] for key in keys]
 
 

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.attack.contract import inapplicable
 from repro.registry import REGISTRY
-from repro.sim.testbench import run_testbench, run_testbench_batch
+from repro.sim.testbench import iter_outcomes, run_testbench
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
     from repro.sim.testbench import Testbench
@@ -169,8 +169,8 @@ class _Simulator:
 
     The attacker simulates their own fab'd copies: each (key, workload)
     pair runs at most once, in lane batches through
-    :func:`run_testbench_batch` (``bind_keys`` + sweep under the
-    codegen engine), and ``trials`` counts the simulations actually
+    :func:`iter_outcomes` (``bind_keys`` + sweep under the codegen
+    engine), and ``trials`` counts the simulations actually
     executed — the ``simulated_trials`` cost the result reports.
     """
 
@@ -185,26 +185,15 @@ class _Simulator:
     def outputs_for(
         self, bench_index: int, keys: Sequence[int]
     ) -> list[tuple[int, ...]]:
-        from repro.tao.metrics import resolve_key_batch_lanes
-
         missing = [
             key for key in keys if (bench_index, key) not in self.outputs
         ]
-        if missing:
-            from repro.runtime.campaign import key_batches
-
-            lanes = resolve_key_batch_lanes(None)
-            for batch in key_batches(missing, 1, max_lanes=lanes):
-                outcomes = run_testbench_batch(
-                    self.design,
-                    self.benches[bench_index],
-                    batch,
-                    max_cycles=self.cap,
-                    engine=self.engine,
-                )
-                for key, outcome in zip(batch, outcomes):
-                    self.outputs[bench_index, key] = tuple(outcome.simulated_bits)
-                self.trials += len(batch)
+        outcomes = iter_outcomes(
+            self.design, self.benches[bench_index], missing, self.cap, self.engine
+        )
+        for key, outcome in zip(missing, outcomes):
+            self.outputs[bench_index, key] = tuple(outcome.simulated_bits)
+        self.trials += len(missing)
         return [self.outputs[bench_index, key] for key in keys]
 
 

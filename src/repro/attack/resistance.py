@@ -13,9 +13,8 @@ outputs) plus a coverage exponent hundreds of bits below zero is the
 quantitative form of the paper's brute-force-resistance argument.
 
 All trials are driven through ``bind_keys``/``run_batch`` lane batches
-(:func:`repro.sim.testbench.run_testbench_batch` in
-``key_batches``-sized chunks), so thousand-key curves ride the
-batched codegen engine; results are batch-layout- and
+(:func:`repro.sim.testbench.iter_outcomes`), so thousand-key curves
+ride the batched codegen engine; results are batch-layout- and
 engine-independent.
 """
 
@@ -30,8 +29,8 @@ from repro.attack.contract import inapplicable
 from repro.registry import REGISTRY
 from repro.sim.testbench import (
     hamming_distance_fraction,
+    iter_outcomes,
     run_testbench,
-    run_testbench_batch,
 )
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
@@ -75,8 +74,7 @@ def resistance_curve(
     the correct key) and swept through lane batches per workload;
     per-key corruption is the mean Hamming fraction over workloads.
     """
-    from repro.runtime.campaign import key_batches
-    from repro.tao.metrics import generate_wrong_keys, resolve_key_batch_lanes
+    from repro.tao.metrics import generate_wrong_keys
 
     if n_trials < 1:
         raise ValueError(f"n_trials={n_trials}: need at least one wrong key")
@@ -93,26 +91,17 @@ def resistance_curve(
     )
     cap = max(8 * baseline.cycles, 4000)
 
-    lanes = resolve_key_batch_lanes(None)
-    corruptions: list[float] = []
-    unlocking = 0
-    trials = 0
-    for batch in key_batches(wrong_keys, 1, max_lanes=lanes):
-        workings = [component.working_key_for(key) for key in batch]
-        sums = [0.0] * len(batch)
-        matches = [True] * len(batch)
-        for bench in benches:
-            outcomes = run_testbench_batch(
-                design, bench, workings, max_cycles=cap, engine=engine
+    workings = [component.working_key_for(key) for key in wrong_keys]
+    sums = [0.0] * len(wrong_keys)
+    matches = [True] * len(wrong_keys)
+    for bench in benches:
+        outcomes = iter_outcomes(design, bench, workings, cap, engine)
+        for lane, outcome in enumerate(outcomes):
+            matches[lane] &= outcome.matches
+            sums[lane] += hamming_distance_fraction(
+                outcome.golden_bits, outcome.simulated_bits
             )
-            for lane, outcome in enumerate(outcomes):
-                matches[lane] &= outcome.matches
-                sums[lane] += hamming_distance_fraction(
-                    outcome.golden_bits, outcome.simulated_bits
-                )
-            trials += len(batch)
-        corruptions.extend(total / len(benches) for total in sums)
-        unlocking += sum(matches)
+    corruptions = [total / len(benches) for total in sums]
 
     edges = [i / CDF_BINS for i in range(CDF_BINS + 1)]
     cdf = [
@@ -123,14 +112,14 @@ def resistance_curve(
     return ResistanceCurveResult(
         keys_tried=len(wrong_keys),
         keyspace_bits=keyspace_bits,
-        keys_unlocking=unlocking,
+        keys_unlocking=sum(matches),
         mean_corruption=sum(corruptions) / len(corruptions),
         min_corruption=min(corruptions),
         max_corruption=max(corruptions),
         coverage_log2=math.log2(len(wrong_keys)) - keyspace_bits,
         cdf_edges=edges,
         cdf=cdf,
-        simulated_trials=trials,
+        simulated_trials=len(wrong_keys) * len(benches),
     )
 
 

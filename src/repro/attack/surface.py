@@ -29,8 +29,8 @@ from repro.registry import REGISTRY
 from repro.sim.testbench import (
     Testbench,
     hamming_distance_fraction,
+    iter_outcomes,
     run_testbench,
-    run_testbench_batch,
 )
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
@@ -63,8 +63,8 @@ def random_key_attack(
     ``engine`` selects the FSMD engine for every probe (compiled
     default); attack outcomes are engine-independent.  All guesses are
     drawn up front (preserving the scalar loop's RNG stream) and each
-    workload probes them as one key batch, so the codegen engine binds
-    and sweeps the whole guess set per workload.
+    workload probes them in lane batches (:func:`iter_outcomes`), so
+    the codegen engine binds and sweeps each batch at once.
     """
     from repro.tao.key import LockingKey
 
@@ -85,9 +85,7 @@ def random_key_attack(
     all_match = [True] * len(guesses)
     hamming_sums = [0.0] * len(guesses)
     for bench in benches:
-        outcomes = run_testbench_batch(
-            design, bench, workings, max_cycles=cap, engine=engine
-        )
+        outcomes = iter_outcomes(design, bench, workings, cap, engine)
         for lane, outcome in enumerate(outcomes):
             all_match[lane] &= outcome.matches
             hamming_sums[lane] += hamming_distance_fraction(
@@ -162,13 +160,9 @@ def key_sensitivity_analysis(
         sample = bits
         if len(sample) > max_bits_per_category:
             sample = sorted(rng.sample(bits, max_bits_per_category))
-        # One batch per category: each lane probes one flipped bit.
-        outcomes = run_testbench_batch(
-            design,
-            bench,
-            [correct ^ (1 << bit) for bit in sample],
-            max_cycles=cap,
-            engine=engine,
+        # One lane per flipped bit of the category's sample.
+        outcomes = iter_outcomes(
+            design, bench, [correct ^ (1 << bit) for bit in sample], cap, engine
         )
         category_affecting = sum(not outcome.matches for outcome in outcomes)
         probed += len(sample)
@@ -228,14 +222,12 @@ def brute_force_slice_with_oracle(
         raise ValueError(f"unknown slice category {which!r}")
 
     mask = ((1 << width) - 1) << offset
-    # Enumerate the slice as one key batch: one lane per candidate.
+    # Enumerate the slice in lane batches: one lane per candidate.
     probes = [
         (correct & ~mask) | (candidate << offset)
         for candidate in range(1 << width)
     ]
-    outcomes = run_testbench_batch(
-        design, bench, probes, max_cycles=cap, engine=engine
-    )
+    outcomes = iter_outcomes(design, bench, probes, cap, engine)
     consistent = [
         candidate
         for candidate, outcome in enumerate(outcomes)

@@ -27,10 +27,10 @@ FlowSpec preset name (``full``, ``constants``, ...) or a
 comma-separated stage list (``constants,branches``); the default
 ``params`` derives stages from each config's parameter booleans.
 ``--cache-stats`` adds the in-process caches' hit/miss counts to the
-JSON.  ``--engine`` (or ``$REPRO_SIM_ENGINE``) selects the FSMD
-simulation engine: ``compiled`` (default — designs are lowered once and key
-trials reuse the plan) or ``interp`` (the reference interpreter);
-campaign JSON is byte-identical either way.  ``--checkpoint-dir``
+JSON.  ``--engine`` selects the FSMD simulation engine: ``compiled``
+(default — designs are lowered once and key trials reuse the plan),
+``codegen`` (generated, key-batched source) or ``interp`` (the
+reference interpreter); campaign JSON is byte-identical either way.  ``--checkpoint-dir``
 persists one atomic record per completed unit and ``--resume`` skips
 those units on a re-run (byte-identical final JSON);
 ``--unit-timeout`` / ``--max-retries`` bound hung or crashing units,
@@ -351,7 +351,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         resolve_jobs,
     )
     from repro.sim import resolve_engine
-    from repro.tao.metrics import resolve_key_batch_lanes
     from repro.tao.pipeline import resolve_pipeline
 
     error = _campaign_size_error(args.keys, args.workloads)
@@ -360,8 +359,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         # ExecutionOptions validates the execution flags; the resolvers
-        # fail fast on a malformed $REPRO_SIM_ENGINE, $REPRO_JOBS or
-        # $REPRO_KEY_BATCH_LANES instead of deep in the campaign engine.
+        # fail fast on an unknown --engine or a malformed $REPRO_JOBS
+        # instead of deep in the campaign engine.
         options = ExecutionOptions(
             jobs=resolve_jobs(args.jobs),
             engine=args.engine,
@@ -372,11 +371,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             resume=args.resume,
             unit_timeout=args.unit_timeout,
             max_retries=args.max_retries,
-            key_batch_lanes=args.key_batch_lanes,
             progress=_campaign_progress,
         )
         resolve_engine(options.engine)
-        resolve_key_batch_lanes(options.key_batch_lanes)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -527,15 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "environment:\n"
             "  REPRO_JOBS        default worker count for --jobs 0/omitted\n"
-            "  REPRO_SIM_ENGINE  default --engine\n"
-            "                    (compiled | interp | codegen)\n"
-            "  REPRO_KEY_BATCH_LANES\n"
-            "                    default --key-batch-lanes (keys per\n"
-            "                    simulation batch; throughput only,\n"
-            "                    never results)\n"
-            "  A malformed value in any of these exits with status 2.\n"
+            "  A malformed value exits with status 2.\n"
             "\n"
-            "simulation engines (--engine / REPRO_SIM_ENGINE):\n"
+            "simulation engines (--engine):\n"
             "  The execution stack is a three-tier seam (repro.sim):\n"
             "  'interp' is the reference interpreter, kept as the oracle\n"
             "  for differential tests.  'compiled' (default) lowers each\n"
@@ -549,10 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
             "  exec()-generates straight-line Python for the whole FSM,\n"
             "  with registers held in local variables, and vectorizes\n"
             "  registers/memories into lane-indexed storage, so a single\n"
-            "  bind_keys(keys) call specializes the plan for a whole key\n"
-            "  batch and the generated sweep retires lanes independently\n"
-            "  (campaign workers receive key batches, not single keys, on\n"
-            "  this path).  Determinism contract: all three engines produce\n"
+            "  bind_keys(keys) call specializes the plan for a batch of up\n"
+            "  to 64 keys and the generated sweep retires lanes\n"
+            "  independently (key trials always run in such batches).\n"
+            "  Determinism contract: all three engines produce\n"
             "  field-identical simulation results, so campaign JSON is\n"
             "  byte-identical regardless of engine or batch layout (the\n"
             "  engine, like --jobs, never enters the serialized spec);\n"
@@ -706,9 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--engine",
         default=None,
-        help="FSMD simulation engine (default: $REPRO_SIM_ENGINE, else "
-        "compiled; see 'repro list engine'); results are "
-        "engine-independent — see the epilog",
+        help="FSMD simulation engine (default: compiled; see 'repro list "
+        "engine'); results are engine-independent — see the epilog",
     )
     campaign.add_argument("-o", "--output", type=Path, default=None)
     campaign.add_argument(
@@ -744,15 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="kill a unit attempt (and its worker's process group) after "
         "this many wall seconds; retried per --max-retries",
-    )
-    campaign.add_argument(
-        "--key-batch-lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max keys per codegen simulation batch (default: "
-        "$REPRO_KEY_BATCH_LANES, else 64); a pure throughput knob — "
-        "results are byte-identical for every lane setting",
     )
     campaign.add_argument(
         "--max-retries",

@@ -43,10 +43,6 @@ class ValidationSummary:
     def all_correct_keys_ok(self) -> bool:
         return all(r.correct_key_ok for r in self.reports.values())
 
-    @property
-    def all_wrong_keys_corrupt(self) -> bool:
-        return all(r.wrong_keys_all_corrupt for r in self.reports.values())
-
 
 def validate_benchmark(
     name: str,

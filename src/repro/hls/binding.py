@@ -196,7 +196,10 @@ def _bind_registers(func: Function, schedule: FunctionSchedule, result: BindingR
         for value, start in def_step.items():
             end = max(last_use.get(value, start), start)
             intervals.append((start, end, value))
-        intervals.sort(key=lambda t: (t[0], t[1], t[2].name))
+        # Ties keep definition order (the sort is stable): temp names
+        # come from a process-wide counter, so ordering by name would
+        # make the sharing depend on what the process built before.
+        intervals.sort(key=lambda t: (t[0], t[1]))
         # Free registers per width, keyed by the cstep they free up after.
         active: list[tuple[int, Register]] = []  # (end, register)
         for start, end, value in intervals:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hls.binding import BindingResult, FUInstance, Register
+from repro.hls.binding import BindingResult, FUInstance
 from repro.hls.controller import Controller, StateId
 from repro.hls.scheduling import FunctionSchedule
 from repro.ir.function import Function, Module
@@ -138,9 +138,6 @@ class FsmdDesign:
     # ------------------------------------------------------------------
     def states(self) -> list[StateId]:
         return self.controller.states
-
-    def register_for(self, value: Value) -> Optional[Register]:
-        return self.binding.register_of.get(value)
 
     def fu_input_sources(self) -> dict[tuple[str, int], set[str]]:
         """Distinct operand sources per FU input port.

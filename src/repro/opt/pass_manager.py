@@ -9,18 +9,12 @@ reports post-optimization numbers).
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.ir.function import Function, Module
 from repro.ir.verifier import verify_module
 
 FunctionPass = Callable[[Function, Module], bool]
-
-
-class ModulePass(Protocol):
-    """A whole-module transformation (e.g. inlining)."""
-
-    def __call__(self, module: Module) -> bool: ...
 
 
 class PassManager:

@@ -27,9 +27,10 @@ Queries trigger the defining module's import on demand (the
 ``_BUILTIN_SOURCES`` table), so ``REGISTRY.get("benchmark", "sobel")``
 works from a cold process without import-order ceremony.  Plugin
 loading is deliberately *not* triggered by bare queries — only by the
-name-resolution funnels (:func:`load_plugins` is called from the CLI,
-the campaign engine and every ``resolve_*``/``get_*`` helper), which
-keeps plugin imports out of the repro package's own import graph.
+name-resolution funnels (:meth:`CapabilityRegistry.load_plugins` is
+called from the CLI, the campaign engine and every
+``resolve_*``/``get_*`` helper), which keeps plugin imports out of the
+repro package's own import graph.
 
 :data:`REGISTRY` is the only table: callers enumerate with
 :meth:`CapabilityRegistry.names`, resolve with
@@ -382,37 +383,6 @@ class CapabilityRegistry:
 
 #: The process-wide registry every capability resolves through.
 REGISTRY = CapabilityRegistry()
-
-
-def register_capability(
-    kind: str,
-    name: str,
-    value: Any = _MISSING,
-    *,
-    description: str = "",
-    replace: bool = False,
-) -> Any:
-    """Module-level convenience for :meth:`CapabilityRegistry.register`."""
-    return REGISTRY.register(
-        kind, name, value, description=description, replace=replace
-    )
-
-
-def capability(kind: str, name: str, context: str = "") -> Any:
-    """Resolve ``(kind, name)`` on the process registry, plugins included."""
-    REGISTRY.load_plugins()
-    return REGISTRY.get(kind, name, context)
-
-
-def capability_names(kind: str) -> tuple[str, ...]:
-    """All registered names of ``kind`` (plugins included), in order."""
-    REGISTRY.load_plugins()
-    return REGISTRY.names(kind)
-
-
-def load_plugins() -> int:
-    """Load ``repro.plugins`` entry points into the process registry."""
-    return REGISTRY.load_plugins()
 
 
 Describe = Callable[[Capability], str]

@@ -6,8 +6,8 @@ results schema.
 * :mod:`repro.runtime.campaign` — the multi-axis campaign model
   (``CampaignSpec`` / ``plan_campaign`` → ``CampaignPlan``;
   axes: benchmark × config × key scheme × resource budget ×
-  obfuscation pipeline) plus the shared fan-out primitives
-  (``parallel_map`` / ``key_batches``) and the ``run_campaign``
+  obfuscation pipeline) plus the nested key pool's fan-out
+  (``parallel_map`` over ``key_batches``) and the ``run_campaign``
   plan-then-execute shorthand;
 * :mod:`repro.runtime.executor` — the fault-tolerant campaign service
   (``execute_plan`` under an ``ExecutionOptions`` bundle: persistent

@@ -31,10 +31,10 @@ into an explicit multi-axis engine:
 * :func:`run_campaign` is the one-shot plan-then-execute shorthand;
 * :func:`parallel_map` is the shared fan-out primitive (also used by
   ``repro.tao.metrics.validate_component`` for key-level parallelism)
-  and :func:`key_batches` the shared batching contract: workers are
-  handed contiguous *batches* of keys (not single keys), so the
-  codegen engine can bind and sweep each batch in one pass while
-  batch boundaries stay deterministic.
+  and :func:`key_batches` the nested key pool's split: each worker is
+  handed one contiguous *batch* of keys (not single keys), so the
+  codegen engine can bind and sweep it in lane batches while batch
+  boundaries stay deterministic.
 
 Determinism contract: every unit's seed is *derived* (SHA-256 of the
 base seed and the unit's axis labels), each worker rebuilds its
@@ -225,23 +225,22 @@ def _invoke_worker(item: Any) -> Any:
     return _WORKER_FN(_WORKER_SHARED, item)
 
 
-def key_batches(
-    items: Iterable[_T], jobs: int, max_lanes: int = 64
-) -> list[list[_T]]:
-    """Split ``items`` into deterministic contiguous batches.
+def key_batches(items: Iterable[_T], jobs: int) -> list[list[_T]]:
+    """Split ``items`` into ``jobs`` deterministic contiguous batches.
 
-    The batching contract of the key-trial fan-out: at least ``jobs``
-    batches (so every worker gets work), no batch larger than
-    ``max_lanes`` (bounding per-batch lane storage), and batch
-    boundaries that depend only on ``(len(items), jobs, max_lanes)`` —
-    never on scheduling — so a batched campaign's results and order
-    are identical to a scalar one's.  Concatenating the batches always
-    reproduces ``items`` exactly.
+    The nested key pool's split: one batch per worker (fewer when
+    there are fewer items), with boundaries that depend only on
+    ``(len(items), jobs)`` — never on scheduling — so a parallel
+    campaign's results and order are identical to a serial one's.
+    Concatenating the batches always reproduces ``items`` exactly.
+    Each worker runs its batch through
+    :func:`repro.sim.testbench.iter_outcomes`, which caps the lanes of
+    one simulate call.
     """
     items = list(items)
     if not items:
         return []
-    n_batches = min(len(items), max(jobs, -(-len(items) // max_lanes)))
+    n_batches = min(len(items), max(jobs, 1))
     size = -(-len(items) // n_batches)
     return [items[i : i + size] for i in range(0, len(items), size)]
 

@@ -89,11 +89,8 @@ class ExecutionOptions:
     failure (crash, timeout, exception), so a unit executes at most
     ``1 + max_retries`` times.  ``checkpoint_dir`` enables per-unit
     checkpointing; ``resume`` additionally loads completed units from
-    it instead of re-executing them.  ``key_batch_lanes`` caps the
-    lanes of one batched simulate call (``None`` = auto:
-    ``$REPRO_KEY_BATCH_LANES``, then the module default — see
-    :func:`repro.tao.metrics.resolve_key_batch_lanes`); like ``jobs``
-    it can never change result bytes.  ``progress`` is an optional
+    it instead of re-executing them.  ``engine`` is the FSMD engine
+    (``None`` means ``"compiled"``).  ``progress`` is an optional
     ``callback(event, info)`` for structured progress telemetry.
     """
 
@@ -105,17 +102,11 @@ class ExecutionOptions:
     unit_timeout: Optional[float] = None
     max_retries: int = 1
     retry_backoff: float = 0.5
-    key_batch_lanes: Optional[int] = None
     progress: Optional[Callable[[str, dict[str, Any]], None]] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 0:
             raise ValueError(f"jobs={self.jobs}: worker count cannot be negative")
-        if self.key_batch_lanes is not None and self.key_batch_lanes < 1:
-            raise ValueError(
-                f"key_batch_lanes={self.key_batch_lanes}: need at least one "
-                "lane per batch"
-            )
         if self.unit_timeout is not None and self.unit_timeout <= 0:
             raise ValueError(
                 f"unit_timeout={self.unit_timeout}: must be positive seconds "
@@ -149,7 +140,7 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
     serialized timing-free (``StageReport.to_dict`` default), keeping
     the unit payload byte-deterministic.
     """
-    spec_dict, key_parallel_jobs, engine, key_batch_lanes = shared
+    spec_dict, key_parallel_jobs, engine = shared
     (
         _index,
         benchmark_name,
@@ -196,7 +187,6 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
         seed=seed,
         jobs=key_parallel_jobs,
         engine=engine,
-        key_batch_lanes=key_batch_lanes,
     )
     unit: dict[str, Any] = {
         "benchmark": benchmark_name,
@@ -620,7 +610,6 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     """
     from repro.runtime.results import SCHEMA, CampaignResult, CampaignUnit
     from repro.sim.compiled import resolve_engine
-    from repro.tao.metrics import resolve_key_batch_lanes
 
     if options is None:
         options = ExecutionOptions()
@@ -628,12 +617,9 @@ def execute_plan(plan: CampaignPlan, options: Optional[ExecutionOptions] = None)
     jobs = options.jobs if options.jobs > 0 else resolve_jobs(0)
     total = len(plan.units)
     key_jobs = max(1, -(-jobs // total)) if jobs > total else 1
-    # The engine and lane cap are resolved here (not in the workers) so
-    # spawned processes honour the parent's $REPRO_SIM_ENGINE /
-    # $REPRO_KEY_BATCH_LANES regardless of their inherited environment.
+    # An unknown engine fails here, before any worker starts.
     engine = resolve_engine(options.engine)
-    lanes = resolve_key_batch_lanes(options.key_batch_lanes)
-    shared = (plan.spec_dict(), key_jobs, engine, lanes)
+    shared = (plan.spec_dict(), key_jobs, engine)
 
     store: Optional[CheckpointStore] = None
     if options.checkpoint_dir is not None:

@@ -1,15 +1,17 @@
 """Simulation: golden IR interpreter, the three-tier cycle-accurate
 FSMD engine stack (``interp`` reference interpreter, ``compiled``
 plans of fused per-op closures dispatched a chain of states at a time,
-``codegen`` generated + key-batched source) and the testbench harness.  :func:`resolve_engine` picks the FSMD engine:
-explicit argument > ``$REPRO_SIM_ENGINE`` > ``"compiled"``; batched
-trials enter through :func:`simulate_batch` /
-:func:`run_testbench_batch`."""
+``codegen`` generated + key-batched source) and the testbench harness.
+
+:func:`resolve_engine` picks the FSMD engine: the explicit argument,
+else ``"compiled"``.  Batched trials enter through
+:func:`simulate_batch` / :func:`run_testbench_batch`; callers with many
+keys iterate :func:`iter_outcomes`, which runs them in lane batches of
+at most :data:`repro.sim.testbench.BATCH_LANES`."""
 
 from repro.sim.codegen import CodegenDesign, codegen_for
 from repro.sim.compiled import (
     DEFAULT_ENGINE,
-    ENGINE_ENV,
     CompiledDesign,
     EngineDriver,
     compiled_for,
@@ -34,6 +36,7 @@ from repro.sim.testbench import (
     TestbenchOutcome,
     default_observed_arrays,
     hamming_distance_fraction,
+    iter_outcomes,
     output_bit_vector,
     run_testbench,
     run_testbench_batch,
@@ -41,7 +44,6 @@ from repro.sim.testbench import (
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "ENGINE_ENV",
     "CodegenDesign",
     "CompiledDesign",
     "EngineDriver",
@@ -58,6 +60,7 @@ __all__ = [
     "default_observed_arrays",
     "engine_driver",
     "hamming_distance_fraction",
+    "iter_outcomes",
     "output_bit_vector",
     "resolve_engine",
     "run_function",

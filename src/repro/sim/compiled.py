@@ -80,19 +80,17 @@ benchmark, preset pipeline and key class; the interpreter remains the
 oracle.
 
 Engine seam: :func:`resolve_engine` picks the engine for
-``simulate``/``run_testbench`` — an explicit ``engine`` argument wins,
-then the ``REPRO_SIM_ENGINE`` environment variable, then the default
-``"compiled"``.  :func:`compiled_for` memoizes compilations per design
-object (guarded by a cheap obfuscation-metadata fingerprint, so
-re-obfuscating a design in place recompiles rather than running stale
-code).  A plan also assumes the design's memory images keep the
+``simulate``/``run_testbench`` — the explicit ``engine`` argument, else
+the default ``"compiled"``.  :func:`compiled_for` memoizes compilations
+per design object (guarded by a cheap obfuscation-metadata fingerprint,
+so re-obfuscating a design in place recompiles rather than running
+stale code).  A plan also assumes the design's memory images keep the
 lengths they had when it was lowered; a run that builds an image of
 another length raises :class:`~repro.sim.fsmd_sim.SimulationError`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -118,8 +116,6 @@ from repro.sim.layout import (
     wrap_expr,
 )
 
-#: Environment variable selecting the default simulation engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
 DEFAULT_ENGINE = "compiled"
 
 
@@ -199,16 +195,12 @@ def engine_driver(name: str) -> EngineDriver:
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """The engine to run: explicit choice > ``$REPRO_SIM_ENGINE`` > default."""
-    if engine:
-        choice, source = engine, "engine argument"
-    elif os.environ.get(ENGINE_ENV):
-        choice, source = os.environ[ENGINE_ENV], f"${ENGINE_ENV}"
-    else:
-        choice, source = DEFAULT_ENGINE, "default"
+    """The engine to run: the explicit choice, else :data:`DEFAULT_ENGINE`."""
+    if not engine:
+        return DEFAULT_ENGINE
     REGISTRY.load_plugins()
-    REGISTRY.entry("engine", choice, context=f"(from {source})")
-    return choice
+    REGISTRY.entry("engine", engine, context="(from engine argument)")
+    return engine
 
 
 #: Dispatch-entry kinds: a chain of states, a state of a block that

@@ -333,8 +333,8 @@ def simulate(
     once by :mod:`repro.sim.compiled` and the plan is reused across
     calls and keys), ``"codegen"`` (Python source generated per design
     by :mod:`repro.sim.codegen`; here it runs a one-lane batch) or
-    ``"interp"`` (this module's reference interpreter); ``None`` defers
-    to ``$REPRO_SIM_ENGINE``.  All engines return field-identical
+    ``"interp"`` (this module's reference interpreter); ``None`` means
+    ``"compiled"``.  All engines return field-identical
     :class:`SimulationResult`\\ s — the differential tests assert it.
     """
     from repro.sim.compiled import engine_driver, resolve_engine
@@ -355,8 +355,9 @@ def simulate_batch(
 
     The batched counterpart of :func:`simulate` and the seam the
     key-trial layers (:mod:`repro.tao.metrics`, :mod:`repro.attack`)
-    ride: under the ``codegen`` engine the whole batch is bound at once
-    (one :meth:`~repro.sim.codegen.CodegenDesign.bind_keys`) and swept
+    ride, through :func:`repro.sim.testbench.iter_outcomes`: under the
+    ``codegen`` engine the whole batch is bound at once (one
+    :meth:`~repro.sim.codegen.CodegenDesign.bind_keys`) and swept
     through lane-vectorized storage, while ``compiled`` and ``interp``
     degrade to a scalar loop with identical results.  ``result[i]`` is
     field-identical to ``simulate(..., working_key=working_keys[i])``

@@ -6,6 +6,8 @@ A :class:`Testbench` holds a workload (scalar args + array contents)
 for one top function; :func:`run_testbench` executes the golden IR
 interpretation and the FSMD simulation and reports agreement, output
 bit vectors (for Hamming-distance corruptibility) and cycle counts.
+:func:`iter_outcomes` runs any number of keys on one workload, in lane
+batches of at most :data:`BATCH_LANES`.
 
 The golden execution is key-independent, so by default it is memoized
 in the process-wide :data:`repro.runtime.cache.GOLDEN_CACHE` — a
@@ -18,7 +20,7 @@ instance to isolate the memoization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.hls.design import FsmdDesign
 from repro.ir.function import Module
@@ -31,6 +33,13 @@ from repro.sim.interpreter import ExecutionResult, Interpreter
 #: benchmark suite; referenced by the validation metrics layer so the
 #: correct-key trial and direct run_testbench calls share one cap.
 DEFAULT_MAX_CYCLES = 2_000_000
+#: Most keys one :func:`run_testbench_batch` call simulates for
+#: :func:`iter_outcomes`: it bounds the per-batch lane storage (each
+#: lane carries private register and memory images) while keeping
+#: batches wide enough that the codegen tier's per-batch costs
+#: (``bind_keys``, memory setup) amortize.  Results never depend on it:
+#: every trial is a pure function of its key.
+BATCH_LANES = 64
 
 
 @dataclass
@@ -120,10 +129,9 @@ def run_testbench(
 
     The golden interpretation is memoized (see module docstring);
     ``golden_cache=None`` disables the cache for this call.
-    ``engine`` selects the FSMD engine (``"compiled"`` default,
-    ``"codegen"`` batched source generation, ``"interp"`` reference;
-    ``None`` defers to ``$REPRO_SIM_ENGINE``) — the outcome is
-    engine-independent by the determinism contract of
+    ``engine`` selects the FSMD engine (``"compiled"``, the default;
+    ``"codegen"`` batched source generation; ``"interp"`` reference)
+    — the outcome is engine-independent by the determinism contract of
     :mod:`repro.sim.compiled`.  A one-lane delegation to
     :func:`run_testbench_batch`, so scalar and batched trials agree by
     construction.
@@ -200,6 +208,35 @@ def run_testbench_batch(
             )
         )
     return outcomes
+
+
+def iter_outcomes(
+    design: FsmdDesign,
+    bench: Testbench,
+    working_keys: Sequence[int],
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    engine: Optional[str] = None,
+) -> Iterator[TestbenchOutcome]:
+    """Run any number of working keys on one workload; yield in key order.
+
+    The keys go through :func:`run_testbench_batch` in balanced
+    contiguous batches of at most :data:`BATCH_LANES` (130 keys run as
+    44 + 44 + 42), so memory holds one batch's outcomes, not every
+    key's.  Every caller that simulates many keys iterates this; the
+    batch boundaries depend only on ``len(working_keys)``.
+    """
+    count = len(working_keys)
+    if not count:
+        return
+    size = -(-count // -(-count // BATCH_LANES))
+    for start in range(0, count, size):
+        yield from run_testbench_batch(
+            design,
+            bench,
+            working_keys[start : start + size],
+            max_cycles=max_cycles,
+            engine=engine,
+        )
 
 
 def hamming_distance_fraction(a: Sequence[int], b: Sequence[int]) -> float:

@@ -10,10 +10,10 @@ that campaign on our designs.
 Execution rides on :mod:`repro.runtime`: the golden software model is
 memoized per ``(design, testbench)`` (it is key-independent, so a
 100-key campaign interprets it exactly once per workload), wrong keys
-run through the *batched* trial path (:func:`run_key_trials`, lanes
-capped at :data:`KEY_BATCH_LANES`) so the codegen engine can bind and
-sweep whole key batches, and with ``jobs > 1`` the batches fan out
-across worker processes via
+run through the *batched* trial path (:func:`run_key_trials`, which
+iterates :func:`repro.sim.testbench.iter_outcomes`) so the codegen
+engine can bind and sweep lane batches of keys, and with ``jobs > 1``
+the keys fan out across worker processes via
 :func:`repro.runtime.campaign.parallel_map`.  All keys are drawn up
 front from the campaign seed and each trial is a pure function of its
 key, so every batch/process layout produces identical reports.
@@ -21,7 +21,6 @@ key, so every batch/process layout produces identical reports.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -30,7 +29,7 @@ from repro.sim.testbench import (
     DEFAULT_MAX_CYCLES,
     Testbench,
     hamming_distance_fraction,
-    run_testbench_batch,
+    iter_outcomes,
 )
 from repro.tao.flow import ObfuscatedComponent
 from repro.tao.key import LockingKey
@@ -40,48 +39,6 @@ from repro.tao.key import LockingKey
 UNCAPPED_CYCLES = DEFAULT_MAX_CYCLES
 #: Floor of the wrong-key cycle cap (8x baseline, but never below this).
 WRONG_KEY_CYCLE_FLOOR = 4000
-#: Default lane cap for one batched simulate call: bounds the per-batch
-#: memory (each lane carries private register/memory images) while
-#: keeping batches large enough that the codegen tier's per-batch costs
-#: (``bind_keys``, memory setup) amortize.  Tunable per run — explicit
-#: ``key_batch_lanes`` argument / ``ExecutionOptions.key_batch_lanes``,
-#: then ``$REPRO_KEY_BATCH_LANES`` — via :func:`resolve_key_batch_lanes`;
-#: thousand-key attack sweeps pick wider batches without touching this
-#: constant.  Lane layout never changes results (trials are pure
-#: functions of their keys), only batching granularity.
-KEY_BATCH_LANES = 64
-
-
-def resolve_key_batch_lanes(lanes: Optional[int] = None) -> int:
-    """Lane cap: explicit arg > ``$REPRO_KEY_BATCH_LANES`` env > default.
-
-    ``None`` means "auto" (environment, then :data:`KEY_BATCH_LANES`);
-    an explicit non-positive value is a caller error, and so is a
-    malformed or non-positive ``REPRO_KEY_BATCH_LANES`` (a
-    ``ValueError`` naming the variable).  Results are lane-independent
-    by the determinism contract — this knob trades per-batch memory
-    against batch-setup amortization.
-    """
-    if lanes is not None:
-        if lanes < 1:
-            raise ValueError(
-                f"key_batch_lanes={lanes}: need at least one lane per batch"
-            )
-        return lanes
-    env = os.environ.get("REPRO_KEY_BATCH_LANES")
-    if not env:
-        return KEY_BATCH_LANES
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"REPRO_KEY_BATCH_LANES={env!r}: not a positive integer"
-        )
-    return value
-
-
 @dataclass
 class KeyTrialResult:
     """Outcome of simulating one locking key."""
@@ -173,8 +130,8 @@ def run_key_trials(
 
     A pure function of ``(component, benches, keys, cycle_cap)`` — the
     unit the campaign engine parallelizes, one lane per key.  Each
-    workload runs through :func:`run_testbench_batch`, so under the
-    codegen engine the whole key batch is bound once and swept through
+    workload runs through :func:`iter_outcomes`, so under the codegen
+    engine each lane batch is bound once and swept through
     lane-vectorized storage; per-key aggregation (matches over all
     workloads, workload-averaged Hamming fraction, max cycles) is
     order-independent, so the result list matches scalar
@@ -187,12 +144,8 @@ def run_key_trials(
     hamming_sum = [0.0] * len(keys)
     cycles = [0] * len(keys)
     for bench in benches:
-        outcomes = run_testbench_batch(
-            component.design,
-            bench,
-            working,
-            max_cycles=cycle_cap,
-            engine=engine,
+        outcomes = iter_outcomes(
+            component.design, bench, working, cycle_cap, engine
         )
         for lane, outcome in enumerate(outcomes):
             matches_all[lane] &= outcome.matches
@@ -232,8 +185,8 @@ def run_key_trial(
 def _key_batch_worker(shared, key_bits_batch: Sequence[int]):
     """Module-level trampoline so pool workers can unpickle the task.
 
-    Each task is a *batch* of locking-key bit patterns (see
-    :func:`repro.runtime.campaign.key_batches`), simulated in one
+    Each task is one worker's share of the locking-key bit patterns
+    (see :func:`repro.runtime.campaign.key_batches`), simulated in one
     :func:`run_key_trials` call so the codegen engine sweeps them as
     lanes.  Returns ``(trials, cache_delta)``: the worker measures its
     own cache-counter increments per task so the parent can absorb
@@ -299,7 +252,6 @@ def validate_component(
     max_cycles: int | None = None,
     jobs: int = 1,
     engine: Optional[str] = None,
-    key_batch_lanes: Optional[int] = None,
 ) -> ValidationReport:
     """Run the §4.3 campaign: one correct key + ``n_keys - 1`` wrong keys.
 
@@ -311,11 +263,10 @@ def validate_component(
 
     ``n_keys`` must be at least 2: a campaign with no wrong keys can
     only report vacuous success.  Wrong keys always flow through the
-    batched trial path in lane-capped chunks (``key_batch_lanes``,
-    resolved via :func:`resolve_key_batch_lanes` — explicit argument,
-    then ``$REPRO_KEY_BATCH_LANES``, then :data:`KEY_BATCH_LANES`; see
-    :func:`repro.runtime.campaign.key_batches`); with ``jobs > 1`` the
-    batches fan out over a process pool instead of running inline.
+    batched trial path (:func:`run_key_trials`); with ``jobs > 1`` they
+    are split into ``jobs`` batches
+    (:func:`repro.runtime.campaign.key_batches`) that fan out over a
+    process pool instead of running inline.
     Keys are drawn up front from ``seed`` and trial results are
     independent of the batch boundaries, so every process/batch layout
     produces the identical report, and the workers' cache counters are
@@ -342,7 +293,6 @@ def validate_component(
             "a validation campaign needs at least one workload: with no "
             "testbenches every key vacuously 'matches'"
         )
-    lanes = resolve_key_batch_lanes(key_batch_lanes)
     rng = random.Random(seed)
     correct = component.locking_key
     wrong_keys = generate_wrong_keys(correct, n_keys - 1, rng)
@@ -353,17 +303,13 @@ def validate_component(
     baseline_cycles = correct_trial.cycles
     cap = _cycle_cap(baseline_cycles, max_cycles)
 
-    from repro.runtime.campaign import key_batches
-
     if jobs > 1 and len(wrong_keys) > 1:
         from repro.runtime.cache import absorb_stats
-        from repro.runtime.campaign import parallel_map
+        from repro.runtime.campaign import key_batches, parallel_map
 
         outcomes = parallel_map(
             _key_batch_worker,
-            key_batches(
-                [key.bits for key in wrong_keys], jobs, max_lanes=lanes
-            ),
+            key_batches([key.bits for key in wrong_keys], jobs),
             shared=(
                 component,
                 benches,
@@ -380,11 +326,9 @@ def validate_component(
         for _trials, delta in outcomes:
             absorb_stats(delta)
     else:
-        wrong_trials = []
-        for batch in key_batches(wrong_keys, 1, max_lanes=lanes):
-            wrong_trials.extend(
-                run_key_trials(component, benches, batch, cap, engine=engine)
-            )
+        wrong_trials = run_key_trials(
+            component, benches, wrong_keys, cap, engine=engine
+        )
     return build_report(component.design.name, [correct_trial, *wrong_trials])
 
 
@@ -397,19 +341,15 @@ def output_corruptibility(
 ) -> float:
     """Average output Hamming fraction over the given wrong keys.
 
-    All keys run as one batch (one lane each), so the codegen engine
-    binds and sweeps them in a single pass.
+    The keys run in lane batches (:func:`iter_outcomes`, one lane
+    each), so the codegen engine binds and sweeps each batch in a
+    single pass.
     """
     working = [component.working_key_for(key) for key in wrong_keys]
-    outcomes = run_testbench_batch(
-        component.design,
-        bench,
-        working,
-        max_cycles=max_cycles,
-        engine=engine,
-    )
     total = sum(
         hamming_distance_fraction(outcome.golden_bits, outcome.simulated_bits)
-        for outcome in outcomes
+        for outcome in iter_outcomes(
+            component.design, bench, working, max_cycles, engine
+        )
     )
     return total / max(1, len(wrong_keys))

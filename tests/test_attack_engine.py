@@ -25,6 +25,7 @@ from repro.attack.oracle_guided import (
     POPULATION_REFUTED,
     TRACTABLE_SLICE_BITS,
 )
+import repro.sim.testbench as testbench_module
 from repro.sim import Testbench
 from repro.tao import ObfuscationParameters
 from repro.tao.flow import obfuscate_source
@@ -273,10 +274,16 @@ class TestResistanceCurve:
         assert 0.0 < result.mean_corruption <= 1.0
 
     def test_lane_layout_invariance(self, full_component, monkeypatch):
-        baseline = resistance_curve(full_component, BENCHES, n_trials=16, seed=2)
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", "3")
-        skinny = resistance_curve(full_component, BENCHES, n_trials=16, seed=2)
-        assert baseline == skinny
+        """codegen, the tier that sweeps keys as lanes, gives the same
+        curve in one 16-key batch per workload as in batches of 3."""
+        def curve():
+            return resistance_curve(
+                full_component, BENCHES, n_trials=16, seed=2, engine="codegen"
+            )
+
+        baseline = curve()
+        monkeypatch.setattr(testbench_module, "BATCH_LANES", 3)
+        assert curve() == baseline
 
     def test_trial_validation(self, full_component):
         with pytest.raises(ValueError, match="at least one wrong key"):

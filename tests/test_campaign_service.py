@@ -542,7 +542,7 @@ class TestCliValidation:
             ["--unit-timeout", "-1"],
             ["--max-retries", "-1"],
             ["--jobs", "-1"],
-            ["--key-batch-lanes", "0"],
+            ["--engine", "bogus"],
         ],
     )
     def test_rejects_invalid_service_flags(self, extra, capsys):
@@ -557,8 +557,6 @@ class TestCliValidation:
         [
             ("REPRO_JOBS", "-3"),
             ("REPRO_JOBS", "abc"),
-            ("REPRO_KEY_BATCH_LANES", "abc"),
-            ("REPRO_SIM_ENGINE", "bogus"),
         ],
     )
     def test_rejects_malformed_env(self, variable, value, monkeypatch, capsys):

@@ -1,5 +1,10 @@
 """Unit tests for module, register and memory binding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.frontend import compile_c
@@ -24,6 +29,30 @@ int f(int a, int b, int c, int d) {
   int q = c * d;
   return p + q;
 }
+"""
+
+
+#: Prints the register sharing of the last benchmark named in argv,
+#: each built under ``full`` in order, with every temp given as the
+#: (block, instruction index) that defines it.
+SHARING_PROBE = """
+import json, sys
+from repro.benchsuite import get_benchmark
+from repro.ir.values import Temp
+from repro.tao.flow import TaoFlow
+
+for name in sys.argv[1:]:
+    bench = get_benchmark(name)
+    design = TaoFlow(pipeline="full").obfuscate(bench.source, bench.top).design
+site = {}
+for block_name, block in design.func.blocks.items():
+    for index, inst in enumerate(block.instructions):
+        if isinstance(inst.result, Temp):
+            site.setdefault(inst.result, [block_name, index])
+print(json.dumps(sorted(
+    sorted(site.get(value, [value.name]) for value in register.values)
+    for register in design.binding.registers
+)))
 """
 
 
@@ -118,6 +147,27 @@ class TestRegisterBinding:
                 spans = sorted(per_value.values())
                 for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                     assert e1 <= s2 or e2 <= s1 or (s1, e1) == (s2, e2)
+
+
+class TestHistoryIndependence:
+    def test_sharing_does_not_depend_on_earlier_builds(self):
+        """Temp names come from a process-wide counter, so left-edge
+        ties must not break on them: sobel under ``full`` shares the
+        same values per register whether it is the first design its
+        process builds or follows gsm."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+        def sharing(*benchmarks):
+            return subprocess.run(
+                [sys.executable, "-c", SHARING_PROBE, *benchmarks],
+                env=env, check=True, capture_output=True, text=True,
+            ).stdout
+
+        first = sharing("sobel")
+        assert first.startswith("[[")
+        assert first == sharing("gsm", "sobel")
 
 
 class TestMemoryBinding:

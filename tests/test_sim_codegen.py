@@ -7,13 +7,13 @@ run_batch call), batch-vs-scalar identity, the bind_keys lifecycle
 (memoization, out-of-table selector KeyError parity with the compiled
 tier, no poisoned memo after a failed bind), the codegen plan cache,
 generated-source introspection (source determinism, linear emission),
-and the key_batches chunking contract the campaign runtime feeds the
-batched trial path with.
+iter_outcomes' lane batches, which every many-key caller runs through,
+and the key_batches split of the nested key pool.
 """
 
 import functools
+import random
 import re
-import warnings
 from collections import Counter
 
 import pytest
@@ -21,18 +21,14 @@ import pytest
 from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
+import repro.sim.testbench as testbench_module
 from repro.runtime.campaign import key_batches
-from repro.sim import codegen_for, compiled_for, simulate_batch
+from repro.sim import codegen_for, compiled_for, iter_outcomes, simulate_batch
 from repro.sim.codegen import _CODEGEN_CACHE, CodegenDesign, _Emitter
 from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao.flow import TaoFlow
 from repro.tao.key import LockingKey
-from repro.tao.metrics import (
-    KEY_BATCH_LANES,
-    resolve_key_batch_lanes,
-    run_key_trial,
-    run_key_trials,
-)
+from repro.tao.metrics import run_key_trial, run_key_trials
 
 
 def result_fields(result):
@@ -296,8 +292,60 @@ class TestLinearEmission:
         assert len(renders) == plain + arms
 
 
+def _spy_batches(monkeypatch, echo=False):
+    """Record the key count of every run_testbench_batch call that
+    iter_outcomes makes; with ``echo`` a call returns its keys instead
+    of simulating them."""
+    sizes: list[int] = []
+    original = testbench_module.run_testbench_batch
+
+    def spy(design, bench, working_keys, **kwargs):
+        sizes.append(len(working_keys))
+        if echo:
+            return list(working_keys)
+        return original(design, bench, working_keys, **kwargs)
+
+    monkeypatch.setattr(testbench_module, "run_testbench_batch", spy)
+    return sizes
+
+
+def outcome_fields(outcome):
+    return (
+        outcome.matches,
+        outcome.golden_bits,
+        outcome.simulated_bits,
+        result_fields(outcome.simulated),
+    )
+
+
+class TestIterOutcomes:
+    """The one place key trials are cut into lane batches."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    def test_balanced_batches_match_one_batch(self, engine, monkeypatch):
+        component, workload = _obfuscated("gsm", "full")
+        rng = random.Random(5)
+        keys = [rng.getrandbits(component.working_key_bits) for _ in range(130)]
+        keys[0] = component.correct_working_key
+        cap = testbench_module.run_testbench(
+            component.design, workload, keys[0], engine=engine
+        ).cycles
+        whole = testbench_module.run_testbench_batch(
+            component.design, workload, keys, max_cycles=cap, engine=engine
+        )
+        sizes = _spy_batches(monkeypatch)
+        batched = list(
+            iter_outcomes(component.design, workload, keys, cap, engine)
+        )
+        assert sizes == [44, 44, 42]
+        assert [outcome_fields(o) for o in batched] == [
+            outcome_fields(o) for o in whole
+        ]
+        assert batched[0].matches and not all(o.matches for o in batched)
+
+
 class TestKeyBatches:
-    """The chunking contract the campaign runtime feeds workers with."""
+    """The nested key pool's split: one contiguous batch per worker."""
 
     def test_empty(self):
         assert key_batches([], 4) == []
@@ -307,99 +355,65 @@ class TestKeyBatches:
 
     def test_flatten_preserves_order(self):
         items = list(range(137))
-        batches = key_batches(items, 4, max_lanes=KEY_BATCH_LANES)
+        batches = key_batches(items, 4)
+        assert [len(batch) for batch in batches] == [35, 35, 35, 32]
         assert [x for batch in batches for x in batch] == items
-
-    def test_max_lanes_cap(self):
-        batches = key_batches(list(range(200)), 1, max_lanes=64)
-        assert all(len(batch) <= 64 for batch in batches)
-        assert len(batches) >= 4
 
     def test_serial_batches_match_jobs_batches_flattened(self):
         items = list(range(50))
-        serial = key_batches(items, 1, max_lanes=16)
-        fanned = key_batches(items, 4, max_lanes=16)
+        serial = key_batches(items, 1)
+        fanned = key_batches(items, 4)
+        assert serial == [items]
         assert [x for b in serial for x in b] == [x for b in fanned for x in b]
 
 
 class TestKeyBatchLanes:
-    """The lane cap as a tunable: resolution precedence and the
-    determinism contract (lane layout never changes results)."""
+    """The lane cap, :data:`repro.sim.testbench.BATCH_LANES`, and the
+    determinism contract: lane layout never changes results."""
 
     def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KEY_BATCH_LANES", raising=False)
-        assert resolve_key_batch_lanes() == KEY_BATCH_LANES
+        """At most 64 keys per batch: 64 keys run as one batch, 65 as
+        33 + 32, in key order."""
+        assert testbench_module.BATCH_LANES == 64
+        sizes = _spy_batches(monkeypatch, echo=True)
+        for count, expected in ((0, []), (64, [64]), (65, [33, 32])):
+            sizes.clear()
+            keys = list(range(count))
+            assert list(iter_outcomes(None, None, keys)) == keys
+            assert sizes == expected
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", "7")
-        assert resolve_key_batch_lanes(3) == 3
-
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", "7")
-        assert resolve_key_batch_lanes() == 7
-
-    def test_explicit_non_positive_raises(self):
-        with pytest.raises(ValueError, match="at least one lane"):
-            resolve_key_batch_lanes(0)
-
-    @pytest.mark.parametrize("env", [""])
-    def test_malformed_env_warns_and_falls_back(self, monkeypatch, env):
-        """Only the empty value still falls back: it counts as unset,
-        silently.  Every other malformed value raises (below)."""
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", env)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_key_batch_lanes() == KEY_BATCH_LANES
-
-    @pytest.mark.parametrize("env", ["zero", "-4", "0"])
-    def test_malformed_env_raises(self, monkeypatch, env):
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", env)
-        with pytest.raises(ValueError, match="REPRO_KEY_BATCH_LANES"):
-            resolve_key_batch_lanes()
-
-    def test_execution_options_validate_lanes(self):
-        from repro.api import ExecutionOptions
-
-        with pytest.raises(ValueError, match="at least one lane"):
-            ExecutionOptions(key_batch_lanes=0)
-        assert ExecutionOptions(key_batch_lanes=5).key_batch_lanes == 5
-        assert ExecutionOptions().key_batch_lanes is None
-
-    def test_validate_component_lane_invariant(self):
-        """Identical report bytes for one-lane, default and
-        wider-than-keyset batches (the JSON parity half of the
-        contract; the CLI/env path is covered in the campaign test)."""
+    def test_validate_component_lane_invariant(self, monkeypatch):
+        """Identical reports for one-lane, two-lane and default
+        batches of validate_component's four wrong keys."""
         from dataclasses import asdict
 
         from repro.tao.metrics import validate_component
 
         component, workload = _obfuscated("gsm", "full")
-        reports = [
-            asdict(
-                validate_component(
-                    component, [workload], n_keys=5, key_batch_lanes=lanes
-                )
+        reports = []
+        for lanes in (1, 3, 64):
+            monkeypatch.setattr(testbench_module, "BATCH_LANES", lanes)
+            reports.append(
+                asdict(validate_component(component, [workload], n_keys=5))
             )
-            for lanes in (1, None, 512)
-        ]
         assert reports[0] == reports[1] == reports[2]
 
     def test_campaign_json_lane_invariant(self, monkeypatch):
-        """Full campaign documents are byte-identical across lane
-        settings, whether set per-option or via the environment."""
+        """Full campaign documents are byte-identical, on both fast
+        engines, with the four wrong keys run one per batch, two per
+        batch or all at once."""
         from repro.api import CampaignSpec, ExecutionOptions, execute_plan
         from repro.runtime.campaign import plan_campaign
 
-        spec = CampaignSpec(benchmarks=("gsm",), n_keys=4, seed=13)
+        spec = CampaignSpec(benchmarks=("gsm",), n_keys=5, seed=13)
 
-        def run(**kwargs):
+        def run(engine, lanes):
+            monkeypatch.setattr(testbench_module, "BATCH_LANES", lanes)
             return execute_plan(
-                plan_campaign(spec), ExecutionOptions(jobs=1, **kwargs)
+                plan_campaign(spec), ExecutionOptions(jobs=1, engine=engine)
             ).to_json()
 
-        monkeypatch.delenv("REPRO_KEY_BATCH_LANES", raising=False)
-        baseline = run()
-        assert run(key_batch_lanes=1) == baseline
-        assert run(key_batch_lanes=3) == baseline
-        monkeypatch.setenv("REPRO_KEY_BATCH_LANES", "2")
-        assert run() == baseline
+        baseline = run("compiled", 64)
+        for engine in ("compiled", "codegen"):
+            assert run(engine, 1) == baseline
+            assert run(engine, 3) == baseline

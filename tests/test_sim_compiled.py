@@ -39,7 +39,6 @@ import repro.sim.compiled as compiled_module
 from repro.sim.compiled import (
     _CHAIN,
     DEFAULT_ENGINE,
-    ENGINE_ENV,
     _COMPILE_CACHE,
     CompiledDesign,
 )
@@ -202,26 +201,19 @@ class TestDifferentialRandomKeys:
 
 
 class TestEngineSeam:
-    def test_resolve_engine_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        assert resolve_engine("compiled") == "compiled"
-        assert resolve_engine(None) == "interp"
-        assert resolve_engine() == "interp"
-
-    def test_resolve_engine_default(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_resolve_engine_default(self):
         assert resolve_engine() == DEFAULT_ENGINE == "compiled"
-        monkeypatch.setenv(ENGINE_ENV, "")
-        assert resolve_engine() == "compiled"
+        assert resolve_engine("") == "compiled"
+        assert resolve_engine("interp") == "interp"
 
-    def test_resolve_engine_rejects_unknown(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown simulation engine"):
+    def test_resolve_engine_rejects_unknown(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown simulation engine 'verilator' \(from engine argument\)",
+        ):
             resolve_engine("verilator")
-        monkeypatch.setenv(ENGINE_ENV, "typo")
-        with pytest.raises(ValueError, match="typo"):
-            resolve_engine()
 
-    def test_simulate_dispatches_env_engine(self, monkeypatch):
+    def test_simulate_dispatches_engine(self, monkeypatch):
         design = hls_flow(compile_c("int f(int a) { return a + 1; }"), "f")
         calls = []
         original = FsmdSimulator.run
@@ -231,10 +223,8 @@ class TestEngineSeam:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(FsmdSimulator, "run", spy)
-        monkeypatch.setenv(ENGINE_ENV, "interp")
-        assert simulate(design, [1]).return_value == 2
+        assert simulate(design, [1], engine="interp").return_value == 2
         assert calls == ["interp"]
-        monkeypatch.setenv(ENGINE_ENV, "compiled")
         assert simulate(design, [1]).return_value == 2
         assert calls == ["interp"]  # compiled engine took the other path
 
