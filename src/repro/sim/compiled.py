@@ -42,10 +42,31 @@ which the codegen tier consumes too):
 * a chain dispatched :data:`_FUSE_AFTER` times is **fused**: rendered
   as one closure that runs every op of every state inline (a two-phase
   op list stays one call) and returns the next dispatch target.  A
-  run, traced or not, dispatches a fused chain with that one call when
-  the chain fits its budget; unfused chains, states that run alone and
-  a budget that ends inside a chain run the per-state closures.
-  Dispatch counts and fused closures live on the plan across runs;
+  register write that a later op of the chain overwrites before any
+  read is left out.  A run, traced or not, dispatches a fused chain
+  with that one call when the chain fits its budget; unfused chains,
+  states that run alone and a budget that ends inside a chain run the
+  per-state closures.  Dispatch counts and fused closures live on the
+  plan across runs;
+* when an untraced run brings a chain to :data:`_FUSE_AFTER`
+  dispatches and the chain entries that are warm (at least
+  :data:`_WARM_AFTER` dispatches) close a cycle through it, that
+  strongly connected set becomes one **loop closure**: a ``while``
+  loop over an ``if state == head`` ladder whose rungs inline the
+  chains, with registers, memories and key cells in locals.  It runs
+  until control leaves the set or the next entry does not fit the
+  budget, writing its registers back then and around each two-phase
+  call.  A set that cannot repay its build — fewer than
+  :data:`_LOOP_REPAY` cycles of budget left per op — is not built, and
+  the chain is fused alone.  Traced runs take no loop;
+* in the first :data:`_PROBE_ITERATIONS` iterations of a run's first
+  loop call, Brent's cycle detection compares the entry, the registers
+  the loop writes and the memories it stores to with a snapshot taken
+  at power-of-two iteration counts.  On an **exact repeat** of period P
+  cycles the loop jumps the largest multiple of P that stays within the
+  budget and runs on: every later state, and so the result at the cap,
+  is the one the interpreter reaches.  The plan counts loops built,
+  cycles run in them, repeats jumped and cycles skipped;
 * controller transitions are pre-resolved into fused condition
   closures (key-bit XOR included) and next-state indices;
 * a DFG variant arm is compiled the first time a bound key selects
@@ -55,9 +76,10 @@ which the codegen tier consumes too):
   Arms are keyed by the layout's filtered op list, so selectors that
   share a list (equal Hamming distance, by default) share one arm, and
   a key that moves selectors only within those classes rebuilds
-  nothing.  A bind that changes a state's arm drops the fused closure
-  and the dispatch count of exactly the chains that run that state, so
-  a plan holds at most one fused closure per chain.
+  nothing.  A bind that changes a state's arm drops the fused closure,
+  the dispatch count and the loop closure of exactly the chains that
+  run that state (a loop from every entry of its set), so a plan holds
+  at most one fused closure and one loop closure per chain.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
@@ -66,7 +88,8 @@ compilation serves every key of a campaign.
 
 This is one of three engine tiers: ``interp`` (the reference
 oracle), ``compiled`` (this module: one dispatch per chain, one
-closure call per op, or one per hot chain) and ``codegen``
+closure call per op, or one per hot chain, or one per visit to a hot
+loop) and ``codegen``
 (:mod:`repro.sim.codegen`: one exec()-generated sweep function per
 design, registers in locals, lane-vectorized across a whole key
 batch).
@@ -216,10 +239,26 @@ _DONE = 2
 _OP_FACTORIES: dict[str, Callable] = {}
 
 #: Dispatches of a chain entry after which the plan renders the whole
-#: chain as one closure.  Most entries of a few-key sweep cell never
-#: get there; the hot loops of a capped wrong-key trial do within the
-#: first trial.
+#: chain as one closure, or the hot loop around it as a loop closure.
+#: Most entries of a few-key sweep cell never get there; the hot loops
+#: of a capped wrong-key trial do within the first trial.
 _FUSE_AFTER = 256
+
+#: Dispatches since its chain was last rebuilt after which an entry is
+#: warm: a loop closure runs the warm entries that close a cycle with
+#: the hot one.
+_WARM_AFTER = 32
+
+#: Cycles of remaining budget a loop closure needs per op it runs to
+#: be built; a hot entry whose loop would not repay is fused alone.  A
+#: build costs 25-55 µs per op, most of it ``compile()`` (less when the
+#: plan compiled the same body before), and a loop saves 20 ns or more
+#: per cycle over fused chains.  On the five kernels at 100 keys, 800
+#: built adpcm loops that did not repay and 3,200 lost gsm's gain.
+_LOOP_REPAY = 1600
+
+#: Iterations of a run's first loop call checked for an exact repeat.
+_PROBE_ITERATIONS = 64
 
 
 def _store_zero_error(mems: list, later: tuple, name: str) -> SimulationError:
@@ -266,22 +305,75 @@ class _Shape:
         self.args.append(value)
         return f"_{len(self.args) - 1}"
 
-    def closure(self, lines: list[str]) -> Callable:
-        """The op's ``op(regs, mems)`` closure, from its shape's factory
-        (compiled the first time any design needs the shape)."""
+    def reg(self, slot: int) -> str:
+        """Register ``slot``, to read or to assign."""
+        return f"regs[{self.lit(slot)}]"
+
+    def mem(self, slot: int) -> str:
+        """Memory ``slot``'s word list."""
+        return f"mems[{self.lit(slot)}]"
+
+    def cell(self, cell: list[int]) -> str:
+        """The value of a key-dependent cell."""
+        return f"{self.lit(cell)}[0]"
+
+    def two_phase(self, unit: Callable, writes: Sequence[int]) -> list[str]:
+        """A call of a two-phase op list's closure, which writes the
+        register slots ``writes``."""
+        return [f"{self.lit(unit)}(regs, mems)"]
+
+    def closure(self, lines: list[str], params: str = "regs, mems") -> Callable:
+        """The op's ``op(regs, mems)`` closure (or one taking
+        ``params``), from its shape's factory (compiled the first time
+        any design needs the shape)."""
         body = "\n".join(lines)
         factory = self.factories.get(body)
         if factory is None:
-            params = ", ".join(f"_{i}" for i in range(len(self.args)))
+            args = ", ".join(f"_{i}" for i in range(len(self.args)))
             indented = "".join(f"        {line}\n" for line in lines)
-            source = (
-                f"def _make({params}):\n    def op(regs, mems):\n{indented}"
-                "    return op\n"
-            )
+            source = f"def _make({args}):\n    def op({params}):\n{indented}    return op\n"
             namespace = dict(_OP_GLOBALS)
             exec(compile(source, "<compiled op>", "exec"), namespace)
             factory = self.factories[body] = namespace["_make"]
         return factory(*self.args)
+
+
+class _LoopShape(_Shape):
+    """A loop closure being rendered (see :meth:`CompiledDesign._loop`):
+    registers, memories and key cells are locals (``r3``, ``m1``,
+    ``k0``), loaded once per call; ``written`` lists the register slots
+    the loop writes back to ``regs`` whenever it hands control back or
+    calls a two-phase op list, which reads ``regs``."""
+
+    def __init__(self, factories: dict[str, Callable], written: Sequence[int]) -> None:
+        super().__init__(factories)
+        self.written = written
+        self.regs: set[int] = set(written)
+        self.mems: set[int] = set()
+        self.cells: dict[int, str] = {}
+        self.prologue: list[str] = []
+
+    def reg(self, slot: int) -> str:
+        self.regs.add(slot)
+        return f"r{slot}"
+
+    def mem(self, slot: int) -> str:
+        self.mems.add(slot)
+        return f"m{slot}"
+
+    def cell(self, cell: list[int]) -> str:
+        name = self.cells.get(id(cell))
+        if name is None:
+            name = self.cells[id(cell)] = f"k{len(self.cells)}"
+            self.prologue.append(f"{name} = {self.lit(cell)}[0]")
+        return name
+
+    def two_phase(self, unit: Callable, writes: Sequence[int]) -> list[str]:
+        return [
+            *(f"regs[{slot}] = r{slot}" for slot in self.written),
+            *super().two_phase(unit, writes),
+            *(f"r{slot} = regs[{slot}]" for slot in writes),
+        ]
 
 
 class CompiledDesign:
@@ -292,11 +384,12 @@ class CompiledDesign:
     enter: each entry is a chain of states whose op closures run back
     to back, followed by one transition.  A chain that reaches
     :data:`_FUSE_AFTER` dispatches is fused into one closure that runs
-    its ops inline and returns the next entry.  :meth:`bind_key`
-    specializes the key-dependent cells per working key, compiling each
-    DFG variant arm the first time a key selects it and refreshing the
-    chains that run it (which drops their fused closures), and is
-    called automatically by :meth:`run`.
+    its ops inline and returns the next entry, or runs with the warm
+    entries around it in one loop closure (:meth:`_loop`).
+    :meth:`bind_key` specializes the key-dependent cells per working
+    key, compiling each DFG variant arm the first time a key selects it
+    and refreshing the chains that run it (which drops their fused and
+    loop closures), and is called automatically by :meth:`run`.
     Instances hold closures and are deliberately **not picklable** —
     worker processes compile their own plan from the (picklable)
     design via :func:`compiled_for`.
@@ -362,8 +455,22 @@ class CompiledDesign:
         self._lengths = [0] * len(layout.states)
         self._dispatches = [0] * len(layout.states)
         self._fused: list[Optional[Callable]] = [None] * len(layout.states)
-        #: Fused chain body text -> its factory, for this plan alone.
+        #: Per dispatch target, the loop closure that runs it with the
+        #: other entries of its region, and that region (see
+        #: :meth:`_loop`).
+        self._loops: list[Optional[Callable]] = [None] * len(layout.states)
+        self._regions: list[Optional[tuple[int, ...]]] = [None] * len(layout.states)
+        #: Entries whose loop could not repay its build in this run.
+        self._unrepaid: set[int] = set()
+        #: Fused chain and loop body text -> its factory, for this plan
+        #: alone.
         self._chain_factories: dict[str, Callable] = {}
+        #: Loop closures built, cycles they ran, exact repeats they
+        #: jumped and the cycles those jumps skipped, over the plan's life.
+        self.loops_built = 0
+        self.loop_cycles = 0
+        self.repeat_skips = 0
+        self.skipped_cycles = 0
         pending = [layout.entry_idx]
         while pending:
             head = pending.pop()
@@ -385,19 +492,19 @@ class CompiledDesign:
             raise SimulationError(f"value {value} has no bound register")
         return self._reg_slots[register.name]
 
-    def _operand(self, value: Value, lit: Callable[[object], str]) -> str:
+    def _operand(self, value: Value, shape: _Shape) -> str:
         """One operand read as source: a key cell, a constant, or a
         register slot (re-wrapped unless every writer shares its type)."""
         if isinstance(value, ObfuscatedConstant):
-            return f"{lit(self._kconst_cells.setdefault(value, [0]))}[0]"
+            return shape.cell(self._kconst_cells.setdefault(value, [0]))
         if isinstance(value, Constant):
-            return lit(value.value)
+            return shape.lit(value.value)
         slot = self._slot_of(value)
         assert isinstance(value.type, IntType)
-        read = f"regs[{lit(slot)}]"
+        read = shape.reg(slot)
         if self.layout.elidable_read(slot, value.type):
             return read
-        return wrap_expr(read, value.type, lit)
+        return wrap_expr(read, value.type, shape.lit)
 
     def _static_lengths(self) -> dict[str, int]:
         """Memory name -> the length of every image a run can build, for
@@ -495,39 +602,36 @@ class CompiledDesign:
         STORE in the same cycle (see :func:`_store_zero_error`).
         """
         shape = _Shape()
-        return shape.closure(self._op_lines(fields, in_place, later_loads, shape.lit))
+        return shape.closure(self._op_lines(fields, in_place, later_loads, shape))
 
     def _op_lines(
-        self,
-        fields: tuple,
-        in_place: bool,
-        later_loads: tuple,
-        lit: Callable[[object], str],
+        self, fields: tuple, in_place: bool, later_loads: tuple, shape: _Shape
     ) -> list[str]:
-        """The body lines of one op (see :meth:`_fuse`), every slot,
-        mask, constant and cell rendered by ``lit``."""
+        """The body lines of one op (see :meth:`_fuse`), every register,
+        memory, slot, mask, constant and cell rendered by ``shape``."""
         opcode, result, operands, array_name = fields
+        lit = shape.lit
 
         def assign(expression: str) -> list[str]:
             if in_place:
-                return [f"regs[{lit(self._slot_of(result))}] = {expression}"]
+                return [f"{shape.reg(self._slot_of(result))} = {expression}"]
             return [f"return {expression}"]
 
         if opcode is Opcode.RET:
-            value = self._operand(operands[0], lit) if operands else "0"
+            value = self._operand(operands[0], shape) if operands else "0"
             lines = [f"return {value}"]
         elif opcode is Opcode.CALL:
             raise SimulationError("calls must be inlined before simulation")
         elif opcode is Opcode.STORE:
             assert array_name is not None
             element_type = self.design.func.arrays[array_name].element_type
-            index = self._operand(operands[0], lit)
-            value = wrap_expr(self._operand(operands[1], lit), element_type, lit)
+            index = self._operand(operands[0], shape)
+            value = wrap_expr(self._operand(operands[1], shape), element_type, lit)
             length = self._mem_lengths.get(array_name)
             if not in_place:
                 lines = [f"return ({index}, {value})"]
             else:
-                memory = f"mems[{lit(self._mem_slots[array_name])}]"
+                memory = shape.mem(self._mem_slots[array_name])
                 if length is None:
                     lines = [
                         f"m = {memory}",
@@ -541,19 +645,19 @@ class CompiledDesign:
             assert array_name is not None
             assert result is not None and isinstance(result.type, IntType)
             element_type = self.design.func.arrays[array_name].element_type
-            slot = lit(self._mem_slots[array_name])
+            memory = shape.mem(self._mem_slots[array_name])
             length = self._mem_lengths.get(array_name)
             if length is None:
-                lines = [f"m = mems[{slot}]", f"if not m: raise _zero({lit(array_name)})"]
+                lines = [f"m = {memory}", f"if not m: raise _zero({lit(array_name)})"]
                 memory, size = "m", "len(m)"
             else:
-                lines, memory, size = [], f"mems[{slot}]", lit(length)
-            loaded = f"{memory}[({self._operand(operands[0], lit)}) % {size}]"
+                lines, size = [], lit(length)
+            loaded = f"{memory}[({self._operand(operands[0], shape)}) % {size}]"
             if array_name in self.design.obfuscated_roms:
                 cell = self._rom_cell(array_name, element_type)
                 mask = lit((1 << element_type.width) - 1)
                 loaded = wrap_expr(
-                    f"({loaded} & {mask}) ^ {lit(cell)}[0]", element_type, lit
+                    f"({loaded} & {mask}) ^ {shape.cell(cell)}", element_type, lit
                 )
                 loaded = wrap_expr(loaded, result.type, lit)
             elif element_type != result.type:
@@ -575,9 +679,9 @@ class CompiledDesign:
                     raise SimulationError(f"cannot evaluate opcode {opcode}")
                 expression = lit(folded)
             elif opcode is Opcode.MOV and self._read_in_range(operands[0], result.type):
-                expression = self._operand(operands[0], lit)
+                expression = self._operand(operands[0], shape)
             else:
-                rendered = [self._operand(v, lit) for v in operands]
+                rendered = [self._operand(v, shape) for v in operands]
                 expression = arith_expr(opcode, rendered, types, result.type, lit)
             lines = assign(expression)
         return lines
@@ -622,20 +726,20 @@ class CompiledDesign:
 
         return two_phase_cycle
 
-    def _test(self, spec: tuple, lit: Callable[[object], str]) -> str:
+    def _test(self, spec: tuple, shape: _Shape) -> str:
         """A ``COND`` transition's branch bit as an expression, the key
         bit XORed in."""
         _, condition, key_bit, _, _ = spec
-        test = f"({self._operand(condition, lit)}) & 1"
+        test = f"({self._operand(condition, shape)}) & 1"
         if key_bit is not None:
             cell = self._kb_cells.setdefault(key_bit, [0])
-            test = f"({test}) ^ {lit(cell)}[0]"
+            test = f"({test}) ^ {shape.cell(cell)}"
         return test
 
     def _condition(self, spec: tuple) -> Callable:
         """A ``COND`` transition as a closure returning the branch bit."""
         shape = _Shape()
-        return shape.closure([f"return {self._test(spec, shape.lit)}"])
+        return shape.closure([f"return {self._test(spec, shape)}"])
 
     def _lower_entry(self, head: int, returns: list[bool]) -> tuple:
         """The dispatch entry for a run that enters state ``head``.
@@ -687,30 +791,219 @@ class CompiledDesign:
     def _fuse_chain(self, head: int) -> Callable:
         """Chain entry ``head`` as one closure ``step(regs, mems)``.
 
-        The closure runs every op of every state of the chain in place,
-        with each variant state's bound arm inlined, and returns the
-        dispatch target that follows (None when the run completes).  An
-        op list that keeps the two-phase commit stays one call of its
-        closure.  A bind that changes an arm of the chain drops it.
+        The closure runs the chain's ops in place (see
+        :meth:`_chain_lines`) and returns the dispatch target that
+        follows (None when the run completes).  A bind that changes an
+        arm of the chain drops it.
         """
-        _, _, _, following, alternative, chain, _ = self._entries[head]
         shape = _Shape(self._chain_factories)
-        lit = shape.lit
-        lines: list[str] = []
-        for idx in chain:
+        lines = self._chain_lines(head, shape)
+        lines.append(f"return {self._next_target(head, shape)}")
+        return shape.closure(lines)
+
+    def _chain_lines(self, head: int, shape: _Shape) -> list[str]:
+        """The body lines running every op of chain entry ``head`` in
+        place, each variant state's bound arm inlined and an op list that
+        keeps the two-phase commit as one call of its closure.
+
+        A register write that a later op of the chain overwrites before
+        any read is left out; a two-phase call reads every register, and
+        a LOAD from a memory that keeps the empty check stays, as it can
+        raise.
+        """
+        steps: list[tuple[int, Optional[list]]] = []
+        overwritten: set[int] = set()
+        for idx in reversed(self._entries[head][5]):
             fields = self._fields(self._state_ops[idx])
             if self._reads_own_writes(fields):
-                lines.append(f"{lit(self._state_units[idx][0])}(regs, mems)")
+                steps.append((idx, None))
+                overwritten.clear()
                 continue
-            for op, later_loads in self._with_later_loads(fields):
-                lines += self._op_lines(op, True, later_loads, lit)
+            live = []
+            for op, later_loads in reversed(self._with_later_loads(fields)):
+                opcode, result, operands, array_name = op
+                if opcode is not Opcode.STORE:
+                    slot = self._slot_of(result)
+                    if slot in overwritten and (
+                        opcode is not Opcode.LOAD or array_name in self._mem_lengths
+                    ):
+                        continue
+                    overwritten.add(slot)
+                overwritten.difference_update(
+                    self._slot_of(value)
+                    for value in operands
+                    if not isinstance(value, (Constant, ObfuscatedConstant))
+                )
+                live.append((op, later_loads))
+            steps.append((idx, live[::-1]))
+        lines: list[str] = []
+        for idx, live in reversed(steps):
+            if live is None:
+                writes = [
+                    self._slot_of(result)
+                    for opcode, result, _, _ in self._fields(self._state_ops[idx])
+                    if opcode is not Opcode.STORE
+                ]
+                lines += shape.two_phase(self._state_units[idx][0], writes)
+                continue
+            for op, later_loads in live:
+                lines += self._op_lines(op, True, later_loads, shape)
+        return lines
+
+    def _next_target(self, head: int, shape: _Shape) -> str:
+        """The dispatch target after chain entry ``head``, as an
+        expression."""
+        _, _, _, following, alternative, chain, _ = self._entries[head]
         spec = self.layout.transition_specs[chain[-1]]
-        if spec[0] == COND:
-            test = self._test(spec, lit)
-            lines.append(f"return {lit(following)} if {test} else {lit(alternative)}")
-        else:
-            lines.append(f"return {lit(following)}")
-        return shape.closure(lines)
+        if spec[0] != COND:
+            return shape.lit(following)
+        test = self._test(spec, shape)
+        return f"{shape.lit(following)} if {test} else {shape.lit(alternative)}"
+
+    def _heat(self, head: int, budget: int) -> None:
+        """Chain entry ``head`` reached :data:`_FUSE_AFTER` dispatches in
+        an untraced run with ``budget`` cycles left: run it in a loop
+        closure with the warm entries around it when they close a cycle
+        that can repay the build, else fuse it alone.
+
+        The loop is entered from any of its entries that has no fused
+        closure, and ``head`` has none.
+        """
+        region = self._loop_region(head, budget)
+        if region is None:
+            self._fused[head] = self._fuse_chain(head)
+            return
+        for member in region:
+            self._drop_loop(member)
+        loop = self._loop(region)
+        for member in region:
+            self._loops[member] = loop
+            self._regions[member] = region
+        self.loops_built += 1
+
+    def _drop_loop(self, head: int) -> None:
+        """Drop the loop closure running entry ``head``, if any, from every
+        entry of its region."""
+        region = self._regions[head]
+        for member in region or ():
+            self._loops[member] = None
+            self._regions[member] = None
+
+    def _loop_region(self, head: int, budget: int) -> Optional[tuple[int, ...]]:
+        """The chain entries a loop closure around ``head`` would run,
+        most dispatched first: the strongly connected set of warm entries
+        (at least :data:`_WARM_AFTER` dispatches since their chain was
+        rebuilt) that holds ``head``.  None when that set closes no cycle
+        or ``budget`` holds fewer than :data:`_LOOP_REPAY` cycles per op
+        it runs (a two-phase op list counts as one op).
+
+        Within a run the budget only shrinks and the warm entries only
+        grow, so a set that cannot repay is remembered until the run
+        ends and its other entries fuse without a second search.
+        """
+        entries, dispatches = self._entries, self._dispatches
+        if head in self._unrepaid or budget < _LOOP_REPAY * len(entries[head][1]):
+            return None
+        # Forward from head over warm chain entries, then back to it.
+        predecessors: dict[int, list[int]] = {}
+        reached, pending = {head}, [head]
+        while pending:
+            source = pending.pop()
+            for target in entries[source][3:5]:
+                if target is None or entries[target][0] != _CHAIN:
+                    continue
+                if target != head and dispatches[target] < _WARM_AFTER:
+                    continue
+                predecessors.setdefault(target, []).append(source)
+                if target not in reached:
+                    reached.add(target)
+                    pending.append(target)
+        region: set[int] = set()
+        pending = [head]
+        while pending:
+            for source in predecessors.get(pending.pop(), ()):
+                if source not in region:
+                    region.add(source)
+                    pending.append(source)
+        if head not in region:
+            return None
+        if budget < _LOOP_REPAY * sum(len(entries[member][1]) for member in region):
+            self._unrepaid.update(region)
+            return None
+        return tuple(sorted(region, key=lambda member: (-dispatches[member], member)))
+
+    def _loop(self, region: Sequence[int]) -> Callable:
+        """The chain entries of ``region`` as one closure ``loop(regs,
+        mems, state, cycles, max_cycles, probe)`` returning ``(state,
+        cycles, skipped)``.
+
+        The closure holds a ``while`` loop over an ``if state == head``
+        ladder (in ``region``'s order), each rung the chain's ops inline
+        (see :meth:`_chain_lines`) with registers, memories and key
+        cells in locals.  It runs entries while control stays in the
+        region and the next entry fits ``max_cycles``, then writes its
+        registers back and returns the entry it stopped at and the
+        cycle count.
+
+        For its first ``probe`` iterations it runs Brent's cycle
+        detection on the entry, the registers the region writes and the
+        memories it stores to (nothing else changes while it runs): on
+        an exact repeat with period P cycles it adds the largest
+        multiple of P that keeps the count within ``max_cycles`` —
+        returned as ``skipped`` — and runs on, which leaves the state at
+        every later cycle as it would be.
+        """
+        written: set[int] = set()
+        stored: set[int] = set()
+        for head in region:
+            for idx in self._entries[head][5]:
+                for opcode, result, _, array_name in self._fields(self._state_ops[idx]):
+                    if opcode is Opcode.STORE:
+                        stored.add(self._mem_slots[array_name])
+                    else:
+                        written.add(self._slot_of(result))
+        shape = _LoopShape(self._chain_factories, sorted(written))
+        rungs: list[str] = []
+        for position, head in enumerate(region):
+            length = self._lengths[head]
+            rungs += [
+                f"{'el' if position else ''}if state == {head}:",
+                f"    if cycles + {length} > max_cycles: break",
+                f"    cycles += {length}",
+                *(f"    {line}" for line in self._chain_lines(head, shape)),
+                f"    state = {self._next_target(head, shape)}",
+            ]
+        memories = sorted(shape.mems | stored)
+        snapshot = ", ".join(
+            ["state", *(f"r{slot}" for slot in shape.written)]
+            + [f"tuple(m{slot})" for slot in sorted(stored)]
+        )
+        lines = [
+            *(f"r{slot} = regs[{slot}]" for slot in sorted(shape.regs)),
+            *(f"m{slot} = mems[{slot}]" for slot in memories),
+            *shape.prologue,
+            "saved = None",
+            "saved_at = skipped = 0",
+            "power = seen = 1",
+            "while True:",
+            "    if probe:",
+            "        probe -= 1",
+            f"        snap = ({snapshot},)",
+            "        if snap == saved:",
+            "            period = cycles - saved_at",
+            "            skipped = (max_cycles - cycles) // period * period",
+            "            cycles += skipped",
+            "            probe = 0",
+            "        elif seen == power:",
+            "            saved, saved_at, power, seen = snap, cycles, 2 * power, 0",
+            "        seen += 1",
+            *(f"    {line}" for line in rungs),
+            "    else:",
+            "        break",
+            *(f"regs[{slot}] = r{slot}" for slot in shape.written),
+            "return state, cycles, skipped",
+        ]
+        return shape.closure(lines, "regs, mems, state, cycles, max_cycles, probe")
 
     # ------------------------------------------------------------------
     # Per-key specialization
@@ -758,6 +1051,7 @@ class CompiledDesign:
             entries[head] = (entry[0], self._chain_units(entry[5])) + entry[2:]
             self._fused[head] = None
             self._dispatches[head] = 0
+            self._drop_loop(head)
         for oc, cell in self._kconst_cells.items():
             cell[0] = oc.decode(working_key)
         for rom, element_type, cell in self._rom_binds:
@@ -801,12 +1095,15 @@ class CompiledDesign:
         lengths = self._lengths
         dispatches = self._dispatches
         fused = self._fused
+        loops = self._loops
         fuse_after = _FUSE_AFTER
+        probe = _PROBE_ITERATIONS
         state: Optional[int] = self._entry_idx
         state_trace: list[str] = []
         cycles = 0
         completed = False
         returned: Optional[int] = None
+        self._unrepaid.clear()
         while True:
             step = fused[state]
             length = lengths[state]
@@ -831,13 +1128,31 @@ class CompiledDesign:
                         unit(regs, mems)
                     cycles = max_cycles
                 break
+            looped = loops[state]
+            if looped is not None and not trace:
+                # A loop closure runs entries until control leaves its
+                # region or the next entry does not fit the budget.
+                start = cycles
+                state, cycles, skipped = looped(regs, mems, state, cycles, max_cycles, probe)
+                probe = 0
+                self.loop_cycles += cycles - start - skipped
+                if skipped:
+                    self.repeat_skips += 1
+                    self.skipped_cycles += skipped
+                if state is None:
+                    completed = True
+                    break
+                continue
             cycles += length
             if trace:
                 state_trace.extend(names)
             if kind == _CHAIN:
                 dispatches[state] += 1
                 if dispatches[state] >= fuse_after:
-                    fused[state] = self._fuse_chain(state)
+                    if not trace:
+                        self._heat(state, max_cycles - cycles)
+                    elif looped is None:
+                        fused[state] = self._fuse_chain(state)
                 for unit in units:
                     unit(regs, mems)
             else:

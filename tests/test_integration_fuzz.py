@@ -2,14 +2,18 @@
 stack (parse → optimize → HLS → simulate, then the full TAO flow).
 
 The generator builds structurally diverse but always-terminating
-kernels: bounded for-loops, nested ifs, array reads/writes and a mix of
-arithmetic operators.  Two properties are checked per program:
+kernels: bounded for-loops, loops whose exit also depends on data,
+early returns from inside loops, nested ifs, array reads/writes and a
+mix of arithmetic operators.  Three properties are checked per program:
 
 1. the FSMD simulation of the baseline design equals the golden IR
    interpretation;
 2. the fully obfuscated design under the *correct* working key equals
    the golden interpretation, and a bit-flipped key does not lock up
-   the harness (it either corrupts or times out).
+   the harness (it either corrupts or times out);
+3. under sampled wrong keys and a small cycle cap, the compiled plan
+   running its loops as loop closures equals the interpreter field by
+   field.
 """
 
 import random
@@ -17,7 +21,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sim.compiled as compiled_module
 from repro.sim import Testbench, run_testbench
+from repro.sim.compiled import CompiledDesign
+from repro.sim.fsmd_sim import FsmdSimulator
 from repro.tao import TaoFlow
 
 
@@ -58,6 +65,9 @@ class ProgramGenerator:
     def statement(self, depth: int) -> str:
         rng = self.rng
         roll = rng.random()
+        if roll < 0.08:
+            # Every statement sits inside a loop: an early return.
+            return f"if {self.condition()} {{ return {self.expression()}; }}"
         if roll < 0.45 or depth >= 2:
             target = rng.choice(self.scalars + ["out[i % 8]"])
             return f"{target} = {self.expression()};"
@@ -72,7 +82,11 @@ class ProgramGenerator:
         bound = rng.randint(2, 6)
         loop_var = f"j{depth}"
         body = body.replace("i %", f"{loop_var} %")
-        return f"for (int {loop_var} = 0; {loop_var} < {bound}; {loop_var}++) {{ {body} }}"
+        exit_test = f"{loop_var} < {bound}"
+        if roll < 0.85:
+            # The body's writes can end the loop before its bound.
+            exit_test += f" && {self.condition()}"
+        return f"for (int {loop_var} = 0; {exit_test}; {loop_var}++) {{ {body} }}"
 
     def program(self) -> str:
         body = "\n    ".join(self.statement(0) for _ in range(self.rng.randint(2, 4)))
@@ -132,6 +146,37 @@ def test_fuzz_flipped_key_bit_never_crashes(seed):
         )
         # Must terminate (possibly by budget) without raising.
         assert outcome.cycles > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzz_wrong_keys_in_loop_closures_match_interp(seed, monkeypatch):
+    """Sampled wrong keys at a small cap: a compiled plan that runs each
+    cycle of chain entries as a loop closure from its first dispatch
+    equals the interpreter, field by field."""
+    monkeypatch.setattr(compiled_module, "_FUSE_AFTER", 1)
+    monkeypatch.setattr(compiled_module, "_WARM_AFTER", 0)
+    monkeypatch.setattr(compiled_module, "_LOOP_REPAY", 0)
+    source = ProgramGenerator(seed + 300).program()
+    component = TaoFlow().obfuscate(source, "fuzz")
+    design = component.design
+    bench = workload(seed)
+    good = FsmdSimulator(design).run(
+        bench.args, dict(bench.arrays), component.correct_working_key
+    )
+    cap = 2 * good.cycles
+    plan = CompiledDesign(design)
+    rng = random.Random(seed)
+    for _ in range(6):
+        key = rng.getrandbits(component.working_key_bits)
+        interp = FsmdSimulator(design, max_cycles=cap).run(bench.args, dict(bench.arrays), key)
+        compiled = plan.run(bench.args, dict(bench.arrays), working_key=key, max_cycles=cap)
+        assert (
+            compiled.return_value,
+            compiled.arrays,
+            compiled.cycles,
+            compiled.completed,
+        ) == (interp.return_value, interp.arrays, interp.cycles, interp.completed), source
+    assert plan.loop_cycles > 0, source
 
 
 @settings(max_examples=10, deadline=None)

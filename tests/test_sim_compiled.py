@@ -8,12 +8,16 @@ LOAD and STORE (all three engines), and the compiled tier's fused
 chains (a second plan that fuses every chain at once in the
 differential, and the two-phase and zero-size tests rerun that way;
 hot entries fused at the default threshold; fused closures dropped
-only with the arms they inline) and static memory lengths."""
+only with the arms they inline), its loop closures (a third plan that
+builds them at once in the differential; budgets across a repeat's
+period; two-phase arms, rebinds and traced runs; no dead register
+writes; the CI parity cell's repeat skip) and static memory lengths."""
 
 import collections
 import functools
 import gc
 import random
+import re
 import weakref
 from unittest import mock
 
@@ -58,8 +62,14 @@ def result_fields(result):
     )
 
 
+#: Module constants that make a compiled plan run each chain entry's
+#: whole strongly connected set of chain entries as a loop closure from
+#: its first dispatch.
+LOOP_AT_ONCE = {"_FUSE_AFTER": 1, "_WARM_AFTER": 0, "_LOOP_REPAY": 0}
+
+
 def assert_identical(
-    design, args, arrays, working_key, max_cycles, trace=False, fused=None
+    design, args, arrays, working_key, max_cycles, trace=False, fused=None, looped=None
 ):
     """Run all three engines on one trial; assert field-identical results.
 
@@ -67,6 +77,8 @@ def assert_identical(
     (the interpreter and the compiled plan); codegen records none.
     ``fused`` is one more compiled plan, run with every chain fused on
     its first dispatch and held to the same interpreter result.
+    ``looped`` is one more, run untraced (a traced run takes no loop)
+    with :data:`LOOP_AT_ONCE`.
     """
     interp = FsmdSimulator(design, max_cycles=max_cycles, trace=trace).run(
         args, dict(arrays) if arrays else None, working_key
@@ -85,6 +97,15 @@ def assert_identical(
     if fused is not None:
         with mock.patch.object(compiled_module, "_FUSE_AFTER", 1):
             assert result_fields(interp) == result_fields(run(fused))
+    if looped is not None:
+        with mock.patch.multiple(compiled_module, **LOOP_AT_ONCE):
+            untraced = looped.run(
+                args,
+                dict(arrays) if arrays else None,
+                working_key=working_key,
+                max_cycles=max_cycles,
+            )
+        assert result_fields(interp)[:-1] == result_fields(untraced)[:-1]
     codegen = codegen_for(design).run(
         args,
         dict(arrays) if arrays else None,
@@ -118,12 +139,14 @@ class TestDifferentialAcrossSuite:
         # A second plan fuses every chain on its first dispatch: traced
         # and untraced runs then call one fused closure per dispatch, and
         # a budget that ends inside a chain runs the per-state closures
-        # that fit.
+        # that fit.  A third runs every cycle of chain entries as a loop
+        # closure from its first dispatch.
         fused = CompiledDesign(design)
+        looped = CompiledDesign(design)
 
         # Correct key, traced: outputs, cycle count and state sequence.
         baseline = assert_identical(
-            design, workload.args, workload.arrays, correct, 200_000, True, fused
+            design, workload.args, workload.arrays, correct, 200_000, True, fused, looped
         )
         assert baseline.completed
         cap = max(8 * baseline.cycles, 4000)
@@ -134,7 +157,13 @@ class TestDifferentialAcrossSuite:
         # an earlier bind is reused and a new key still compiles its own.
         for flip in (1, 0, (1 << (width // 2)) | 1, (1 << (width - 1)) | 3):
             assert_identical(
-                design, workload.args, workload.arrays, correct ^ flip, cap, fused=fused
+                design,
+                workload.args,
+                workload.arrays,
+                correct ^ flip,
+                cap,
+                fused=fused,
+                looped=looped,
             )
         # Timeout class: a budget below the baseline latency must report
         # completed=False identically (cycles == budget), with the
@@ -143,11 +172,12 @@ class TestDifferentialAcrossSuite:
         # a chain of the compiled plan.
         for budget in (1, 7, baseline.cycles - 1):
             timed_out = assert_identical(
-                design, workload.args, workload.arrays, correct, budget, True, fused
+                design, workload.args, workload.arrays, correct, budget, True, fused, looped
             )
             assert not timed_out.completed
             assert timed_out.cycles == budget
         assert any(step is not None for step in fused._fused)
+        assert looped.loop_cycles > 0
 
     @pytest.mark.parametrize("bench_name", benchmark_names())
     def test_run_testbench_outcome_parity(self, bench_name):
@@ -608,6 +638,19 @@ class TestFusedZeroSizeMemory(TestZeroSizeMemory):
     """The zero-size errors raised from inside fused chains."""
 
 
+@pytest.fixture
+def loop_at_once(monkeypatch):
+    """Run each chain entry's whole strongly connected set of chain
+    entries as a loop closure from the entry's first dispatch."""
+    for name, value in LOOP_AT_ONCE.items():
+        monkeypatch.setattr(compiled_module, name, value)
+
+
+@pytest.mark.usefixtures("loop_at_once")
+class TestLoopedZeroSizeMemory(TestZeroSizeMemory):
+    """The zero-size errors raised from inside loop closures."""
+
+
 def _dispatch_starts(plan, state_trace) -> list[tuple[int, int]]:
     """``(position, entry)`` of each dispatch of a traced compiled run."""
     idx_of = {name: idx for idx, name in enumerate(plan.layout.state_names)}
@@ -622,10 +665,11 @@ def _dispatch_starts(plan, state_trace) -> list[tuple[int, int]]:
 
 class TestFusionAtDefaultThreshold:
     def test_capped_viterbi_runs_in_fused_chains(self):
-        """A capped wrong-key trial on viterbi under ``full`` fuses the
-        chains it spends its cycles in within one trial; untraced and
-        traced runs equal the interpreter's, and so does a budget that
-        ends inside a fused chain."""
+        """A capped wrong-key trial on viterbi under ``full`` runs more
+        than 90 % of its cap in a loop closure built within that trial,
+        and the hot entries a traced run dispatches are fused or in that
+        loop; untraced and traced runs equal the interpreter's, and so
+        do budgets that end inside a chain of the loop."""
         component, workload = _obfuscated("viterbi", "full")
         design = component.design
         correct = component.correct_working_key
@@ -651,23 +695,28 @@ class TestFusionAtDefaultThreshold:
             return interp
 
         assert not check(cap, trace=False).completed
+        assert plan.loops_built > 0
+        assert plan.loop_cycles + plan.skipped_cycles > 0.9 * cap
         starts = _dispatch_starts(plan, check(cap, trace=True).state_trace)
-        fused = plan._fused
+        fast = [
+            step is not None or loop is not None
+            for step, loop in zip(plan._fused, plan._loops)
+        ]
         counts = collections.Counter(head for _, head in starts)
         hot = [
             head
             for head, count in counts.items()
             if plan._entries[head][0] == _CHAIN and count >= compiled_module._FUSE_AFTER
         ]
-        assert hot and all(fused[head] is not None for head in hot)
-        in_fused = sum(plan._lengths[head] for _, head in starts if fused[head])
-        assert in_fused > 0.9 * cap
-        # The last dispatch of a fused chain of several states, cut
-        # after its first state.
+        assert hot and all(fast[head] for head in hot)
+        in_fast = sum(plan._lengths[head] for _, head in starts if fast[head])
+        assert in_fast > 0.9 * cap
+        # The last dispatch of a chain of several states that runs fused
+        # or in the loop, cut after its first state.
         position = max(
             position
             for position, head in starts
-            if fused[head] is not None and plan._lengths[head] > 1
+            if fast[head] and plan._lengths[head] > 1
         )
         for trace in (False, True):
             timed_out = check(position + 1, trace)
@@ -776,6 +825,230 @@ class TestFusionLifecycle:
             trace=True,
         )
         assert result_fields(compiled) == result_fields(interp)
+
+
+def _repeating_wrong_key():
+    """viterbi under ``full``, a wrong key whose capped trial revisits an
+    exact machine state (period 18 cycles), and the cap."""
+    component, workload = _obfuscated("viterbi", "full")
+    baseline = FsmdSimulator(component.design, max_cycles=200_000).run(
+        workload.args, dict(workload.arrays), component.correct_working_key
+    )
+    rng = random.Random(0)
+    keys = [rng.getrandbits(component.working_key_bits) for _ in range(5)]
+    return component, workload, keys[-1], max(8 * baseline.cycles, 4000)
+
+
+#: A body line that assigns a register (``regs[(3)] = ...`` in a fused
+#: chain, ``r3 = ...`` in a loop), reads one, calls a two-phase op list
+#: (which reads them all) or starts a loop rung (a chain of its own).
+_WRITE = re.compile(r"^\s*(?:regs\[\((\d+)\)\]|r(\d+)) = (.*)$")
+_READ = re.compile(r"regs\[\((\d+)\)\]|\br(\d+)\b")
+_CALL = re.compile(r"^\s*_\d+\(regs, mems\)$")
+_RUNG = re.compile(r"^\s*(?:el)?if state == ")
+
+
+def _dead_writes(body: str) -> list[str]:
+    """The lines of a fused or loop body whose register write a later
+    line of the same chain overwrites before any read."""
+    dead, pending = [], {}
+    for line in body.split("\n"):
+        if _CALL.match(line) or _RUNG.match(line):
+            pending.clear()
+            continue
+        write = _WRITE.match(line)
+        for groups in _READ.findall(write.group(3) if write else line):
+            pending.pop(groups[0] or groups[1], None)
+        if write:
+            slot = write.group(1) or write.group(2)
+            if slot in pending:
+                dead.append(pending[slot])
+            pending[slot] = line
+    return dead
+
+
+class TestLoopClosures:
+    def test_budgets_across_one_period_after_a_skip(self):
+        """On a wrong key that repeats, every budget over more than one
+        period equals the interpreter's; the skipped cycles grow by one
+        period exactly at the budgets the jump lands on."""
+        component, workload, key, cap = _repeating_wrong_key()
+        design = component.design
+        plan = CompiledDesign(design)
+        plan.run(workload.args, dict(workload.arrays), working_key=key, max_cycles=cap)
+        assert plan.loops_built and plan.repeat_skips == 1
+        skipped = {}
+        for budget in range(400, 340, -1):
+            before = plan.skipped_cycles
+            compiled = plan.run(
+                workload.args, dict(workload.arrays), working_key=key, max_cycles=budget
+            )
+            skipped[budget] = plan.skipped_cycles - before
+            interp = FsmdSimulator(design, max_cycles=budget).run(
+                workload.args, dict(workload.arrays), key
+            )
+            assert result_fields(compiled) == result_fields(interp)
+        # Skipped cycles at budget B are (B - c) // P * P for the cycle c
+        # the repeat is found at: they step up by P where B - c is a
+        # multiple of P, the budgets the jump lands on exactly.
+        landings = sorted(b for b in skipped if b - 1 in skipped and skipped[b] > skipped[b - 1])
+        period = landings[1] - landings[0]
+        assert period == 18 and len(landings) >= 3
+        assert all(skipped[b] - skipped[b - 1] == period for b in landings)
+        assert all(later - earlier == period for earlier, later in zip(landings, landings[1:]))
+
+    def test_loop_runs_a_two_phase_arm(self, loop_at_once):
+        """sobel under ``full`` with each key that selects a two-phase
+        arm: loop closures that call that arm's closure (writing their
+        registers back first and reloading its writes after) run as the
+        interpreter does."""
+        component, workload = _obfuscated("sobel", "full")
+        design = component.design
+        correct = component.correct_working_key
+        baseline = FsmdSimulator(design, max_cycles=200_000).run(
+            workload.args, dict(workload.arrays), correct
+        )
+        cap = max(8 * baseline.cycles, 4000)
+        plan = CompiledDesign(design)
+        for variants, tables in plan.layout.variant_tables:
+            slice_mask = ((1 << variants.key_bits) - 1) << variants.key_offset
+            for selector in sorted(variants.variants):
+                if not any(
+                    _reads_own_writes(design, per_selector[selector])
+                    for _, per_selector in tables
+                ):
+                    continue
+                key = (correct & ~slice_mask) | (selector << variants.key_offset)
+                interp = FsmdSimulator(design, max_cycles=cap).run(
+                    workload.args, dict(workload.arrays), key
+                )
+                compiled = plan.run(
+                    workload.args, dict(workload.arrays), working_key=key, max_cycles=cap
+                )
+                assert result_fields(compiled) == result_fields(interp)
+        loops = [body for body in plan._chain_factories if "while True" in body]
+        assert any(map(_CALL.search, "\n".join(loops).split("\n")))
+
+    @pytest.mark.parametrize("name", ["gsm", "viterbi"])
+    def test_rebind_drops_only_loops_through_the_changed_arm(self, name, loop_at_once):
+        """Binding a key that changes one block's arm drops the loop
+        closures whose region runs a state of that block, from every
+        entry of their region, and keeps every other loop."""
+        component, workload = _obfuscated(name, "full")
+        design = component.design
+        correct = component.correct_working_key
+        plan = CompiledDesign(design)
+        baseline = plan.run(
+            workload.args, dict(workload.arrays), working_key=correct, max_cycles=200_000
+        )
+        loops = list(plan._loops)
+
+        def through(block_name):
+            return {
+                head
+                for head, region in enumerate(plan._regions)
+                if region
+                and any(
+                    plan.layout.states[idx].block == block_name
+                    for member in region
+                    for idx in plan._entries[member][5]
+                )
+            }
+
+        variants, dropped = next(
+            (v, heads)
+            for v in design.block_variants.values()
+            for heads in [through(v.block_name)]
+            if heads and any(loop and head not in heads for head, loop in enumerate(loops))
+        )
+        plan.bind_key(correct ^ (1 << variants.key_offset))
+        for head, loop in enumerate(loops):
+            assert plan._loops[head] is (None if head in dropped else loop)
+        cap = max(8 * baseline.cycles, 4000)
+        key = correct ^ (1 << variants.key_offset)
+        interp = FsmdSimulator(design, max_cycles=cap).run(
+            workload.args, dict(workload.arrays), key
+        )
+        compiled = plan.run(
+            workload.args, dict(workload.arrays), working_key=key, max_cycles=cap
+        )
+        assert result_fields(compiled) == result_fields(interp)
+
+    def test_traced_run_takes_no_loop(self):
+        """A traced run dispatches chains one by one even where a loop
+        closure exists, so it keeps its state trace."""
+        component, workload, key, cap = _repeating_wrong_key()
+        plan = CompiledDesign(component.design)
+        plan.run(workload.args, dict(workload.arrays), working_key=key, max_cycles=cap)
+        counters = (plan.loop_cycles, plan.repeat_skips, plan.skipped_cycles)
+        assert plan.loops_built and counters[0] > 0
+        interp = FsmdSimulator(component.design, max_cycles=cap, trace=True).run(
+            workload.args, dict(workload.arrays), key
+        )
+        compiled = plan.run(
+            workload.args,
+            dict(workload.arrays),
+            working_key=key,
+            max_cycles=cap,
+            trace=True,
+        )
+        assert result_fields(compiled) == result_fields(interp)
+        assert (plan.loop_cycles, plan.repeat_skips, plan.skipped_cycles) == counters
+
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("fixture", ["fuse_at_once", "loop_at_once"])
+    def test_bodies_hold_no_dead_register_write(self, fixture, checked, request):
+        """A fused chain or loop body writes no register that a later op
+        of the same chain overwrites before reading it, except by a LOAD
+        from a memory that keeps the empty check, which can raise."""
+        request.getfixturevalue(fixture)
+        bench = get_benchmark("viterbi")
+        # A fresh design: the checked case edits it.
+        component = TaoFlow(pipeline="full").obfuscate(bench.source, bench.top)
+        workload = bench.make_testbenches(seed=11, count=1)[0]
+        design = component.design
+        if checked:
+            # An initializer shorter than the array: a run that does not
+            # provide it builds a one-word image.
+            design.func.arrays["observations"].initializer = [0]
+        plan = CompiledDesign(design)
+        assert ("observations" in plan._mem_lengths) is not checked
+        rng = random.Random(0)
+        keys = [rng.getrandbits(component.working_key_bits) for _ in range(5)]
+        for key in [component.correct_working_key, *keys]:
+            compiled = plan.run(
+                workload.args, dict(workload.arrays), working_key=key, max_cycles=4000
+            )
+            interp = FsmdSimulator(design, max_cycles=4000).run(
+                workload.args, dict(workload.arrays), key
+            )
+            assert result_fields(compiled) == result_fields(interp)
+        looped = fixture == "loop_at_once"
+        bodies = [b for b in plan._chain_factories if ("while True" in b) == looped]
+        assert bodies
+        dead = [line for body in bodies for line in _dead_writes(body)]
+        if checked:
+            assert dead and all(" = m[" in line for line in dead)
+        else:
+            assert dead == []
+
+    def test_parity_cell_takes_a_repeat_skip(self, monkeypatch):
+        """CI's compiled-vs-interp cell (gsm, viterbi and backprop, 16
+        keys) runs its capped wrong keys in loop closures and jumps at
+        least one exact repeat, so its byte gate covers both."""
+        plans = []
+        init = CompiledDesign.__init__
+
+        def tracked(plan, design):
+            init(plan, design)
+            plans.append(plan)
+
+        monkeypatch.setattr(CompiledDesign, "__init__", tracked)
+        spec = CampaignSpec(benchmarks=("gsm", "viterbi", "backprop"), n_keys=16)
+        execute_plan(plan_campaign(spec), ExecutionOptions(jobs=1, engine="compiled"))
+        assert len(plans) == 3
+        assert all(plan.loop_cycles > 0 for plan in plans)
+        assert sum(plan.repeat_skips for plan in plans) >= 1
 
 
 SHORTENED_SOURCE = """
