@@ -59,14 +59,42 @@ which the codegen tier consumes too):
   call.  A set that cannot repay its build — fewer than
   :data:`_LOOP_REPAY` cycles of budget left per op — is not built, and
   the chain is fused alone.  Traced runs take no loop;
-* in the first :data:`_PROBE_ITERATIONS` iterations of a run's first
-  loop call, Brent's cycle detection compares the entry, the registers
-  the loop writes and the memories it stores to with a snapshot taken
-  at power-of-two iteration counts.  On an **exact repeat** of period P
-  cycles the loop jumps the largest multiple of P that stays within the
-  budget and runs on: every later state, and so the result at the cap,
-  is the one the interpreter reaches.  The plan counts loops built,
-  cycles run in them, repeats jumped and cycles skipped;
+* each loop call probes for a repeat at its hottest entry.  After
+  :data:`_PROBE_DELAY` visits it takes, for :data:`_PROBE_ITERATIONS`
+  more, a snapshot of the registers the loop writes other than its
+  counters (next bullet), the memories it stores to and each counter's
+  residue modulo the lengths it is read by, and notes the counters
+  beside it.  A snapshot seen before with the same counters is an
+  **exact repeat** of period P cycles: the loop jumps the largest
+  multiple of P that stays within the budget and runs on, so every
+  later state, and the result at the cap, is the interpreter's.  A
+  snapshot seen P and 2P cycles before with each counter moved by the
+  same step both times is a **counter repeat**.  A probe that finds
+  nothing makes the run's next loop call wait twice as long, and a
+  counter repeat that does not confirm makes later probes look only for
+  longer periods;
+* the **counter rule** is decided once per distinct loop body, from its
+  op lists.  A value is *changing* when it derives from a register the
+  loop carries through add, sub, neg, not, mov, a product with an
+  unchanging value or a left shift by an unchanging amount; it may also
+  be read as a memory index or a shift amount (each reduced modulo a
+  length) or compared.  Any other read of it (a store of it, and, or,
+  xor, division, remainder, a right shift of it, a branch on it or a
+  product of two) makes the registers it derives from unchanging, and a
+  loop left with none repeats only exactly.  The counters are the
+  registers an entry writes and ends holding a changing value in;
+* a counter repeat is confirmed by running two more periods through
+  **recording closures**: each entry's chain with the value of every
+  read the rule allows, and of each changing result whose wrap may fold,
+  appended to a list.  The two periods must follow one path, repeat the
+  snapshot and move each counter by the same step again (``x = 2 * x``
+  does not).  The counters then move by k steps and the count by k
+  periods, for the largest k that the budget allows and that keeps every
+  recorded value in its type's range (no wrap), every comparison's
+  outcome and every index's and shift amount's residue, so a loop
+  whose bound lies within the budget jumps to just before its exit and
+  leaves on the interpreter's cycle.  The plan counts loops built,
+  cycles run in them, exact and counter jumps and cycles skipped;
 * controller transitions are pre-resolved into fused condition
   closures (key-bit XOR included) and next-state indices;
 * a DFG variant arm is compiled the first time a bound key selects
@@ -89,7 +117,7 @@ compilation serves every key of a campaign.
 This is one of three engine tiers: ``interp`` (the reference
 oracle), ``compiled`` (this module: one dispatch per chain, one
 closure call per op, or one per hot chain, or one per visit to a hot
-loop) and ``codegen``
+loop, which may jump whole periods) and ``codegen``
 (:mod:`repro.sim.codegen`: one exec()-generated sweep function per
 design, registers in locals, lane-vectorized across a whole key
 batch).
@@ -114,6 +142,7 @@ another length raises :class:`~repro.sim.fsmd_sim.SimulationError`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -257,8 +286,19 @@ _WARM_AFTER = 32
 #: built adpcm loops that did not repay and 3,200 lost gsm's gain.
 _LOOP_REPAY = 1600
 
-#: Iterations of a run's first loop call checked for an exact repeat.
-_PROBE_ITERATIONS = 64
+#: Visits to its hottest entry a loop call makes before it probes for a
+#: repeat (doubled, plus the window, after each probe of the run that
+#: found none), the visits it then probes, and the latest earlier
+#: occurrences of a snapshot a new one is matched against.  On perfbench
+#: ``attack`` (campaign seed 4) a window of 128 visits jumped 102 of the
+#: 145 capped trials, 256 jumped 125, and 512 to 2,048 jumped 125-126 at
+#: a higher probe cost.  The delay keeps short loop calls, which runs
+#: that complete are made of, from probing: at 16, ``sweep``'s completed
+#: runs made 1,308 probes and at 48 none, while ``attack`` still jumped
+#: 126 capped trials.
+_PROBE_DELAY = 48
+_PROBE_ITERATIONS = 256
+_REPEAT_LOOKBACK = 16
 
 
 def _store_zero_error(mems: list, later: tuple, name: str) -> SimulationError:
@@ -275,9 +315,38 @@ def _store_zero_error(mems: list, later: tuple, name: str) -> SimulationError:
     return zero_size_memory_error(name)
 
 
+def _repeat(history: dict, snap: tuple, cycles: int, counts: tuple, shortest: int) -> int:
+    """What a loop's probe (see :meth:`CompiledDesign._loop`) found at
+    ``cycles``, where its entry, watched registers and stored memories
+    are ``snap`` and its counters ``counts``: ``-P`` when ``snap`` was
+    seen P cycles ago with the same counters (an exact repeat); ``P``,
+    more than ``shortest``, when it was seen P and 2P cycles ago and
+    every counter moved by the same step both times; else 0, and the
+    occurrence joins ``history``.  Only the latest
+    :data:`_REPEAT_LOOKBACK` occurrences of a snapshot are matched."""
+    seen = history.get(snap)
+    if seen is None:
+        history[snap] = {cycles: counts}
+        return 0
+    for at in itertools.islice(reversed(seen), _REPEAT_LOOKBACK):
+        then = seen[at]
+        if then == counts:
+            return at - cycles
+        period = cycles - at
+        if period > shortest:
+            first = seen.get(at - period)
+            if first is not None and all(
+                b - a == c - b for a, b, c in zip(first, then, counts)
+            ):
+                return period
+    seen[cycles] = counts
+    return 0
+
+
 _OP_GLOBALS: dict = {
     "_zero": zero_size_memory_error,
     "_store_zero": _store_zero_error,
+    "_repeat": _repeat,
     **EXPR_HELPERS,
 }
 
@@ -327,14 +396,15 @@ class _Shape:
         ``params``), from its shape's factory (compiled the first time
         any design needs the shape)."""
         body = "\n".join(lines)
-        factory = self.factories.get(body)
+        key = body if params == "regs, mems" else f"def op({params}):\n{body}"
+        factory = self.factories.get(key)
         if factory is None:
             args = ", ".join(f"_{i}" for i in range(len(self.args)))
             indented = "".join(f"        {line}\n" for line in lines)
             source = f"def _make({args}):\n    def op({params}):\n{indented}    return op\n"
             namespace = dict(_OP_GLOBALS)
             exec(compile(source, "<compiled op>", "exec"), namespace)
-            factory = self.factories[body] = namespace["_make"]
+            factory = self.factories[key] = namespace["_make"]
         return factory(*self.args)
 
 
@@ -376,6 +446,101 @@ class _LoopShape(_Shape):
         ]
 
 
+#: No counter: the value of a constant, or of a register that holds the
+#: same value at every period (see :meth:`CompiledDesign._counter_reads`).
+_FIXED: frozenset = frozenset()
+
+#: Comparison opcode -> ``(sign, threshold)``: the comparison holds when
+#: ``sign * (a - b) <= threshold``.  EQ and NE test ``a - b == 0``.
+_ORDERED = {
+    Opcode.LT: (1, -1),
+    Opcode.LE: (1, 0),
+    Opcode.GT: (-1, -1),
+    Opcode.GE: (-1, 0),
+}
+
+
+def _type_range(type_: IntType) -> tuple[int, int]:
+    if type_.signed:
+        return -(1 << (type_.width - 1)), (1 << (type_.width - 1)) - 1
+    return 0, (1 << type_.width) - 1
+
+
+def _reg_render(slot: int) -> Callable:
+    return lambda shape: shape.reg(slot)
+
+
+def _range_probe(type_: IntType, slot: int) -> tuple:
+    """Probe register ``slot`` after its write, in ``type_``'s range."""
+    return ("range", *_type_range(type_)), _reg_render(slot)
+
+
+def _jump_bound(guards: Sequence[tuple], before: Sequence[int], after: Sequence[int], mems: list):
+    """The most periods a counter jump may skip past the second of two
+    consecutive periods, from their probe values (None: no limit).
+
+    A value stays linear while it stays in its type's range, so no wrap
+    happens, and a comparison keeps its outcome.  An index or shift
+    amount is reduced modulo a length, so its step must be a multiple of
+    that length.  Any probe on which the two periods disagree allows no
+    jump.
+    """
+    periods = None
+    for guard, a, b in zip(guards, before, after):
+        step = b - a
+        kind = guard[0]
+        if kind == "mod":
+            if step % (guard[1] or len(mems[guard[2]])):
+                return 0
+            continue
+        if kind == "range":
+            low, high = guard[1], guard[2]
+            if not low <= a <= high:
+                return 0
+            room = (high - b) // step if step > 0 else (b - low) // -step if step else None
+        elif kind == "le":
+            threshold = guard[1]
+            holds = b <= threshold
+            if (a <= threshold) != holds:
+                return 0
+            if holds and step > 0:
+                room = (threshold - b) // step
+            elif not holds and step < 0:
+                room = (b - threshold - 1) // -step
+            else:
+                room = None
+        else:  # "eq": the comparison is a - b == 0 (EQ or NE)
+            if (a == 0) != (b == 0):
+                return 0
+            room = -b // step - 1 if step and b and -b % step == 0 and -b // step > 0 else None
+        if room is not None and (periods is None or room < periods):
+            periods = room
+    return periods
+
+
+class _Loop:
+    """A loop closure (``run``, see :meth:`CompiledDesign._loop`) with
+    what its counter jumps need (:meth:`CompiledDesign._counter_jump`):
+    its region, each entry's :meth:`~CompiledDesign._chain_steps`, the
+    registers that may move by a fixed step each period (``counters``),
+    the other registers it writes (``watched``) and the memories it
+    stores to, and, once a jump is first tried, each entry's recording
+    closure."""
+
+    __slots__ = ("run", "region", "steps", "counters", "watched", "stored", "recorders")
+
+    def __init__(self, run, region, steps, counters, watched, stored) -> None:
+        self.run = run
+        self.region = region
+        self.steps = steps
+        self.counters = counters
+        self.watched = watched
+        self.stored = stored
+        #: Per entry, its recording closure and the guards of the values
+        #: it records (see :meth:`CompiledDesign._recorders`).
+        self.recorders: Optional[dict[int, tuple[Callable, list]]] = None
+
+
 class CompiledDesign:
     """One FSMD design lowered into a slot-indexed execution plan.
 
@@ -403,6 +568,11 @@ class CompiledDesign:
         self._mem_slots = layout.mem_slots
         # --- key-dependent cells (filled by bind_key) --------------
         self._kconst_cells: dict[ObfuscatedConstant, list[int]] = {}
+        #: Per obfuscated-constant cell, ``(cell, key offset, storage mask,
+        #: stored pattern, storage sign bit, type mask, type sign bit)``;
+        #: the sign bits are 0 for an unsigned constant (see
+        #: :meth:`_kconst_cell`).
+        self._kconst_binds: list[tuple] = []
         self._rom_cells: dict[str, list[int]] = {}
         self._rom_binds: list[tuple] = []
         #: Key bit -> its cell, shared by every closure that tests it.
@@ -458,18 +628,22 @@ class CompiledDesign:
         #: Per dispatch target, the loop closure that runs it with the
         #: other entries of its region, and that region (see
         #: :meth:`_loop`).
-        self._loops: list[Optional[Callable]] = [None] * len(layout.states)
+        self._loops: list[Optional[_Loop]] = [None] * len(layout.states)
         self._regions: list[Optional[tuple[int, ...]]] = [None] * len(layout.states)
         #: Entries whose loop could not repay its build in this run.
         self._unrepaid: set[int] = set()
         #: Fused chain and loop body text -> its factory, for this plan
-        #: alone.
+        #: alone; and a loop's rungs -> the registers its counter jumps
+        #: may move (see :meth:`_counters`).
         self._chain_factories: dict[str, Callable] = {}
-        #: Loop closures built, cycles they ran, exact repeats they
-        #: jumped and the cycles those jumps skipped, over the plan's life.
+        self._counter_rules: dict[tuple, frozenset] = {}
+        #: Loop closures built, cycles they ran (not jumped), exact
+        #: repeats and counter repeats they jumped, and the cycles both
+        #: kinds of jump skipped, over the plan's life.
         self.loops_built = 0
         self.loop_cycles = 0
         self.repeat_skips = 0
+        self.counter_skips = 0
         self.skipped_cycles = 0
         pending = [layout.entry_idx]
         while pending:
@@ -496,7 +670,7 @@ class CompiledDesign:
         """One operand read as source: a key cell, a constant, or a
         register slot (re-wrapped unless every writer shares its type)."""
         if isinstance(value, ObfuscatedConstant):
-            return shape.cell(self._kconst_cells.setdefault(value, [0]))
+            return shape.cell(self._kconst_cell(value))
         if isinstance(value, Constant):
             return shape.lit(value.value)
         slot = self._slot_of(value)
@@ -505,6 +679,32 @@ class CompiledDesign:
         if self.layout.elidable_read(slot, value.type):
             return read
         return wrap_expr(read, value.type, shape.lit)
+
+    def _kconst_cell(self, constant: ObfuscatedConstant) -> list[int]:
+        """The key cell holding ``constant``'s decode.  :meth:`bind_key`
+        decodes it as :meth:`ObfuscatedConstant.decode` does, from numbers
+        taken here once: the stored pattern XOR the key slice, read as a
+        signed or unsigned ``storage_width``-bit number, then wrapped to
+        the constant's type."""
+        cell = self._kconst_cells.get(constant)
+        if cell is None:
+            cell = self._kconst_cells[constant] = [0]
+            type_ = constant.type
+            assert isinstance(type_, IntType)
+            width = constant.storage_width
+            signed = type_.signed
+            self._kconst_binds.append(
+                (
+                    cell,
+                    constant.key_offset,
+                    (1 << width) - 1,
+                    constant.stored_value,
+                    1 << (width - 1) if signed else 0,
+                    (1 << type_.width) - 1,
+                    1 << (type_.width - 1) if signed else 0,
+                )
+            )
+        return cell
 
     def _static_lengths(self) -> dict[str, int]:
         """Memory name -> the length of every image a run can build, for
@@ -801,10 +1001,10 @@ class CompiledDesign:
         lines.append(f"return {self._next_target(head, shape)}")
         return shape.closure(lines)
 
-    def _chain_lines(self, head: int, shape: _Shape) -> list[str]:
-        """The body lines running every op of chain entry ``head`` in
-        place, each variant state's bound arm inlined and an op list that
-        keeps the two-phase commit as one call of its closure.
+    def _chain_steps(self, head: int) -> list[tuple[int, Optional[list]]]:
+        """Per state of chain entry ``head``, in order, the ops its body
+        runs in place as ``(position, op fields, later loads)``, or None
+        for an op list that keeps the two-phase commit.
 
         A register write that a later op of the chain overwrites before
         any read is left out; a two-phase call reads every register, and
@@ -820,7 +1020,9 @@ class CompiledDesign:
                 overwritten.clear()
                 continue
             live = []
-            for op, later_loads in reversed(self._with_later_loads(fields)):
+            ops = self._with_later_loads(fields)
+            for position in range(len(ops) - 1, -1, -1):
+                op, later_loads = ops[position]
                 opcode, result, operands, array_name = op
                 if opcode is not Opcode.STORE:
                     slot = self._slot_of(result)
@@ -834,20 +1036,51 @@ class CompiledDesign:
                     for value in operands
                     if not isinstance(value, (Constant, ObfuscatedConstant))
                 )
-                live.append((op, later_loads))
+                live.append((position, op, later_loads))
             steps.append((idx, live[::-1]))
+        return steps[::-1]
+
+    def _chain_lines(
+        self,
+        head: int,
+        shape: _Shape,
+        steps: Optional[list] = None,
+        probes: Optional[dict] = None,
+        guards: Optional[list] = None,
+    ) -> list[str]:
+        """The body lines running every op of chain entry ``head`` (its
+        :meth:`_chain_steps`) in place, each variant state's bound arm
+        inlined and an op list that keeps the two-phase commit as one
+        call of its closure.
+
+        ``probes`` maps ``(state, op position)`` (position None for a
+        two-phase op list) to the probes :meth:`_counter_pass` puts
+        before and after that op; each appends its value to ``values``,
+        and its guard to ``guards``.
+        """
         lines: list[str] = []
-        for idx, live in reversed(steps):
+
+        def record(key, side: int) -> list[str]:
+            if probes is None or key not in probes:
+                return []
+            guards.extend(guard for guard, _ in probes[key][side])
+            return [f"values.append({render(shape)})" for _, render in probes[key][side]]
+
+        for idx, live in steps if steps is not None else self._chain_steps(head):
             if live is None:
                 writes = [
                     self._slot_of(result)
                     for opcode, result, _, _ in self._fields(self._state_ops[idx])
                     if opcode is not Opcode.STORE
                 ]
+                lines += record((idx, None), 0)
                 lines += shape.two_phase(self._state_units[idx][0], writes)
+                lines += record((idx, None), 1)
                 continue
-            for op, later_loads in live:
+            for position, op, later_loads in live:
+                lines += record((idx, position), 0)
                 lines += self._op_lines(op, True, later_loads, shape)
+                lines += record((idx, position), 1)
         return lines
 
     def _next_target(self, head: int, shape: _Shape) -> str:
@@ -859,6 +1092,175 @@ class CompiledDesign:
             return shape.lit(following)
         test = self._test(spec, shape)
         return f"{shape.lit(following)} if {test} else {shape.lit(alternative)}"
+
+    # ------------------------------------------------------------------
+    # Counter jumps: the static rule
+    # ------------------------------------------------------------------
+    def _counter_reads(self, op: tuple, env: dict) -> tuple[list, frozenset, frozenset]:
+        """How one op reads changing values under the counter rule.
+
+        ``env`` maps a register slot to the counters its value derives
+        from through linear ops (none: the same value every period).
+        Returns the probes the op's reads need before it runs, as
+        ``(guard, render)`` pairs (see :func:`_jump_bound`; ``render``
+        gives the probed value's source), the counters its result
+        derives from, and the counters whose values it reads in a way
+        the rule forbids: a stored value, a nonlinear op (and, or, xor,
+        division, remainder, right shift or a product of two changing
+        values) or the value a right shift shifts.
+        """
+        opcode, result, operands, array_name = op
+        pre: list = []
+        roots: list[frozenset] = []
+        for value in operands:
+            if isinstance(value, (Constant, ObfuscatedConstant)):
+                roots.append(_FIXED)
+                continue
+            slot = self._slot_of(value)
+            derived = env.get(slot, _FIXED)
+            roots.append(derived)
+            if derived and not self.layout.elidable_read(slot, value.type):
+                # A re-wrapped read is linear while it stays in range.
+                pre.append((("range", *_type_range(value.type)), _reg_render(slot)))
+        first = roots[0] if roots else _FIXED
+        second = roots[1] if len(roots) > 1 else _FIXED
+        if opcode is Opcode.LOAD or opcode is Opcode.STORE:
+            if first:
+                length = self._mem_lengths.get(array_name, 0)
+                guard = ("mod", length, self._mem_slots[array_name], first)
+                pre.append((guard, self._operand_render(operands[0])))
+            return pre, _FIXED, second if opcode is Opcode.STORE else _FIXED
+        if opcode in _ORDERED or opcode is Opcode.EQ or opcode is Opcode.NE:
+            if first or second:
+                sign, threshold = _ORDERED.get(opcode, (1, None))
+                left, right = operands if sign > 0 else operands[::-1]
+                guard = ("le", threshold) if threshold is not None else ("eq",)
+                pre.append((guard, self._difference_render(left, right)))
+            return pre, _FIXED, _FIXED
+        if opcode in (Opcode.ADD, Opcode.SUB):
+            return pre, first | second, _FIXED
+        if opcode in (Opcode.NEG, Opcode.NOT, Opcode.MOV):
+            return pre, first, _FIXED
+        if opcode is Opcode.MUL:
+            if first and second:
+                return pre, _FIXED, first | second
+            return pre, first | second, _FIXED
+        if opcode is Opcode.SHL or opcode is Opcode.SHR:
+            if second:
+                guard = ("mod", max(1, result.type.width), None, second)
+                pre.append((guard, self._operand_render(operands[1])))
+            if opcode is Opcode.SHL:
+                return pre, first, _FIXED
+            return pre, _FIXED, first
+        return pre, _FIXED, _FIXED.union(*roots)
+
+    def _operand_render(self, value: Value) -> Callable[[_Shape], str]:
+        return lambda shape: self._operand(value, shape)
+
+    def _difference_render(self, left: Value, right: Value) -> Callable[[_Shape], str]:
+        return lambda shape: (
+            f"({self._operand(left, shape)}) - ({self._operand(right, shape)})"
+        )
+
+    def _counter_pass(
+        self,
+        steps: Sequence[tuple[int, list]],
+        counters: frozenset,
+        probes: Optional[dict] = None,
+    ) -> tuple[set[int], set[int], set[tuple]]:
+        """One pass of the counter rule over a loop region: ``steps`` holds
+        each entry with its :meth:`_chain_steps`, and every register of
+        ``counters`` may have moved when an entry starts.
+
+        Returns the registers an entry writes with a changing value that
+        they still hold when it ends; the counters a changing value
+        derives from where the rule forbids it: a forbidden read
+        (:meth:`_counter_reads`), a branch on it, or a register outside
+        ``counters`` that still holds it when an entry ends; and each
+        counter an index or a shift amount derives from, with that
+        access's length as ``(register, length, memory slot)``.  With
+        ``probes``, fills it as :meth:`_chain_lines` reads it: an op's
+        changing result that its wrap may fold is probed after the op,
+        in its type's range (a two-phase op list reads before it
+        commits).
+        """
+        ending: set[int] = set()
+        tainted: set[int] = set()
+        moduli: set[tuple] = set()
+        for head, chain_steps in steps:
+            env = {slot: frozenset((slot,)) for slot in counters}
+            wrote: set[int] = set()
+            for idx, live in chain_steps:
+                two_phase = live is None
+                if two_phase:
+                    fields = self._fields(self._state_ops[idx])
+                    live = [(position, op, ()) for position, op in enumerate(fields)]
+                commits: dict[int, tuple] = {}
+                for position, op, _ in live:
+                    pre, derived, forbidden = self._counter_reads(op, env)
+                    tainted |= forbidden
+                    moduli.update(
+                        (root, *guard[1:3])
+                        for guard, _ in pre
+                        if guard[0] == "mod"
+                        for root in guard[3]
+                    )
+                    key = (idx, None if two_phase else position)
+                    if pre and probes is not None:
+                        probes.setdefault(key, ([], []))[0].extend(pre)
+                    opcode, result, operands, _ = op
+                    if opcode is Opcode.STORE:
+                        continue
+                    slot = self._slot_of(result)
+                    wrote.add(slot)
+                    wraps = derived and not (
+                        opcode is Opcode.MOV and self._read_in_range(operands[0], result.type)
+                    )
+                    commits.pop(slot, None)
+                    commits[slot] = (key, derived, wraps, result.type)
+                    if not two_phase:
+                        env[slot] = derived
+                if two_phase:
+                    # Every read comes before the commits, and only each
+                    # register's last write is ever read.
+                    for slot, (_, derived, _, _) in commits.items():
+                        env[slot] = derived
+                if probes is not None:
+                    for slot, (key, _, wraps, type_) in commits.items():
+                        if wraps:
+                            probes.setdefault(key, ([], []))[1].append(_range_probe(type_, slot))
+            spec = self.layout.transition_specs[self._entries[head][5][-1]]
+            if spec[0] == COND and not isinstance(spec[1], (Constant, ObfuscatedConstant)):
+                tainted |= env.get(self._slot_of(spec[1]), _FIXED)
+            for slot in wrote:
+                if env[slot]:
+                    ending.add(slot)
+                    if slot not in counters:
+                        tainted |= env[slot]
+        return ending, tainted, moduli
+
+    def _counters(
+        self, steps: Sequence[tuple[int, list]], written: set[int]
+    ) -> tuple[frozenset, tuple]:
+        """The registers of a loop region that may move by a fixed step
+        each period, and the lengths they are read modulo.
+
+        The registers are the largest set under which
+        :meth:`_counter_pass` finds no forbidden read and every register
+        an entry ends with a changing value in is one of them; none when
+        the region's repeats must be exact.  Each of them that an index
+        or a shift amount derives from comes with that access's length,
+        as ``(register, length, memory slot)`` (the length 0 for a
+        memory whose length is fixed only at run time): a period must
+        bring the register back to its residue modulo each.
+        """
+        counters = frozenset(written)
+        while True:
+            ending, tainted, moduli = self._counter_pass(steps, counters)
+            kept = (counters & ending) - tainted
+            if kept == counters:
+                return counters, tuple(sorted(moduli, key=repr))
+            counters = kept
 
     def _heat(self, head: int, budget: int) -> None:
         """Chain entry ``head`` reached :data:`_FUSE_AFTER` dispatches in
@@ -932,26 +1334,31 @@ class CompiledDesign:
             return None
         return tuple(sorted(region, key=lambda member: (-dispatches[member], member)))
 
-    def _loop(self, region: Sequence[int]) -> Callable:
+    def _loop(self, region: Sequence[int]) -> _Loop:
         """The chain entries of ``region`` as one closure ``loop(regs,
-        mems, state, cycles, max_cycles, probe)`` returning ``(state,
-        cycles, skipped)``.
+        mems, state, cycles, max_cycles, probe, delay, shortest)``
+        returning ``(state, cycles, skipped, period, probe)``.
 
         The closure holds a ``while`` loop over an ``if state == head``
         ladder (in ``region``'s order), each rung the chain's ops inline
         (see :meth:`_chain_lines`) with registers, memories and key
         cells in locals.  It runs entries while control stays in the
         region and the next entry fits ``max_cycles``, then writes its
-        registers back and returns the entry it stopped at and the
-        cycle count.
+        registers back and returns the entry it stopped at, the cycle
+        count and the probe visits left.
 
-        For its first ``probe`` iterations it runs Brent's cycle
-        detection on the entry, the registers the region writes and the
-        memories it stores to (nothing else changes while it runs): on
-        an exact repeat with period P cycles it adds the largest
-        multiple of P that keeps the count within ``max_cycles`` —
-        returned as ``skipped`` — and runs on, which leaves the state at
-        every later cycle as it would be.
+        After ``delay`` visits to the region's first entry it probes
+        ``probe`` more (see :func:`_repeat`): a snapshot of the registers
+        the region writes other than its counters (:meth:`_counters`),
+        the memories it stores to and each counter's residue modulo the
+        lengths it is read by (nothing else changes while it runs), with
+        the counters beside it.  On an exact repeat of period P cycles it
+        adds the largest multiple of P that keeps the count within
+        ``max_cycles`` (returned as ``skipped``) and runs on, which leaves
+        the state at every later cycle as it would be.  On a counter
+        repeat of period P, more than ``shortest`` cycles, it returns at
+        once with P as ``period``, for :meth:`_counter_jump` to confirm
+        and jump.
         """
         written: set[int] = set()
         stored: set[int] = set()
@@ -963,47 +1370,172 @@ class CompiledDesign:
                     else:
                         written.add(self._slot_of(result))
         shape = _LoopShape(self._chain_factories, sorted(written))
+        steps = [(head, self._chain_steps(head)) for head in region]
         rungs: list[str] = []
-        for position, head in enumerate(region):
+        for position, (head, chain_steps) in enumerate(steps):
             length = self._lengths[head]
             rungs += [
                 f"{'el' if position else ''}if state == {head}:",
                 f"    if cycles + {length} > max_cycles: break",
                 f"    cycles += {length}",
-                *(f"    {line}" for line in self._chain_lines(head, shape)),
+                *(f"    {line}" for line in self._chain_lines(head, shape, chain_steps)),
                 f"    state = {self._next_target(head, shape)}",
             ]
+        # The rungs name two-phase op lists only as arguments.
+        rule_key = (
+            "\n".join(rungs),
+            *(id(self._state_ops[idx]) for _, chain_steps in steps for idx, live in chain_steps if live is None),
+        )
+        rule = self._counter_rules.get(rule_key)
+        if rule is None:
+            rule = self._counter_rules[rule_key] = self._counters(steps, written)
+        counters, moduli = rule
+        counted = sorted(counters)
+        watched = [slot for slot in shape.written if slot not in counters]
         memories = sorted(shape.mems | stored)
         snapshot = ", ".join(
-            ["state", *(f"r{slot}" for slot in shape.written)]
+            ["state", *(f"r{slot}" for slot in watched)]
             + [f"tuple(m{slot})" for slot in sorted(stored)]
+            + [
+                f"r{slot} % {length or f'(len(m{memory}) or 1)'}"
+                for slot, length, memory in moduli
+            ]
         )
+        counts = "".join(f"r{slot}, " for slot in counted)
         lines = [
             *(f"r{slot} = regs[{slot}]" for slot in sorted(shape.regs)),
             *(f"m{slot} = mems[{slot}]" for slot in memories),
             *shape.prologue,
-            "saved = None",
-            "saved_at = skipped = 0",
-            "power = seen = 1",
+            "history = {}",
+            "skipped = found = 0",
             "while True:",
-            "    if probe:",
-            "        probe -= 1",
-            f"        snap = ({snapshot},)",
-            "        if snap == saved:",
-            "            period = cycles - saved_at",
-            "            skipped = (max_cycles - cycles) // period * period",
-            "            cycles += skipped",
-            "            probe = 0",
-            "        elif seen == power:",
-            "            saved, saved_at, power, seen = snap, cycles, 2 * power, 0",
-            "        seen += 1",
+            f"    if probe and state == {region[0]}:",
+            "        if delay:",
+            "            delay -= 1",
+            "        else:",
+            "            probe -= 1",
+            f"            found = _repeat(history, ({snapshot},), cycles, ({counts}), shortest)",
+            "            if found < 0:",
+            "                skipped = (max_cycles - cycles) // -found * -found",
+            "                cycles += skipped",
+            "                probe = found = 0",
+            "            elif found:",
+            "                break",
             *(f"    {line}" for line in rungs),
             "    else:",
             "        break",
             *(f"regs[{slot}] = r{slot}" for slot in shape.written),
-            "return state, cycles, skipped",
+            "return state, cycles, skipped, found, probe",
         ]
-        return shape.closure(lines, "regs, mems, state, cycles, max_cycles, probe")
+        run = shape.closure(
+            lines, "regs, mems, state, cycles, max_cycles, probe, delay, shortest"
+        )
+        return _Loop(
+            run, tuple(region), steps, tuple(counted), tuple(watched), tuple(sorted(stored))
+        )
+
+    # ------------------------------------------------------------------
+    # Counter jumps: confirming and jumping at run time
+    # ------------------------------------------------------------------
+    def _counter_jump(
+        self,
+        loop: _Loop,
+        regs: list,
+        mems: list,
+        state: int,
+        cycles: int,
+        max_cycles: int,
+        period: int,
+    ) -> tuple[Optional[int], int, int]:
+        """Confirm and take a counter jump from entry ``state``, where
+        ``loop``'s closure saw the entry, its watched registers and its
+        stored memories repeat after ``period`` cycles while a counter
+        moved.  Returns ``(state, cycles, skipped)``.
+
+        Two more periods run through the region's recording closures
+        (:meth:`_recorders`).  They must follow one path through the
+        region, repeat what the closure watched at all three period
+        starts, and move each counter by the same step twice (``x = 2 *
+        x`` moves by a different step each period).  Then the counters
+        move by k steps and the count by k periods, for the largest k
+        that :func:`_jump_bound` and the budget allow, so every later
+        state is the interpreter's.  A failed confirmation leaves the run
+        where the two periods ended.
+        """
+        if loop.recorders is None:
+            loop.recorders = self._recorders(loop)
+        counters = loop.counters
+
+        def snapshot() -> tuple:
+            return (
+                state,
+                [regs[slot] for slot in loop.watched],
+                [list(mems[slot]) for slot in loop.stored],
+            )
+
+        if cycles + 3 * period > max_cycles:
+            return state, cycles, 0
+        start = snapshot()
+        records = []
+        counts = [[regs[slot] for slot in counters]]
+        for _ in range(2):
+            state, cycles, record = self._run_period(loop, regs, mems, state, cycles, period)
+            if record is None or snapshot() != start:
+                return state, cycles, 0
+            records.append(record)
+            counts.append([regs[slot] for slot in counters])
+        (path, guards, before), (other_path, _, after) = records
+        steps = [b - a for a, b in zip(counts[1], counts[2])]
+        if path != other_path or steps != [b - a for a, b in zip(counts[0], counts[1])]:
+            return state, cycles, 0
+        room = (max_cycles - cycles) // period
+        periods = _jump_bound(guards, before, after, mems)
+        jump = room if periods is None else min(periods, room)
+        if jump <= 0:
+            return state, cycles, 0
+        for slot, step in zip(counters, steps):
+            regs[slot] += jump * step
+        return state, cycles + jump * period, jump * period
+
+    def _recorders(self, loop: _Loop) -> dict[int, tuple[Callable, list]]:
+        """Per entry of ``loop``'s region, a closure ``step(regs, mems,
+        values)`` that runs its chain as :meth:`_fuse_chain`'s does, with
+        every probe of :meth:`_counter_pass` appending its value to
+        ``values``, and returns the next entry; and the guards of those
+        values, in order."""
+        probes: dict = {}
+        self._counter_pass(loop.steps, frozenset(loop.counters), probes)
+        recorders = {}
+        for head, chain_steps in loop.steps:
+            shape = _Shape(self._chain_factories)
+            guards: list[tuple] = []
+            lines = self._chain_lines(head, shape, chain_steps, probes, guards)
+            lines.append(f"return {self._next_target(head, shape)}")
+            recorders[head] = (shape.closure(lines, "regs, mems, values"), guards)
+        return recorders
+
+    def _run_period(
+        self, loop: _Loop, regs: list, mems: list, state: int, cycles: int, period: int
+    ) -> tuple[Optional[int], int, Optional[tuple]]:
+        """Run ``period`` cycles of whole entries of ``loop``'s region
+        from ``state`` through its recording closures.  Returns the state
+        and count reached and the record ``(entries run, probe guards,
+        probe values)``, which is None when control left the region or
+        the next entry would end past the period."""
+        recorders, lengths = loop.recorders, self._lengths
+        end = cycles + period
+        path: list[int] = []
+        guards: list[tuple] = []
+        values: list[int] = []
+        while cycles < end:
+            if state not in recorders or cycles + lengths[state] > end:
+                return state, cycles, None
+            cycles += lengths[state]
+            path.append(state)
+            step, entry_guards = recorders[state]
+            guards += entry_guards
+            state = step(regs, mems, values)
+        return state, cycles, (path, guards, values)
 
     # ------------------------------------------------------------------
     # Per-key specialization
@@ -1052,8 +1584,9 @@ class CompiledDesign:
             self._fused[head] = None
             self._dispatches[head] = 0
             self._drop_loop(head)
-        for oc, cell in self._kconst_cells.items():
-            cell[0] = oc.decode(working_key)
+        for cell, offset, mask, stored, sign, type_mask, type_sign in self._kconst_binds:
+            raw = ((((working_key >> offset) & mask) ^ stored) + sign & mask) - sign
+            cell[0] = ((raw + type_sign) & type_mask) - type_sign
         for rom, element_type, cell in self._rom_binds:
             cell[0] = rom.mask_for(element_type, working_key)
         for bit, cell in self._kb_cells.items():
@@ -1097,7 +1630,7 @@ class CompiledDesign:
         fused = self._fused
         loops = self._loops
         fuse_after = _FUSE_AFTER
-        probe = _PROBE_ITERATIONS
+        probe, delay, shortest = _PROBE_ITERATIONS, _PROBE_DELAY, 0
         state: Optional[int] = self._entry_idx
         state_trace: list[str] = []
         cycles = 0
@@ -1133,12 +1666,29 @@ class CompiledDesign:
                 # A loop closure runs entries until control leaves its
                 # region or the next entry does not fit the budget.
                 start = cycles
-                state, cycles, skipped = looped(regs, mems, state, cycles, max_cycles, probe)
-                probe = 0
+                state, cycles, skipped, period, unprobed = looped.run(
+                    regs, mems, state, cycles, max_cycles, probe, delay, shortest
+                )
                 self.loop_cycles += cycles - start - skipped
                 if skipped:
                     self.repeat_skips += 1
                     self.skipped_cycles += skipped
+                elif period:
+                    start = cycles
+                    state, cycles, skipped = self._counter_jump(
+                        looped, regs, mems, state, cycles, max_cycles, period
+                    )
+                    self.loop_cycles += cycles - start - skipped
+                    if skipped:
+                        self.counter_skips += 1
+                        self.skipped_cycles += skipped
+                    else:
+                        # Not a period: look for longer ones.
+                        shortest = period
+                elif not unprobed:
+                    # A probe that found no repeat: the next loop call of
+                    # this run waits twice as long before probing.
+                    delay = 2 * delay + probe
                 if state is None:
                     completed = True
                     break

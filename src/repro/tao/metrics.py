@@ -110,13 +110,12 @@ def generate_wrong_keys(
 
 
 def _cycle_cap(baseline_cycles: int, max_cycles: Optional[int]) -> int:
-    """Wrong-key cap: 8x the correct-key latency (corrupted loop bounds
-    can otherwise spin for the full 2^32 range)."""
+    """Wrong-key cap: ``max_cycles`` when given, else 8x the correct-key
+    latency and never below :data:`WRONG_KEY_CYCLE_FLOOR` (corrupted
+    loop bounds can otherwise spin for the full 2^32 range)."""
     if max_cycles is not None:
         return max_cycles
-    if baseline_cycles:
-        return max(8 * baseline_cycles, WRONG_KEY_CYCLE_FLOOR)
-    return UNCAPPED_CYCLES
+    return max(8 * baseline_cycles, WRONG_KEY_CYCLE_FLOOR)
 
 
 def run_key_trials(
@@ -298,7 +297,11 @@ def validate_component(
     wrong_keys = generate_wrong_keys(correct, n_keys - 1, rng)
 
     correct_trial = run_key_trial(
-        component, benches, correct, _cycle_cap(0, max_cycles), engine=engine
+        component,
+        benches,
+        correct,
+        UNCAPPED_CYCLES if max_cycles is None else max_cycles,
+        engine=engine,
     )
     baseline_cycles = correct_trial.cycles
     cap = _cycle_cap(baseline_cycles, max_cycles)

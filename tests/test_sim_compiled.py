@@ -11,7 +11,14 @@ hot entries fused at the default threshold; fused closures dropped
 only with the arms they inline), its loop closures (a third plan that
 builds them at once in the differential; budgets across a repeat's
 period; two-phase arms, rebinds and traced runs; no dead register
-writes; the CI parity cell's repeat skip) and static memory lengths."""
+writes; the CI parity cell's exact and counter jumps), its counter
+jumps (each guard against the interpreter: budgets across a period,
+loop bounds inside the budget, wraps of int, char and short counters,
+indexes and shift amounts, equality exits, several counters, a
+two-phase state, steps that change, watched registers that change,
+and the reads that keep a loop exact: stores, nonlinear ops and
+products of counters; traced runs take no jump), its key cells and
+static memory lengths."""
 
 import collections
 import functools
@@ -28,6 +35,8 @@ from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls import hls_flow
 from repro.ir.instructions import Opcode
+from repro.ir.types import IntType
+from repro.ir.values import Constant, ObfuscatedConstant
 from repro.registry import REGISTRY
 from repro.runtime.campaign import CampaignSpec, plan_campaign
 from repro.runtime.executor import ExecutionOptions, execute_plan
@@ -354,6 +363,32 @@ class TestCompileOnceCache:
         with pytest.raises(KeyError):
             plan.bind_key(bad_key)
         assert_identical(design, workload.args, workload.arrays, near_key, 200_000)
+
+
+class TestKeyCells:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_constant_cells_equal_decode_over_random_keys(self, name):
+        """``bind_key`` decodes every obfuscated-constant cell from numbers
+        taken once per cell; over random keys each equals
+        :meth:`ObfuscatedConstant.decode`, for the kernel's constants
+        and for constants of every signedness, type width and storage
+        width."""
+        component, _ = _obfuscated(name, "full")
+        plan = CompiledDesign(component.design)
+        rng = random.Random(7)
+        for _ in range(40):
+            type_ = IntType(rng.choice([1, 8, 16, 32, 64]), rng.random() < 0.5)
+            width = rng.choice([8, 16, 32, 40])
+            plan._kconst_cell(
+                ObfuscatedConstant(
+                    rng.getrandbits(width), rng.randrange(64), width, Constant(0, type_)
+                )
+            )
+        keys = [component.correct_working_key] + [rng.getrandbits(128) for _ in range(50)]
+        for key in keys:
+            plan.bind_key(key)
+            assert all(cell[0] == oc.decode(key) for oc, cell in plan._kconst_cells.items())
+        assert len(plan._kconst_cells) > 40
 
 
 class TestLazyArms:
@@ -878,7 +913,7 @@ class TestLoopClosures:
         plan.run(workload.args, dict(workload.arrays), working_key=key, max_cycles=cap)
         assert plan.loops_built and plan.repeat_skips == 1
         skipped = {}
-        for budget in range(400, 340, -1):
+        for budget in range(600, 540, -1):
             before = plan.skipped_cycles
             compiled = plan.run(
                 workload.args, dict(workload.arrays), working_key=key, max_cycles=budget
@@ -980,7 +1015,7 @@ class TestLoopClosures:
         component, workload, key, cap = _repeating_wrong_key()
         plan = CompiledDesign(component.design)
         plan.run(workload.args, dict(workload.arrays), working_key=key, max_cycles=cap)
-        counters = (plan.loop_cycles, plan.repeat_skips, plan.skipped_cycles)
+        counters = (plan.loop_cycles, plan.repeat_skips, plan.counter_skips, plan.skipped_cycles)
         assert plan.loops_built and counters[0] > 0
         interp = FsmdSimulator(component.design, max_cycles=cap, trace=True).run(
             workload.args, dict(workload.arrays), key
@@ -993,7 +1028,9 @@ class TestLoopClosures:
             trace=True,
         )
         assert result_fields(compiled) == result_fields(interp)
-        assert (plan.loop_cycles, plan.repeat_skips, plan.skipped_cycles) == counters
+        assert (
+            plan.loop_cycles, plan.repeat_skips, plan.counter_skips, plan.skipped_cycles
+        ) == counters
 
     @pytest.mark.parametrize("checked", [False, True])
     @pytest.mark.parametrize("fixture", ["fuse_at_once", "loop_at_once"])
@@ -1033,9 +1070,9 @@ class TestLoopClosures:
             assert dead == []
 
     def test_parity_cell_takes_a_repeat_skip(self, monkeypatch):
-        """CI's compiled-vs-interp cell (gsm, viterbi and backprop, 16
-        keys) runs its capped wrong keys in loop closures and jumps at
-        least one exact repeat, so its byte gate covers both."""
+        """CI's compiled-vs-interp cell (the five kernels, 16 keys) runs
+        its capped wrong keys in loop closures and jumps both exact
+        repeats and counter repeats, so its byte gate covers all three."""
         plans = []
         init = CompiledDesign.__init__
 
@@ -1044,11 +1081,371 @@ class TestLoopClosures:
             plans.append(plan)
 
         monkeypatch.setattr(CompiledDesign, "__init__", tracked)
-        spec = CampaignSpec(benchmarks=("gsm", "viterbi", "backprop"), n_keys=16)
+        spec = CampaignSpec(
+            benchmarks=("gsm", "viterbi", "backprop", "adpcm", "sobel"), n_keys=16
+        )
         execute_plan(plan_campaign(spec), ExecutionOptions(jobs=1, engine="compiled"))
-        assert len(plans) == 3
+        assert len(plans) == 5
         assert all(plan.loop_cycles > 0 for plan in plans)
         assert sum(plan.repeat_skips for plan in plans) >= 1
+        assert sum(plan.counter_skips for plan in plans) >= 1
+
+
+def _counter_runs(source, args, budgets, arrays=None, traced=False):
+    """Build ``source``'s ``f`` (or take a built design) and run it on
+    one compiled plan that builds its loops at once, at each budget,
+    field-identical to the interpreter (``traced`` runs both with a
+    state trace).  Returns the plan and the results."""
+    design = hls_flow(compile_c(source), "f") if isinstance(source, str) else source
+    plan = CompiledDesign(design)
+    results = []
+    with mock.patch.multiple(compiled_module, **LOOP_AT_ONCE):
+        for budget in budgets:
+            compiled = plan.run(
+                args, dict(arrays) if arrays else None, max_cycles=budget, trace=traced
+            )
+            interp = FsmdSimulator(design, max_cycles=budget, trace=traced).run(
+                args, dict(arrays) if arrays else None
+            )
+            assert result_fields(compiled) == result_fields(interp), budget
+            results.append(compiled)
+    return plan, results
+
+
+#: A counted loop that indexes a memory with its counter: the counter
+#: moves by 1 and the sum by the words read each period (8 iterations,
+#: the memory's length).
+SUM_SOURCE = """
+int f(int n, int a[8]) {
+  int s = 0;
+  for (int i = 0; i < n; i++) { s = s + a[i]; }
+  return s;
+}
+"""
+SUM_ARRAYS = {"a": [3, -1, 4, 1, -5, 9, 2, -6]}
+THREE_COUNTERS = """
+int f(int n) {
+  int j = 7; int s = 0;
+  for (int i = 0; i < n; i++) { j = j + 5; s = s - 3; }
+  return j + s;
+}
+"""
+NEVER = 1 << 30
+
+
+class TestCounterJumps:
+    """A loop whose counters move by a fixed step each period jumps
+    whole periods, bounded so that every result equals the
+    interpreter's: by the budget, before a value would wrap, before a
+    comparison would change its outcome, and only over periods that
+    bring every index and shift amount back to its residue."""
+
+    def test_budgets_at_every_offset_of_a_period(self):
+        """Every budget over more than two periods after the jump equals
+        the interpreter's; the skipped cycles grow by one period exactly
+        at the budgets the jump lands on."""
+        budgets = range(3000, 2880, -1)
+        plan, _ = _counter_runs(SUM_SOURCE, [NEVER], budgets, SUM_ARRAYS)
+        assert plan.counter_skips == len(budgets) and plan.repeat_skips == 0
+        skipped, before = {}, 0
+        for budget in budgets:
+            plan.skipped_cycles = 0
+            plan.run([NEVER], dict(SUM_ARRAYS), max_cycles=budget)
+            skipped[budget] = plan.skipped_cycles
+        landings = sorted(b for b in skipped if b - 1 in skipped and skipped[b] > skipped[b - 1])
+        period = landings[1] - landings[0]
+        assert len(landings) >= 3 and period > 1
+        assert all(skipped[b] - skipped[b - 1] == period for b in landings)
+        assert all(later - earlier == period for earlier, later in zip(landings, landings[1:]))
+
+    def test_loop_bound_inside_the_budget(self):
+        """A bound the budget reaches: the jump stops before the exit
+        test would change, and the run completes on the interpreter's
+        cycle."""
+        plan, results = _counter_runs(SUM_SOURCE, [5000], [100_000], SUM_ARRAYS)
+        assert results[0].completed and plan.counter_skips == 1
+        assert plan.skipped_cycles > 0.9 * results[0].cycles
+
+    def test_decoded_loop_bound_inside_the_budget(self):
+        """The ``constants`` stage obfuscates a literal loop bound: under
+        the correct key and wrong keys whose decoded bound the budget
+        reaches, the jumped runs complete as the interpreter's do, and
+        one that decodes it far away runs to the cap."""
+        source = SUM_SOURCE.replace("int n, ", "").replace("i < n", "i < 3000")
+        component = TaoFlow(pipeline="constants").obfuscate(source, "f")
+        design = component.design
+        plan = CompiledDesign(design)
+        correct = component.correct_working_key
+        (bound,) = [c for c in design.obfuscated_constants if c.decode(correct) == 3000]
+        flips = [1, 6, 1 << 12, 1 << 20]
+        keys = [correct] + [correct ^ (flip << bound.key_offset) for flip in flips]
+        completed_jumps = 0
+        with mock.patch.multiple(compiled_module, **LOOP_AT_ONCE):
+            for key in keys:
+                before = plan.counter_skips
+                compiled = plan.run([], dict(SUM_ARRAYS), working_key=key, max_cycles=60_000)
+                interp = FsmdSimulator(design, max_cycles=60_000).run(
+                    [], dict(SUM_ARRAYS), key
+                )
+                assert result_fields(compiled) == result_fields(interp), key
+                completed_jumps += compiled.completed and plan.counter_skips > before
+        assert completed_jumps == 4 and not compiled.completed
+
+    @pytest.mark.parametrize("test, completes", [("i > 0", True), ("i != 0", False)])
+    def test_int_counter_that_would_wrap(self, test, completes):
+        """An ``int`` counter that passes 2^31 - 1 within the budget: the
+        jump stops before the wrap, after which the loop exits or runs
+        on to the cap."""
+        source = f"""
+        int f(int start) {{
+          int i = start; int c = 0;
+          while ({test}) {{ i = i + 7; c = c + 1; }}
+          return c;
+        }}
+        """
+        plan, results = _counter_runs(source, [(1 << 31) - 7 * 4000], [100_000])
+        assert plan.counter_skips >= 1 + (not completes)
+        assert results[0].completed == completes
+
+    @pytest.mark.parametrize("narrow, step", [("char", 1), ("short", 100)])
+    def test_narrow_counter_that_would_wrap(self, narrow, step):
+        """A ``char`` or ``short`` counter wraps several times within the
+        budget: each jump stops before a wrap, and later probes jump the
+        next stretch."""
+        source = f"""
+        int f(int n) {{
+          {narrow} i = 0; int s = 0;
+          for (int c = 0; c < n; c++) {{ i = i + {step}; s = s + 2; }}
+          return s + i;
+        }}
+        """
+        plan, results = _counter_runs(source, [3000], [400_000])
+        assert results[0].completed and plan.counter_skips >= 3
+
+    @pytest.mark.parametrize("step", [3, 8])
+    def test_counter_index_whose_step_the_length_does_not_divide(self, step):
+        """A counter stepping by 3 indexes (and stores to) memories of 8
+        and 6 words: a jump period brings the index back to its residue
+        modulo both, so a period spans 24 iterations, or 24 by a step
+        of 8."""
+        source = f"""
+        int f(int n, int a[8], int b[6]) {{
+          int s = 0;
+          for (int i = 0; i < n; i += {step}) {{ s = s + a[i]; b[i] = 5; }}
+          return s + b[1];
+        }}
+        """
+        plan, _ = _counter_runs(source, [NEVER], [30_000, 29_991], SUM_ARRAYS)
+        plan2, results = _counter_runs(source, [25_000], [200_000], SUM_ARRAYS)
+        assert results[0].completed
+        assert plan.counter_skips == 2 and plan2.counter_skips == 1
+
+    def test_counter_index_reaches_a_word_a_shorter_period_skips(self):
+        """Every word but one of the memory is 0, so the loop's state
+        repeats each iteration apart from its counters; a jump period
+        must still bring the index back to its residue (64 iterations),
+        so the loop reads the one large word and leaves as the
+        interpreter's does."""
+        source = """
+        int f(int n, int a[64]) {
+          int s = 0;
+          for (int i = 0; i < n; i++) { s = s + 2; if (a[i] > 100) break; }
+          return s;
+        }
+        """
+        arrays = {"a": [0] * 60 + [500, 0, 0, 0]}
+        plan, results = _counter_runs(source, [NEVER], [50_000], arrays)
+        assert results[0].completed and results[0].return_value == 2 * 61
+
+    def test_counter_as_shift_amount(self):
+        """A counter read as a shift amount (modulo the width) and shifted
+        by a fixed amount: a period brings the amount back to its
+        residue, 32 iterations."""
+        source = """
+        int f(int n) {
+          int s = 0; int t = 0; int u = 0;
+          for (int i = 0; i < n; i++) { s = s + (1000 >> i); t = i << 3; u = 1 << i; }
+          return s + t + u;
+        }
+        """
+        plan, results = _counter_runs(source, [NEVER], [50_000])
+        plan2, results2 = _counter_runs(source, [9_000], [100_000])
+        assert plan.counter_skips and plan2.counter_skips and results2[0].completed
+
+    @pytest.mark.parametrize("reach", [True, False])
+    def test_equality_exits_a_jump_could_cross(self, reach):
+        """``!=`` and ``==`` exits: a jump stops before the counter meets
+        its bound when it will, and jumps over it when it steps past."""
+        bound = 6000 if reach else 6001
+        not_equal = """
+        int f(int n) {
+          int s = 0;
+          for (int i = 0; i != n; i += 2) { s = s + 1; }
+          return s;
+        }
+        """
+        equal = """
+        int f(int n) {
+          int i = 0; int s = 0;
+          while (1) { i = i + 2; s = s + 3; if (i == n) break; }
+          return s;
+        }
+        """
+        for source in (not_equal, equal):
+            plan, results = _counter_runs(source, [bound], [50_000])
+            assert results[0].completed == reach and plan.counter_skips
+
+    def test_two_counters_with_different_steps(self):
+        """Three counters that move by 1, 5 and -3 each iteration."""
+        plan, results = _counter_runs(THREE_COUNTERS, [NEVER], [40_000])
+        plan2, results2 = _counter_runs(THREE_COUNTERS, [7_000], [100_000])
+        assert plan.counter_skips == plan2.counter_skips == 1
+        assert results2[0].completed and results2[0].return_value == 7 + 5 * 7000 - 3 * 7000
+
+    def test_loop_runs_a_two_phase_state(self):
+        """A state that reads its own write (here ``j = mov t`` moved into
+        the step that computes ``t = j + 5``) keeps the two-phase commit
+        as one call inside the loop body, and the counters it moves,
+        read before they commit, still jump."""
+        design = hls_flow(compile_c(THREE_COUNTERS), "f")
+        (block,) = [
+            block
+            for block in design.schedule.blocks.values()
+            for inst in block.block.instructions
+            if inst.opcode is Opcode.MOV and inst.result.name == "j" and block.n_steps > 1
+        ]
+        (move,) = [i for i in block.block.instructions if i.result is not None and i.result.name == "j"]
+        block.cstep_of[move.uid] = 0
+        plan, results = _counter_runs(design, [NEVER], [40_000, 39_999])
+        plan2, results2 = _counter_runs(design, [7_000], [100_000])
+        loops = [body for body in plan._chain_factories if "while True" in body]
+        assert any(map(_CALL.search, "\n".join(loops).split("\n")))
+        assert plan.counter_skips == 2 and plan2.counter_skips == 1 and results2[0].completed
+
+    def test_doubling_counter_is_not_jumped(self, monkeypatch):
+        """``x = x * 3`` is linear but moves by a different step each
+        period.  A probe that reports every repeat of the watched state,
+        however the counters moved, hands such periods to the
+        confirmation, which refuses them all: two periods move ``x`` by
+        different steps."""
+
+        def eager(history, snap, cycles, counts, shortest):
+            seen = history.setdefault(snap, {})
+            for at, then in seen.items():
+                if then != counts and cycles - at > shortest:
+                    return cycles - at
+            seen[cycles] = counts
+            return 0
+
+        refused = []
+        counter_jump = CompiledDesign._counter_jump
+
+        def tracked(plan, *args):
+            result = counter_jump(plan, *args)
+            refused.append(result[2] == 0)
+            return result
+
+        monkeypatch.setitem(compiled_module._OP_GLOBALS, "_repeat", eager)
+        monkeypatch.setattr(CompiledDesign, "_counter_jump", tracked)
+        source = """
+        int f(int n) {
+          int x = 1; int s = 0;
+          for (int i = 0; i < n; i++) { x = x * 3; s = s + 1; }
+          return x + s;
+        }
+        """
+        plan, _ = _counter_runs(source, [NEVER], [20_000, 1_000])
+        assert refused and all(refused) and plan.counter_skips == 0
+
+    def test_changed_watched_register_is_not_jumped(self, monkeypatch):
+        """A register outside the counters (``y`` toggles by xor) must
+        repeat at each period start.  A probe that reports every visit
+        to the loop's entry as a period, whatever it holds, hands the
+        confirmation a one-iteration period, which it refuses, and then a
+        two-iteration one, which it jumps."""
+
+        def blind(history, snap, cycles, counts, shortest):
+            first = history.setdefault("first", cycles)
+            return cycles - first if cycles - first > shortest else 0
+
+        refused = []
+        counter_jump = CompiledDesign._counter_jump
+
+        def tracked(plan, *args):
+            result = counter_jump(plan, *args)
+            refused.append(result[2] == 0)
+            return result
+
+        monkeypatch.setitem(compiled_module._OP_GLOBALS, "_repeat", blind)
+        monkeypatch.setattr(CompiledDesign, "_counter_jump", tracked)
+        source = """
+        int f(int n) {
+          int y = 0; int s = 0;
+          for (int i = 0; i < n; i++) { y = y ^ 1; s = s + 2; }
+          return y + s;
+        }
+        """
+        plan, _ = _counter_runs(source, [NEVER], [20_001, 20_000])
+        assert refused[0] and not all(refused) and plan.counter_skips
+
+    @pytest.mark.parametrize("read", ["i / 1000", "i % 1000", "i & 1023", "i | 1024", "i ^ 1024", "i >> 10"])
+    def test_nonlinear_read_keeps_the_counter_exact(self, read):
+        """A counter read by division, remainder, and, or, xor or a right
+        shift is no counter: it must repeat exactly, so a loop whose
+        other state moves steadily takes no jump, and crossing the read's
+        next step (a multiple of 1024) stays the interpreter's."""
+        source = f"""
+        int f(int n) {{
+          int s = 0; int t = 0;
+          for (int i = 0; i < n; i++) {{ t = {read}; s = s + 2; }}
+          return s + t;
+        }}
+        """
+        plan, _ = _counter_runs(source, [NEVER], [30_000])
+        assert plan.counter_skips == plan.repeat_skips == 0
+
+    def test_product_of_two_counters_keeps_the_loop_exact(self):
+        """``i * i`` grows by a different step each period, so an exit
+        that compares it must not be extrapolated: the loop takes no
+        jump and leaves on the interpreter's cycle."""
+        source = """
+        int f(int n) {
+          int s = 0;
+          for (int i = 0; i < n; i++) { s = s + 2; if (i * i > 40000) break; }
+          return s;
+        }
+        """
+        plan, results = _counter_runs(source, [NEVER], [100_000])
+        assert results[0].completed and plan.counter_skips == 0
+
+    def test_stored_counter_keeps_the_loop_exact(self):
+        """A loop that stores a counter value never repeats its memories:
+        the counter rule leaves it exact-only and it takes no jump."""
+        source = """
+        int f(int n, int b[4]) {
+          for (int i = 0; i < n; i++) { b[0] = i; }
+          return b[0];
+        }
+        """
+        plan, _ = _counter_runs(source, [NEVER], [20_000])
+        loops = [loop for loop in plan._loops if loop is not None]
+        assert loops and all(loop.counters == () for loop in loops)
+        assert plan.counter_skips == plan.repeat_skips == 0
+
+    def test_traced_run_takes_no_jump(self):
+        """A traced run keeps its state trace: it takes no loop, so no
+        jump, where the untraced run jumps."""
+        plan, _ = _counter_runs(SUM_SOURCE, [NEVER], [20_000], SUM_ARRAYS)
+        counters = (plan.loop_cycles, plan.counter_skips, plan.skipped_cycles)
+        assert counters[1] == 1
+        with mock.patch.multiple(compiled_module, **LOOP_AT_ONCE):
+            design = plan.design
+            compiled = plan.run([NEVER], dict(SUM_ARRAYS), max_cycles=20_000, trace=True)
+            interp = FsmdSimulator(design, max_cycles=20_000, trace=True).run(
+                [NEVER], dict(SUM_ARRAYS)
+            )
+        assert result_fields(compiled) == result_fields(interp)
+        assert (plan.loop_cycles, plan.counter_skips, plan.skipped_cycles) == counters
 
 
 SHORTENED_SOURCE = """

@@ -8,6 +8,9 @@ from repro.sim import Testbench
 from repro.sim.testbench import hamming_distance_fraction
 from repro.tao import LockingKey, TaoFlow
 from repro.tao.metrics import (
+    UNCAPPED_CYCLES,
+    WRONG_KEY_CYCLE_FLOOR,
+    _cycle_cap,
     generate_wrong_keys,
     output_corruptibility,
     validate_component,
@@ -61,6 +64,14 @@ class TestValidateComponent:
         report = validate_component(component, [BENCH], n_keys=4, max_cycles=200)
         for trial in report.trials[1:]:
             assert trial.cycles <= 200
+
+    def test_wrong_key_cap_is_never_the_uncapped_budget(self):
+        """The wrong-key cap is 8x the baseline with a floor, including for
+        a zero-cycle baseline; only an explicit cap overrides it."""
+        assert _cycle_cap(0, None) == WRONG_KEY_CYCLE_FLOOR < UNCAPPED_CYCLES
+        assert _cycle_cap(WRONG_KEY_CYCLE_FLOOR // 8 - 1, None) == WRONG_KEY_CYCLE_FLOOR
+        assert _cycle_cap(1000, None) == 8000
+        assert _cycle_cap(0, 77) == _cycle_cap(1000, 77) == 77
 
     def test_deterministic_per_seed(self, component):
         a = validate_component(component, [BENCH], n_keys=5, seed=3)
