@@ -290,12 +290,11 @@ _LOOP_REPAY = 1600
 #: repeat (doubled, plus the window, after each probe of the run that
 #: found none), the visits it then probes, and the latest earlier
 #: occurrences of a snapshot a new one is matched against.  On perfbench
-#: ``attack`` (campaign seed 4) a window of 128 visits jumped 102 of the
-#: 145 capped trials, 256 jumped 125, and 512 to 2,048 jumped 125-126 at
-#: a higher probe cost.  The delay keeps short loop calls, which runs
-#: that complete are made of, from probing: at 16, ``sweep``'s completed
-#: runs made 1,308 probes and at 48 none, while ``attack`` still jumped
-#: 126 capped trials.
+#: ``attack`` (campaign seed 4, delay 16) a window of 128 visits jumped
+#: 102 of the 145 capped trials, and 256 and 512 jumped 125.  The delay
+#: keeps short loop calls, which runs that complete are made of, from
+#: probing: at 16, ``sweep``'s completed runs made 1,308 probes and at 48
+#: none, while ``attack`` jumped 126 capped trials.
 _PROBE_DELAY = 48
 _PROBE_ITERATIONS = 256
 _REPEAT_LOOKBACK = 16
