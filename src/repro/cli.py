@@ -41,6 +41,8 @@ sweep.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -749,6 +751,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # gc.freeze at exit makes the shutdown collections skip the designs,
+    # plans and closures a run kept; reference counting still frees them,
+    # and every other atexit handler still runs.  Unregistering first
+    # keeps one registration however often a process calls main.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

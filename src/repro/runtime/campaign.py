@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
@@ -266,6 +265,8 @@ def parallel_map(
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(jobs, len(items))
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(fn, shared)

@@ -49,9 +49,8 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection, get_context
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.runtime.campaign import (
     CampaignPlan,
@@ -62,6 +61,9 @@ from repro.runtime.campaign import (
     resolve_jobs,
 )
 from repro.runtime.checkpoint import STATUS_FAILED, STATUS_OK, CheckpointStore
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 #: Progress-event names delivered to ``ExecutionOptions.progress``.
 #: Each event carries a small info dict (unit labels, attempt count,
@@ -230,7 +232,7 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
     }
 
 
-def _worker_main(conn: connection.Connection, shared: Any) -> None:
+def _worker_main(conn: Connection, shared: Any) -> None:
     """Persistent worker loop: recv task tuple, send outcome, repeat.
 
     Each worker detaches into its own process group so the parent's
@@ -329,7 +331,11 @@ class _WorkerHandle:
 
 def _mp_context():
     """Fork where available: workers inherit the parent's registry,
-    plugins and (in tests) monkeypatched module state."""
+    plugins and (in tests) monkeypatched module state.  Only the pool
+    path imports :mod:`multiprocessing`, so a ``--jobs 1`` run loads
+    none of it."""
+    from multiprocessing import get_context
+
     try:
         return get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -472,6 +478,8 @@ class _Execution:
     def run_pool(
         self, pending: list[_PendingUnit], shared: Any, n_workers: int
     ) -> None:
+        from multiprocessing import connection
+
         ctx = _mp_context()
         queue: deque[_PendingUnit] = deque(pending)
         workers = [_WorkerHandle(ctx, shared) for _ in range(n_workers)]

@@ -73,6 +73,7 @@ from repro.ir.types import IntType
 from repro.ir.values import Constant, ObfuscatedConstant, Value
 from repro.opt.constant_folding import evaluate_op
 from repro.sim.fsmd_sim import (
+    DEFAULT_MAX_CYCLES,
     SimulationError,
     SimulationResult,
     zero_size_memory_error,
@@ -766,7 +767,7 @@ class CodegenDesign:
         args: Sequence[int] = (),
         arrays: Optional[dict[str, list[int]]] = None,
         working_keys: Sequence[int] = (),
-        max_cycles: int = 2_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
     ) -> list[SimulationResult]:
         """Simulate one lane per working key; all lanes share the workload.
 
@@ -828,7 +829,7 @@ class CodegenDesign:
         args: Sequence[int] = (),
         arrays: Optional[dict[str, list[int]]] = None,
         working_key: int = 0,
-        max_cycles: int = 2_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
     ) -> SimulationResult:
         """One scalar trial — a batch of one lane."""
         return self.run_batch(

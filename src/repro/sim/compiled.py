@@ -58,7 +58,12 @@ which the codegen tier consumes too):
   budget, writing its registers back then and around each two-phase
   call.  A set that cannot repay its build — fewer than
   :data:`_LOOP_REPAY` cycles of budget left per op — is not built, and
-  the chain is fused alone.  Traced runs take no loop;
+  the chain is fused alone.  The uncapped default budget
+  (:data:`~repro.sim.fsmd_sim.DEFAULT_MAX_CYCLES`) says nothing about
+  how long a run lasts, so under it the cycles the run has already run
+  stand for the budget left; an entry fused alone for want of them is
+  judged again each time the run doubles its cycles, and in the next
+  run.  Traced runs take no loop;
 * each loop call probes for a repeat at its hottest entry.  After
   :data:`_PROBE_DELAY` visits it takes, for :data:`_PROBE_ITERATIONS`
   more, a snapshot of the registers the loop writes other than its
@@ -106,8 +111,16 @@ which the codegen tier consumes too):
   a key that moves selectors only within those classes rebuilds
   nothing.  A bind that changes a state's arm drops the fused closure,
   the dispatch count and the loop closure of exactly the chains that
-  run that state (a loop from every entry of its set), so a plan holds
-  at most one fused closure and one loop closure per chain.
+  run that state (a loop from every entry of its set);
+* the plan keeps every fused chain and loop closure it builds, keyed
+  by the entries it runs and the identity of each of their states'
+  arms, so a later key that selects the same arms finds them built.
+  Loop regions still come from what the current key runs: an entry
+  that heated under an earlier key heats again after
+  :data:`_REHEAT_AFTER` dispatches since the bind, not
+  :data:`_FUSE_AFTER`, and looks its closure up.  A plan holds one
+  fused closure per entry, and one loop closure per region, for each
+  arm combination its keys selected; all of them die with the plan.
 
 Key-dependent pieces — obfuscated-constant decodes, ROM decode masks,
 variant selections and branch key bits — live in small mutable cells
@@ -153,6 +166,7 @@ from repro.ir.values import Constant, ObfuscatedConstant, Value
 from repro.opt.constant_folding import evaluate_op
 from repro.registry import REGISTRY
 from repro.sim.fsmd_sim import (
+    DEFAULT_MAX_CYCLES,
     FsmdSimulator,
     SimulationError,
     SimulationResult,
@@ -277,6 +291,17 @@ _FUSE_AFTER = 256
 #: warm: a loop closure runs the warm entries that close a cycle with
 #: the hot one.
 _WARM_AFTER = 32
+
+#: Dispatches since a bind changed its chain after which an entry that
+#: heated under an earlier key heats again (or :data:`_FUSE_AFTER`, when
+#: that is lower); it often finds its fused chain or loop closure for the
+#: new arms already built (see :meth:`CompiledDesign._heat`).  It exceeds
+#: :data:`_WARM_AFTER`, so the other entries of a loop are warm when its
+#: head heats.  On perfbench ``attack`` (campaign seed 4, in-process, 2
+#: vCPUs, 3 runs each) trial time was 113-116 ms at 40, 116-128 at 48,
+#: 116-118 at 64, 119-124 at 96 and 131-132 at 256: 40 to 64 read the same
+#: within noise, and 48 keeps a margin above the warm threshold.
+_REHEAT_AFTER = 48
 
 #: Cycles of remaining budget a loop closure needs per op it runs to
 #: be built; a hot entry whose loop would not repay is fused alone.  A
@@ -553,7 +578,8 @@ class CompiledDesign:
     :meth:`bind_key` specializes the key-dependent cells per working
     key, compiling each DFG variant arm the first time a key selects it
     and refreshing the chains that run it (which drops their fused and
-    loop closures), and is called automatically by :meth:`run`.
+    loop closures; the plan keeps them for a later key that selects the
+    same arms), and is called automatically by :meth:`run`.
     Instances hold closures and are deliberately **not picklable** —
     worker processes compile their own plan from the (picklable)
     design via :func:`compiled_for`.
@@ -625,21 +651,31 @@ class CompiledDesign:
         self._dispatches = [0] * len(layout.states)
         self._fused: list[Optional[Callable]] = [None] * len(layout.states)
         #: Per dispatch target, the loop closure that runs it with the
-        #: other entries of its region, and that region (see
-        #: :meth:`_loop`).
+        #: other entries of its region (see :meth:`_loop`), and whether
+        #: it heated under some key (see :data:`_REHEAT_AFTER`).
         self._loops: list[Optional[_Loop]] = [None] * len(layout.states)
-        self._regions: list[Optional[tuple[int, ...]]] = [None] * len(layout.states)
-        #: Entries whose loop could not repay its build in this run.
+        self._heated = [False] * len(layout.states)
+        #: Entries whose loop could not repay its build in this run, and
+        #: those of them fused alone because an uncapped run had not yet
+        #: run the cycles to repay it (see :meth:`run`).
         self._unrepaid: set[int] = set()
+        self._deferred: set[int] = set()
+        #: Every fused chain and loop closure the plan built, by the
+        #: entries it runs and their arms (see :meth:`_arms`).
+        self._fusions: dict[tuple, Callable] = {}
+        self._built_loops: dict[tuple, _Loop] = {}
         #: Fused chain and loop body text -> its factory, for this plan
         #: alone; and a loop's rungs -> the registers its counter jumps
         #: may move (see :meth:`_counters`).
         self._chain_factories: dict[str, Callable] = {}
         self._counter_rules: dict[tuple, frozenset] = {}
-        #: Loop closures built, cycles they ran (not jumped), exact
-        #: repeats and counter repeats they jumped, and the cycles both
-        #: kinds of jump skipped, over the plan's life.
+        #: Loop closures built, and fused chains and loop closures taken
+        #: from the memo instead of built; cycles the loops ran (not
+        #: jumped), exact repeats and counter repeats they jumped, and the
+        #: cycles both kinds of jump skipped, over the plan's life.
         self.loops_built = 0
+        self.fusions_reused = 0
+        self.loops_reused = 0
         self.loop_cycles = 0
         self.repeat_skips = 0
         self.counter_skips = 0
@@ -1261,34 +1297,71 @@ class CompiledDesign:
                 return counters, tuple(sorted(moduli, key=repr))
             counters = kept
 
-    def _heat(self, head: int, budget: int) -> None:
-        """Chain entry ``head`` reached :data:`_FUSE_AFTER` dispatches in
-        an untraced run with ``budget`` cycles left: run it in a loop
-        closure with the warm entries around it when they close a cycle
-        that can repay the build, else fuse it alone.
+    def _heat(self, head: int, budget: int, uncapped: bool) -> None:
+        """Chain entry ``head`` heated in an untraced run with ``budget``
+        cycles left: run it in a loop closure with the warm entries around
+        it when they close a cycle that can repay the build, else fuse it
+        alone.  Either closure comes from the plan's memo when an earlier
+        key built it for the same arms.  ``uncapped``: the budget is the
+        cycles run so far, so an entry fused alone for want of it is
+        judged again later (see :meth:`run`).
 
         The loop is entered from any of its entries that has no fused
         closure, and ``head`` has none.
         """
+        self._heated[head] = True
         region = self._loop_region(head, budget)
         if region is None:
-            self._fused[head] = self._fuse_chain(head)
+            if uncapped and head in self._unrepaid:
+                self._deferred.add(head)
+            self._fused[head] = self._fusion(head)
             return
-        for member in region:
+        members = tuple(sorted(region))
+        key = (members, self._arms(members))
+        loop = self._built_loops.get(key)
+        if loop is None:
+            loop = self._built_loops[key] = self._loop(region)
+            self.loops_built += 1
+        else:
+            self.loops_reused += 1
+        for member in members:
             self._drop_loop(member)
-        loop = self._loop(region)
-        for member in region:
+        for member in members:
             self._loops[member] = loop
-            self._regions[member] = region
-        self.loops_built += 1
+
+    def _rejudge(self) -> None:
+        """Forget which loops could not repay their build, and unfuse the
+        entries an uncapped run fused alone for want of cycles, so each
+        heats again on its next dispatch (see :meth:`run`)."""
+        for head in self._deferred:
+            self._fused[head] = None
+        self._deferred.clear()
+        self._unrepaid.clear()
+
+    def _fusion(self, head: int) -> Callable:
+        """Chain entry ``head`` fused (:meth:`_fuse_chain`), from the memo
+        when an earlier key fused it with the same arms."""
+        key = (head, self._arms((head,)))
+        step = self._fusions.get(key)
+        if step is None:
+            step = self._fusions[key] = self._fuse_chain(head)
+        else:
+            self.fusions_reused += 1
+        return step
+
+    def _arms(self, heads: Sequence[int]) -> tuple[int, ...]:
+        """The identity of the op closures each state of chain entries
+        ``heads`` runs: with the entries, all that a fused chain or loop
+        closure over them inlines.  Arms live as long as the plan."""
+        units = self._state_units
+        return tuple(id(units[idx]) for head in heads for idx in self._entries[head][5])
 
     def _drop_loop(self, head: int) -> None:
         """Drop the loop closure running entry ``head``, if any, from every
         entry of its region."""
-        region = self._regions[head]
-        for member in region or ():
+        loop = self._loops[head]
+        for member in loop.region if loop is not None else ():
             self._loops[member] = None
-            self._regions[member] = None
 
     def _loop_region(self, head: int, budget: int) -> Optional[tuple[int, ...]]:
         """The chain entries a loop closure around ``head`` would run,
@@ -1300,10 +1373,14 @@ class CompiledDesign:
 
         Within a run the budget only shrinks and the warm entries only
         grow, so a set that cannot repay is remembered until the run
-        ends and its other entries fuse without a second search.
+        ends (or an uncapped run judges it again) and its other entries
+        fuse without a second search.
         """
         entries, dispatches = self._entries, self._dispatches
-        if head in self._unrepaid or budget < _LOOP_REPAY * len(entries[head][1]):
+        if head in self._unrepaid:
+            return None
+        if budget < _LOOP_REPAY * len(entries[head][1]):
+            self._unrepaid.add(head)
             return None
         # Forward from head over warm chain entries, then back to it.
         predecessors: dict[int, list[int]] = {}
@@ -1600,7 +1677,7 @@ class CompiledDesign:
         args: Sequence[int] = (),
         arrays: Optional[dict[str, list[int]]] = None,
         working_key: int = 0,
-        max_cycles: int = 2_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
         trace: bool = False,
     ) -> SimulationResult:
         if len(args) != self._n_scalar_params:
@@ -1628,18 +1705,27 @@ class CompiledDesign:
         dispatches = self._dispatches
         fused = self._fused
         loops = self._loops
+        heated = self._heated
         fuse_after = _FUSE_AFTER
+        reheat_after = min(_REHEAT_AFTER, fuse_after)
         probe, delay, shortest = _PROBE_ITERATIONS, _PROBE_DELAY, 0
         state: Optional[int] = self._entry_idx
         state_trace: list[str] = []
         cycles = 0
         completed = False
         returned: Optional[int] = None
-        self._unrepaid.clear()
+        # The uncapped default budget says nothing about how long a run
+        # lasts, so such a run judges whether a loop repays by the cycles
+        # it has run.  It judges the entries it fused alone for want of
+        # them again once it has run twice as many (``limit``), and so
+        # does the next run.
+        uncapped = max_cycles == DEFAULT_MAX_CYCLES
+        limit = max_cycles
+        self._rejudge()
         while True:
             step = fused[state]
             length = lengths[state]
-            if step is not None and cycles + length <= max_cycles:
+            if step is not None and cycles + length <= limit:
                 # A fused chain: one call runs it and picks the next entry.
                 cycles += length
                 if trace:
@@ -1648,6 +1734,10 @@ class CompiledDesign:
                 if state is None:
                     completed = True
                     break
+                continue
+            if limit < max_cycles and cycles + length > limit:
+                self._rejudge()
+                limit = max_cycles
                 continue
             kind, units, condition, following, alternative, chain, names = entries[state]
             if cycles + length > max_cycles:
@@ -1696,12 +1786,15 @@ class CompiledDesign:
             if trace:
                 state_trace.extend(names)
             if kind == _CHAIN:
-                dispatches[state] += 1
-                if dispatches[state] >= fuse_after:
+                count = dispatches[state] = dispatches[state] + 1
+                if count >= fuse_after or (count >= reheat_after and heated[state]):
                     if not trace:
-                        self._heat(state, max_cycles - cycles)
+                        budget = max_cycles - cycles
+                        self._heat(state, min(budget, cycles) if uncapped else budget, uncapped)
+                        if self._deferred and limit == max_cycles:
+                            limit = min(2 * cycles, max_cycles)
                     elif looped is None:
-                        fused[state] = self._fuse_chain(state)
+                        fused[state] = self._fusion(state)
                 for unit in units:
                     unit(regs, mems)
             else:

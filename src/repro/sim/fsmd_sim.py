@@ -33,6 +33,12 @@ from repro.ir.values import ArrayValue, Constant, ObfuscatedConstant, Value
 from repro.opt.constant_folding import evaluate_op
 
 
+#: Default simulation cycle budget: effectively uncapped for the
+#: benchmark suite, so it says nothing about how long a run will last.
+#: The correct-key trial and direct ``run_testbench`` calls share it.
+DEFAULT_MAX_CYCLES = 2_000_000
+
+
 class SimulationError(Exception):
     """Raised on malformed designs or exceeded cycle budgets."""
 
@@ -75,7 +81,7 @@ class FsmdSimulator:
     def __init__(
         self,
         design: FsmdDesign,
-        max_cycles: int = 2_000_000,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
         trace: bool = False,
     ) -> None:
         self.design = design
@@ -324,7 +330,7 @@ def simulate(
     args: Sequence[int] = (),
     arrays: Optional[dict[str, list[int]]] = None,
     working_key: int = 0,
-    max_cycles: int = 2_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run one FSMD trial on the selected engine.
@@ -348,7 +354,7 @@ def simulate_batch(
     args: Sequence[int] = (),
     arrays: Optional[dict[str, list[int]]] = None,
     working_keys: Sequence[int] = (),
-    max_cycles: int = 2_000_000,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
     engine: Optional[str] = None,
 ) -> list[SimulationResult]:
     """Run one FSMD trial per working key; all lanes share the workload.

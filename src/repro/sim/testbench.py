@@ -26,13 +26,9 @@ from repro.hls.design import FsmdDesign
 from repro.ir.function import Module
 from repro.ir.types import IntType
 from repro.runtime.cache import GOLDEN_CACHE, GoldenCache
-from repro.sim.fsmd_sim import SimulationResult, simulate_batch
+from repro.sim.fsmd_sim import DEFAULT_MAX_CYCLES, SimulationResult, simulate_batch
 from repro.sim.interpreter import ExecutionResult, Interpreter
 
-#: Default simulation cycle budget — effectively "uncapped" for the
-#: benchmark suite; referenced by the validation metrics layer so the
-#: correct-key trial and direct run_testbench calls share one cap.
-DEFAULT_MAX_CYCLES = 2_000_000
 #: Most keys one :func:`run_testbench_batch` call simulates for
 #: :func:`iter_outcomes`: it bounds the per-batch lane storage (each
 #: lane carries private register and memory images) while keeping

@@ -491,6 +491,48 @@ class TestKillResume:
             }
 
 
+class TestProcessFootprint:
+    def test_serial_campaign_loads_no_process_pool(self, tmp_path):
+        """A ``--jobs 1`` campaign in a fresh process imports neither
+        :mod:`multiprocessing` nor :mod:`concurrent.futures`: only the
+        pool paths do."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['campaign', '--benchmarks', 'sobel', '--keys', '2',"
+            " '--jobs', '1', '-o', sys.argv[1]])\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "campaign.json")],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_exit_freeze_is_registered_once(self, monkeypatch):
+        """``main`` registers :func:`gc.freeze` to run at exit once per
+        process, however often it is called."""
+        import atexit
+        import gc
+
+        from repro.cli import main
+
+        registered = []
+
+        def unregister(func):
+            registered[:] = [f for f in registered if f is not func]
+
+        monkeypatch.setattr(atexit, "register", registered.append)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        for _ in range(2):
+            assert main(["list", "engine"]) == 0
+        assert registered == [gc.freeze]
+
+
 # ----------------------------------------------------------------------
 # run_campaign shorthand and facade
 # ----------------------------------------------------------------------

@@ -17,8 +17,12 @@ loop bounds inside the budget, wraps of int, char and short counters,
 indexes and shift amounts, equality exits, several counters, a
 two-phase state, steps that change, watched registers that change,
 and the reads that keep a loop exact: stores, nonlinear ops and
-products of counters; traced runs take no jump), its key cells and
-static memory lengths."""
+products of counters; traced runs take no jump), its memo of fused
+chains and loop closures (a rebind to earlier arms reuses their loop,
+a rebound hot chain heats early, uncapped runs build a loop only once
+they have run the cycles to repay it, and one fused closure per entry
+and arm combination, all dying with the plan), its key cells and static
+memory lengths."""
 
 import collections
 import functools
@@ -55,8 +59,8 @@ from repro.sim.compiled import (
     _COMPILE_CACHE,
     CompiledDesign,
 )
-from repro.sim.fsmd_sim import FsmdSimulator
-from repro.sim.layout import op_fields
+from repro.sim.fsmd_sim import DEFAULT_MAX_CYCLES, FsmdSimulator
+from repro.sim.layout import COND, op_fields
 from repro.tao.flow import TaoFlow
 
 
@@ -759,17 +763,19 @@ class TestFusionAtDefaultThreshold:
 
 
 class TestFusionLifecycle:
-    def test_each_entry_holds_at_most_one_fused_closure(self, fuse_at_once, monkeypatch):
+    def test_each_entry_holds_one_fused_closure_per_arm_set(self, fuse_at_once, monkeypatch):
         """Twenty keys on one plan: a rebind drops the fused closures of
-        the chains whose arms changed, so only the current one per
-        entry stays alive."""
+        the chains whose arms changed, but the plan keeps each one, so an
+        entry is fused once per combination of arms its keys select, a
+        rebind to arms fused before reuses the closure, and every closure
+        dies with the plan."""
         component, workload = _obfuscated("gsm", "full")
         made = []
         fuse_chain = CompiledDesign._fuse_chain
 
         def tracked(plan, head):
             step = fuse_chain(plan, head)
-            made.append((head, weakref.ref(step)))
+            made.append((head, plan._arms((head,)), weakref.ref(step)))
             return step
 
         monkeypatch.setattr(CompiledDesign, "_fuse_chain", tracked)
@@ -780,11 +786,17 @@ class TestFusionLifecycle:
             plan.run(
                 workload.args, dict(workload.arrays), working_key=key, max_cycles=4000
             )
+            for head, step in enumerate(plan._fused):
+                assert step is None or plan._fusions[head, plan._arms((head,))] is step
         gc.collect()
-        alive = [(head, ref()) for head, ref in made if ref() is not None]
-        assert len(made) > len(alive) > 0
-        assert len({head for head, _ in alive}) == len(alive)
-        assert all(plan._fused[head] is step for head, step in alive)
+        combinations = [(head, arms) for head, arms, _ in made]
+        assert len(set(combinations)) == len(combinations)
+        assert len({head for head, _ in combinations}) < len(combinations)
+        assert plan.fusions_reused > 0
+        assert all(ref() is not None for _, _, ref in made)
+        del plan
+        gc.collect()
+        assert all(ref() is None for _, _, ref in made)
 
     def test_fused_factories_die_with_their_plan(self, fuse_at_once):
         """A fused chain's body names one design's slots and constants,
@@ -981,11 +993,11 @@ class TestLoopClosures:
         def through(block_name):
             return {
                 head
-                for head, region in enumerate(plan._regions)
-                if region
+                for head, loop in enumerate(loops)
+                if loop
                 and any(
                     plan.layout.states[idx].block == block_name
-                    for member in region
+                    for member in loop.region
                     for idx in plan._entries[member][5]
                 )
             }
@@ -1089,6 +1101,208 @@ class TestLoopClosures:
         assert all(plan.loop_cycles > 0 for plan in plans)
         assert sum(plan.repeat_skips for plan in plans) >= 1
         assert sum(plan.counter_skips for plan in plans) >= 1
+
+
+def _loop_calls(monkeypatch) -> list:
+    """``(loop, cycles)`` of every call of a loop closure that a plan
+    builds from now on, with the cycle count it is called at."""
+    calls = []
+    build = CompiledDesign._loop
+
+    def tracked(plan, region):
+        loop = build(plan, region)
+        run = loop.run
+
+        def recorded(regs, mems, state, cycles, *rest):
+            calls.append((loop, cycles))
+            return run(regs, mems, state, cycles, *rest)
+
+        loop.run = recorded
+        return loop
+
+    monkeypatch.setattr(CompiledDesign, "_loop", tracked)
+    return calls
+
+
+def _capped_viterbi():
+    """viterbi under ``full``, its workload, a wrong key whose capped
+    trial runs in one loop closure, and the cap."""
+    component, workload = _obfuscated("viterbi", "full")
+    baseline = FsmdSimulator(component.design, max_cycles=200_000).run(
+        workload.args, dict(workload.arrays), component.correct_working_key
+    )
+    wrong = component.correct_working_key ^ ((1 << component.working_key_bits) - 1)
+    return component, workload, wrong, max(8 * baseline.cycles, 4000)
+
+
+def _arm_changing_key(plan, key, loop):
+    """``key`` with one bit flipped in the slice of a variant block whose
+    state ``loop`` runs: the flip moves the selector's Hamming distance,
+    so a bind selects another arm for that state."""
+    states = {idx for member in loop.region for idx in plan._entries[member][5]}
+    for variants in plan.design.block_variants.values():
+        if any(
+            plan.layout.states[idx].block == variants.block_name for idx in states
+        ):
+            return key ^ (1 << variants.key_offset)
+    raise AssertionError("the loop runs no variant state")
+
+
+class TestClosureMemo:
+    """A plan keeps every fused chain and loop closure it builds, by the
+    entries it runs and their arms, so a key that selects arms an earlier
+    key selected finds them built; an entry that heated under an earlier
+    key heats again after :data:`_REHEAT_AFTER` dispatches; and under the
+    uncapped default budget a loop must repay within the cycles a run has
+    already run.  Every result equals the interpreter's."""
+
+    def _trial(self, plan, workload, key, budget, calls):
+        """Run ``key`` at ``budget`` on ``plan`` and on the interpreter,
+        field-identical; return the loops it called and the cycle count
+        of its first loop call (None: no call)."""
+        before = len(calls)
+        compiled = plan.run(
+            workload.args, dict(workload.arrays), working_key=key, max_cycles=budget
+        )
+        interp = FsmdSimulator(plan.design, max_cycles=budget).run(
+            workload.args, dict(workload.arrays), key
+        )
+        assert result_fields(compiled) == result_fields(interp)
+        called = calls[before:]
+        return {loop for loop, _ in called}, called[0][1] if called else None
+
+    def test_rebind_to_earlier_arms_reuses_their_loop(self, monkeypatch):
+        """Keys A, B, A and A' on one plan, each at its cap, where B
+        changes an arm of A's loop and A' selects A's arms with other
+        constants and branch bits: the second run of A reuses A's loop
+        instead of building it, and A' runs it under its own key cells."""
+        calls = _loop_calls(monkeypatch)
+        component, workload, key_a, cap = _capped_viterbi()
+        plan = CompiledDesign(component.design)
+        called, _ = self._trial(plan, workload, key_a, cap, calls)
+        assert plan.loops_built == 1 and len(called) == 1
+        (loop_a,) = called
+        key_b = _arm_changing_key(plan, key_a, loop_a)
+        plan.bind_key(key_b)
+        assert loop_a not in plan._loops
+        called, _ = self._trial(plan, workload, key_b, cap, calls)
+        assert plan.loops_built == 2 and loop_a not in called
+        called, _ = self._trial(plan, workload, key_a, cap, calls)
+        assert called == {loop_a}
+        assert (plan.loops_built, plan.loops_reused) == (2, 1)
+        # A': A with the low bit of each constant its loop reads and every
+        # branch key bit but the loop's own exit bit flipped.
+        exits = set()
+        constants = set()
+        for member in loop_a.region:
+            chain = plan._entries[member][5]
+            spec = plan.layout.transition_specs[chain[-1]]
+            if spec[0] == COND:
+                exits.add(spec[2])
+            for idx in chain:
+                for op in plan._state_ops[idx]:
+                    constants.update(
+                        value.key_offset
+                        for value in op_fields(op)[2]
+                        if isinstance(value, ObfuscatedConstant)
+                    )
+        flips = constants | (set(plan._kb_cells) - exits)
+        assert constants and flips - constants
+        key_a2 = key_a ^ sum(1 << bit for bit in flips)
+        called, _ = self._trial(plan, workload, key_a2, cap, calls)
+        assert loop_a in called and plan.loops_built == 2
+
+    @pytest.mark.parametrize("reheat", [True, False])
+    def test_rebind_heats_the_hot_chain_early(self, reheat, monkeypatch):
+        """On the capped viterbi trial, a second key whose bind changes an
+        arm of the first key's loop calls its own first loop before cycle
+        1,000: the loop's head heated under the first key, so it heats
+        again after :data:`_REHEAT_AFTER` dispatches.  With that threshold
+        at :data:`_FUSE_AFTER`, as for an entry that never heated, the
+        first call comes after cycle 2,000, as under the first key."""
+        if not reheat:
+            monkeypatch.setattr(
+                compiled_module, "_REHEAT_AFTER", compiled_module._FUSE_AFTER
+            )
+        calls = _loop_calls(monkeypatch)
+        component, workload, key, cap = _capped_viterbi()
+        plan = CompiledDesign(component.design)
+        (loop,), first = self._trial(plan, workload, key, cap, calls)
+        assert first > 2000
+        rebound = _arm_changing_key(plan, key, loop)
+        called, first = self._trial(plan, workload, rebound, cap, calls)
+        assert loop not in called
+        assert first < 1000 if reheat else first > 2000
+
+    def test_correct_key_run_builds_no_loop(self, monkeypatch):
+        """viterbi's correct key under the uncapped default budget ends
+        long before its hot loop could repay a build by the cycles it has
+        run, so it builds none and fuses its hot chains alone; a capped
+        wrong key on the same plan builds its loop."""
+        calls = _loop_calls(monkeypatch)
+        component, workload, wrong, cap = _capped_viterbi()
+        plan = CompiledDesign(component.design)
+        called, _ = self._trial(
+            plan, workload, component.correct_working_key, DEFAULT_MAX_CYCLES, calls
+        )
+        assert not called and plan.loops_built == 0
+        assert plan._deferred and all(plan._fused[head] for head in plan._deferred)
+        called, _ = self._trial(plan, workload, wrong, cap, calls)
+        assert called and plan.loops_built == 1
+
+    def test_long_uncapped_run_builds_its_loop(self, monkeypatch):
+        """Under the uncapped default budget, a short run fuses its hot
+        chain alone, and a long run on the same plan judges it again:
+        it builds the loop once it has run the cycles the build needs
+        (:data:`_LOOP_REPAY` per op), and at most twice that many, since
+        it judges the entries it fused alone again each time its cycle
+        count doubles."""
+        calls = _loop_calls(monkeypatch)
+        design = hls_flow(compile_c(LONG_LOOP), "f")
+        plan = CompiledDesign(design)
+        for n in (300, 4000):
+            compiled = plan.run([n])
+            interp = FsmdSimulator(design).run([n])
+            assert result_fields(compiled) == result_fields(interp)
+            assert compiled.completed
+            if n == 300:
+                assert plan.loops_built == 0 and plan._deferred
+        assert plan.loops_built == 1
+        (loop, first), *_ = calls
+        need = compiled_module._LOOP_REPAY * sum(
+            len(plan._entries[member][1]) for member in loop.region
+        )
+        assert need <= first <= 2 * need < compiled.cycles
+
+    def test_parity_cell_reuses_a_loop(self, monkeypatch):
+        """CI's viterbi resistance-curve cell (4 keys) reuses loop
+        closures across its attack's keys, so the memo rides its byte
+        gate."""
+        plans = []
+        init = CompiledDesign.__init__
+
+        def tracked(plan, design):
+            init(plan, design)
+            plans.append(plan)
+
+        monkeypatch.setattr(CompiledDesign, "__init__", tracked)
+        spec = CampaignSpec(
+            benchmarks=("viterbi",), n_keys=4, attacks=("resistance-curve",)
+        )
+        execute_plan(plan_campaign(spec), ExecutionOptions(jobs=1, engine="compiled"))
+        assert len(plans) == 1
+        assert plans[0].loops_reused >= 1
+
+
+#: A loop whose counter is read through xor, so it never jumps: 5 cycles
+#: an iteration.
+LONG_LOOP = """
+int f(int n) {
+  int s = 0;
+  for (int i = 0; i < n; i++) { s = s + (i ^ 5); }
+  return s;
+}
+"""
 
 
 def _counter_runs(source, args, budgets, arrays=None, traced=False):
