@@ -1,6 +1,6 @@
 """The attack result contract and the registry execution funnel.
 
-Every attack — builtin or third-party plugin — registers an *adapter*
+Every attack registers an *adapter*
 under the ``attack`` capability kind with the uniform signature
 ``(component, benches, *, seed, engine) -> dict`` and must return one
 documented result shape:
@@ -34,9 +34,9 @@ outcome) instead of raising, so one attack axis sweeps cleanly across
 heterogeneous campaign cells.
 
 :func:`run_attack` is the single execution funnel: it resolves the
-name through the capability registry (plugins loaded first) and
-validates the adapter's return value against this contract —
-a plugin attack that returns garbage fails loudly with
+name through the capability registry and validates the adapter's
+return value against this contract — an attack that returns garbage
+fails loudly with
 :class:`AttackResultError` instead of serializing an ad-hoc dict into
 campaign documents.
 """
@@ -128,8 +128,7 @@ def validate_attack_result(name: str, result: Any) -> dict[str, Any]:
 
 
 def attack_names() -> tuple[str, ...]:
-    """Registered attack names (plugins included), in order."""
-    REGISTRY.load_plugins()
+    """Registered attack names, in registration order."""
     return REGISTRY.names("attack")
 
 
@@ -143,15 +142,13 @@ def run_attack(
 ) -> dict[str, Any]:
     """Run the registered attack ``name`` through its uniform adapter.
 
-    The name resolves through the capability registry (plugins loaded
-    first); unknown names raise the uniform
-    :class:`repro.registry.UnknownCapabilityError` listing the
-    registered attacks.  The adapter's return value is validated
-    against the result contract (:func:`validate_attack_result`), so
-    every attack block a campaign serializes — builtin or plugin — has
-    the documented name/cost/outcome shape.
+    The name resolves through the capability registry; unknown names
+    raise the uniform :class:`repro.registry.UnknownCapabilityError`
+    listing the registered attacks.  The adapter's return value is
+    validated against the result contract
+    (:func:`validate_attack_result`), so every attack block a campaign
+    serializes has the documented name/cost/outcome shape.
     """
-    REGISTRY.load_plugins()
     adapter = REGISTRY.get("attack", name)
     return validate_attack_result(
         name, adapter(component, benches, seed=seed, engine=engine)

@@ -121,6 +121,8 @@ def hill_climb_attack(
         raise ValueError("design consumes no key bits")
     if restarts < 1:
         raise ValueError(f"restarts={restarts}: need at least one restart")
+    from repro.tao.metrics import wrong_key_cycle_cap
+
     rng = random.Random(seed)
     baseline = run_testbench(
         design,
@@ -128,7 +130,7 @@ def hill_climb_attack(
         working_key=component.correct_working_key,
         engine=engine,
     )
-    cap = max(8 * baseline.cycles, 4000)
+    cap = wrong_key_cycle_cap(baseline.cycles)
     oracle = _FitnessOracle(component, benches, cap, engine)
 
     best_key = 0

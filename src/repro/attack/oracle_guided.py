@@ -236,6 +236,8 @@ def oracle_guided_attack(
     rng = random.Random(seed)
     pool = _candidate_pool(partition, pool_size, rng)
 
+    from repro.tao.metrics import wrong_key_cycle_cap
+
     # The oracle chip's response latency is observable from outside;
     # 8x it bounds every candidate simulation (shared repo-wide cap).
     baseline = run_testbench(
@@ -244,7 +246,7 @@ def oracle_guided_attack(
         working_key=component.correct_working_key,
         engine=engine,
     )
-    cap = max(8 * baseline.cycles, 4000)
+    cap = wrong_key_cycle_cap(baseline.cycles)
     simulator = _Simulator(component, benches, cap, engine)
 
     oracle_bits: dict[int, tuple[int, ...]] = {}

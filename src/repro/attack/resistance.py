@@ -74,7 +74,7 @@ def resistance_curve(
     the correct key) and swept through lane batches per workload;
     per-key corruption is the mean Hamming fraction over workloads.
     """
-    from repro.tao.metrics import generate_wrong_keys
+    from repro.tao.metrics import generate_wrong_keys, wrong_key_cycle_cap
 
     if n_trials < 1:
         raise ValueError(f"n_trials={n_trials}: need at least one wrong key")
@@ -89,7 +89,7 @@ def resistance_curve(
         working_key=component.correct_working_key,
         engine=engine,
     )
-    cap = max(8 * baseline.cycles, 4000)
+    cap = wrong_key_cycle_cap(baseline.cycles)
 
     workings = [component.working_key_for(key) for key in wrong_keys]
     sums = [0.0] * len(wrong_keys)

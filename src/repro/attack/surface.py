@@ -67,6 +67,7 @@ def random_key_attack(
     the codegen engine binds and sweeps each batch at once.
     """
     from repro.tao.key import LockingKey
+    from repro.tao.metrics import wrong_key_cycle_cap
 
     rng = random.Random(seed)
     design = component.design
@@ -76,7 +77,7 @@ def random_key_attack(
         working_key=component.correct_working_key,
         engine=engine,
     )
-    cap = max(8 * good.cycles, 4000)
+    cap = wrong_key_cycle_cap(good.cycles)
     guesses = [LockingKey.random(rng) for _ in range(n_keys)]
     # An astronomically unlikely correct guess is skipped (not probed)
     # to keep the counts honest, exactly like the scalar loop did.
@@ -129,11 +130,13 @@ def key_sensitivity_analysis(
     slices).  High sensitivity means every key bit is load-bearing —
     the attacker cannot prune the search space by ignoring dead bits.
     """
+    from repro.tao.metrics import wrong_key_cycle_cap
+
     design = component.design
     config = design.key_config
     correct = component.correct_working_key
     good = run_testbench(design, bench, working_key=correct, engine=engine)
-    cap = max(8 * good.cycles, 4000)
+    cap = wrong_key_cycle_cap(good.cycles)
     rng = random.Random(seed)
 
     categories: dict[str, list[int]] = {"branch": [], "constant": [], "variant": []}
@@ -203,11 +206,13 @@ def brute_force_slice_with_oracle(
     enumeration, so the security argument genuinely rests on oracle
     denial, not on the slice sizes.
     """
+    from repro.tao.metrics import wrong_key_cycle_cap
+
     design = component.design
     config = design.key_config
     correct = component.correct_working_key
     oracle = run_testbench(design, bench, working_key=correct, engine=engine)
-    cap = max(8 * oracle.cycles, 4000)
+    cap = wrong_key_cycle_cap(oracle.cycles)
 
     if which == "branch":
         if not config.branch_bits:
@@ -287,10 +292,8 @@ def replication_leak_analysis(
 # attack blocks stay byte-identical across serial and parallel runs).
 # An attack that does not apply to the component reports
 # ``applicable: false`` with a reason instead of raising, so one attack
-# axis sweeps cleanly across heterogeneous configs.  Third-party
-# attackers register under the same kind via the ``repro.plugins``
-# entry point and sweep as a campaign axis (``repro campaign
-# --attack``) without touching this package; their results are
+# axis sweeps cleanly across heterogeneous configs.  Every attack sweeps
+# as a campaign axis (``repro campaign --attack``), and its results are
 # validated at the run_attack funnel.
 
 

@@ -8,9 +8,9 @@ the pure-Python FSMD simulation of a full run stays in the thousands of
 cycles.
 
 Benchmarks are capabilities: they live in the process-wide
-:data:`repro.registry.REGISTRY` under kind ``"benchmark"``, so
-third-party kernels registered through the ``repro.plugins`` entry
-point sweep as campaign axes without touching this module.
+:data:`repro.registry.REGISTRY` under kind ``"benchmark"``, in Table-1
+order, so ``repro list benchmark`` and ``--benchmarks all`` enumerate
+them and an unknown name fails with the registry's uniform error.
 """
 
 from __future__ import annotations
@@ -45,19 +45,16 @@ def register(benchmark: Benchmark) -> Benchmark:
 
 def get_benchmark(name: str) -> Benchmark:
     load_builtin_benchmarks()
-    REGISTRY.load_plugins()
     return REGISTRY.get("benchmark", name)
 
 
 def all_benchmarks() -> dict[str, Benchmark]:
     load_builtin_benchmarks()
-    REGISTRY.load_plugins()
     return {entry.name: entry.value for entry in REGISTRY.entries("benchmark")}
 
 
 def benchmark_names() -> list[str]:
     load_builtin_benchmarks()
-    REGISTRY.load_plugins()
     return list(REGISTRY.names("benchmark"))
 
 

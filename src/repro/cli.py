@@ -21,8 +21,9 @@ and emits the unified ``repro.campaign/5`` JSON schema with per-stage
 ``StageReport`` blocks, per-unit ``status``/``attempts``, and
 structured per-attack blocks (consumed by
 ``repro.evaluation.report``).  The command is a thin veneer over
-the stable :mod:`repro.api` (``plan_campaign`` → ``execute_plan``
-under an ``ExecutionOptions`` bundle).  ``--pipeline`` takes a
+the campaign service (``plan_campaign``, which rejects an unknown
+name on any axis, → ``execute_plan`` under an ``ExecutionOptions``
+bundle).  ``--pipeline`` takes a
 FlowSpec preset name (``full``, ``constants``, ...) or a
 comma-separated stage list (``constants,branches``); the default
 ``params`` derives stages from each config's parameter booleans.
@@ -103,21 +104,6 @@ def _locking_key(args: argparse.Namespace) -> Optional[LockingKey]:
     return None
 
 
-def _check_capabilities(kind: str, names: Sequence[str]) -> Optional[str]:
-    """Resolve each name through the capability registry (plugins
-    loaded); returns the uniform error message, or ``None`` if all
-    resolve."""
-    from repro.registry import REGISTRY, UnknownCapabilityError
-
-    REGISTRY.load_plugins()
-    for name in names:
-        try:
-            REGISTRY.get(kind, name)
-        except UnknownCapabilityError as error:
-            return str(error)
-    return None
-
-
 def _flow_pipeline(args: argparse.Namespace, params: ObfuscationParameters):
     """The FlowSpec for a flow command: ``--pipeline``, else the stage
     set the ``--no-*`` toggles select.  Returns ``None`` after printing
@@ -161,9 +147,12 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
     pipeline = _flow_pipeline(args, params)
     if pipeline is None:
         return 2
-    scheme_error = _check_capabilities("key-scheme", [args.key_scheme])
-    if scheme_error:
-        print(scheme_error, file=sys.stderr)
+    from repro.registry import REGISTRY, UnknownCapabilityError
+
+    try:
+        REGISTRY.get("key-scheme", args.key_scheme)
+    except UnknownCapabilityError as error:
+        print(error, file=sys.stderr)
         return 2
     flow = TaoFlow(params=params, key_scheme=args.key_scheme, pipeline=pipeline)
     component = flow.obfuscate(
@@ -283,18 +272,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     except UnknownCapabilityError as error:
         print(error, file=sys.stderr)
         return 2
-    api_info = None
-    if args.kind is None:
-        # Full listings also advertise the stable import surface, so
-        # plugin authors discover it from the same provenance command.
-        from repro.api import __all__ as api_exports
-
-        api_info = {"module": "repro.api", "exports": list(api_exports)}
     if args.json:
-        payload: dict = dict(listing)
-        if api_info is not None:
-            payload["api"] = api_info
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(listing, indent=2, sort_keys=True))
         return 0
     first = True
     for kind, entries in listing.items():
@@ -306,21 +285,11 @@ def cmd_list(args: argparse.Namespace) -> int:
             print("  (none registered)")
             continue
         name_w = max(len(e["name"]) for e in entries)
-        prov_w = max(len(e["provenance"]) for e in entries)
         for entry in entries:
-            line = (
-                f"  {entry['name']:<{name_w}}  "
-                f"[{entry['provenance']:<{prov_w}}]"
-            )
+            line = f"  {entry['name']:<{name_w}}"
             if entry["description"]:
                 line += f"  {entry['description']}"
             print(line)
-    if api_info is not None:
-        print()
-        print(
-            f"stable API: {api_info['module']} — "
-            + ", ".join(api_info["exports"])
-        )
     return 0
 
 
@@ -343,17 +312,16 @@ def _campaign_progress(event: str, info: dict) -> None:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.api import ExecutionOptions, execute_plan, plan_campaign
     from repro.benchsuite import benchmark_names
     from repro.evaluation.report import format_campaign
-    from repro.registry import REGISTRY
     from repro.runtime.campaign import (
         PIPELINE_FROM_PARAMS,
         CampaignSpec,
+        plan_campaign,
         resolve_jobs,
     )
+    from repro.runtime.executor import ExecutionOptions, execute_plan
     from repro.sim import resolve_engine
-    from repro.tao.pipeline import resolve_pipeline
 
     error = _campaign_size_error(args.keys, args.workloads)
     if error:
@@ -379,72 +347,37 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    configs = tuple(dict.fromkeys(args.config or ["default"]))
-    config_error = _check_capabilities("config", configs)
-    if config_error:
-        print(config_error, file=sys.stderr)
-        return 2
-    key_schemes = tuple(dict.fromkeys(args.key_scheme or ["replication"]))
-    scheme_error = _check_capabilities("key-scheme", key_schemes)
-    if scheme_error:
-        print(scheme_error, file=sys.stderr)
-        return 2
-    pipelines = tuple(dict.fromkeys(args.pipeline or [PIPELINE_FROM_PARAMS]))
-    for label in pipelines:
-        if label == PIPELINE_FROM_PARAMS:
-            continue
-        try:
-            resolve_pipeline(label)
-        except ValueError as error:
-            print(f"--pipeline {label}: {error}", file=sys.stderr)
+    if args.benchmarks.strip().lower() == "all":
+        selected = benchmark_names()
+    else:
+        selected = [
+            name.strip() for name in args.benchmarks.split(",") if name.strip()
+        ]
+        if not selected:
             print(
-                f"available: {PIPELINE_FROM_PARAMS} (config booleans), "
-                f"presets {', '.join(REGISTRY.names('pipeline-preset'))}, "
-                "or a comma-separated stage list",
+                f"no benchmarks selected from {args.benchmarks!r}; "
+                f"available: {', '.join(benchmark_names())}",
                 file=sys.stderr,
             )
             return 2
-    budgets = tuple(dict.fromkeys(args.budget or ["default"]))
-    budget_error = _check_capabilities("budget", budgets)
-    if budget_error:
-        print(budget_error, file=sys.stderr)
-        return 2
-    attacks = tuple(dict.fromkeys(args.attack or []))
-    attack_error = _check_capabilities("attack", attacks)
-    if attack_error:
-        print(attack_error, file=sys.stderr)
-        return 2
-    known = benchmark_names()
-    if args.benchmarks.strip().lower() == "all":
-        selected = known
-    else:
-        selected = list(
-            dict.fromkeys(
-                name.strip() for name in args.benchmarks.split(",") if name.strip()
-            )
-        )
-        unknown = [name for name in selected if name not in known]
-        if unknown or not selected:
-            problem = (
-                f"unknown benchmark(s): {', '.join(unknown)}"
-                if unknown
-                else f"no benchmarks selected from {args.benchmarks!r}"
-            )
-            print(problem, file=sys.stderr)
-            print(f"available: {', '.join(known)}", file=sys.stderr)
-            return 2
     spec = CampaignSpec(
-        benchmarks=tuple(selected),
-        configs=configs,
-        key_schemes=key_schemes,
-        resource_budgets=budgets,
-        pipelines=pipelines,
+        benchmarks=tuple(dict.fromkeys(selected)),
+        configs=tuple(dict.fromkeys(args.config or ["default"])),
+        key_schemes=tuple(dict.fromkeys(args.key_scheme or ["replication"])),
+        resource_budgets=tuple(dict.fromkeys(args.budget or ["default"])),
+        pipelines=tuple(dict.fromkeys(args.pipeline or [PIPELINE_FROM_PARAMS])),
         n_keys=args.keys,
         n_workloads=args.workloads,
         seed=args.seed,
-        attacks=attacks,
+        attacks=tuple(dict.fromkeys(args.attack or [])),
     )
-    result = execute_plan(plan_campaign(spec), options)
+    try:
+        # Every axis name resolves here, before any unit runs.
+        plan = plan_campaign(spec)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
+    result = execute_plan(plan, options)
     if args.output is not None:
         path = result.write(args.output, include_trials=not args.no_trials)
         print(f"wrote {path}")
@@ -515,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable output (per-kind name/description/provenance)",
+        help="machine-readable output (per-kind names and descriptions)",
     )
     list_cmd.set_defaults(func=cmd_list)
 
@@ -571,10 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
             "resumable execution (--checkpoint-dir / --resume /\n"
             "--unit-timeout / --max-retries):\n"
             "  The campaign engine is a plan/execute service\n"
-            "  (repro.api.plan_campaign -> execute_plan): the plan\n"
-            "  enumerates units with deterministic content-addressed\n"
-            "  unit ids, and the executor runs each to an explicit\n"
-            "  terminal state.  --checkpoint-dir writes one atomic\n"
+            "  (repro.runtime: plan_campaign -> execute_plan): the plan\n"
+            "  resolves every axis name, enumerates units with\n"
+            "  deterministic content-addressed unit ids, and the\n"
+            "  executor runs each to an explicit terminal state.  --checkpoint-dir writes one atomic\n"
             "  JSON record per completed unit, namespaced by a spec\n"
             "  fingerprint (spec + schema version; execution knobs\n"
             "  like --jobs/--engine are excluded), so a changed spec\n"
@@ -596,36 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
             "  failed/retried/resumed, wall time) prints on completion\n"
             "  and retries/failures stream to stderr as they happen.\n"
             "\n"
-            "plugins and the capability registry:\n"
-            "  Every sweepable axis resolves through one typed registry\n"
-            "  (repro.registry.CapabilityRegistry): benchmarks, stages,\n"
-            "  pipeline presets, configs, key schemes, budgets, engines\n"
-            "  and attacks.  'repro list [kind] [--json]' enumerates the\n"
-            "  registered entries with description and provenance\n"
-            "  (builtin vs plugin:<name>).  Third-party packages extend\n"
-            "  any axis without touching this repository: expose an\n"
-            "  entry point in group 'repro.plugins' resolving to a\n"
-            "  callable(registry) (or a module whose import registers)\n"
-            "  and call registry.register(kind, name, value,\n"
-            "  description=...).  Plugins load lazily, exactly once per\n"
-            "  process, only at name-resolution time; a broken plugin\n"
-            "  degrades to a RuntimeWarning and the campaign keeps\n"
-            "  running on the remaining capabilities.  Registered\n"
-            "  plugin capabilities sweep as campaign axes (--config /\n"
-            "  --key-scheme / --budget / --pipeline / --attack /\n"
-            "  --engine / --benchmarks) and render in reports like\n"
-            "  builtins.  Registration order never enters seeds or\n"
-            "  cache keys, so installing a plugin perturbs no existing\n"
-            "  campaign bytes.\n"
-            "\n"
             "attacks (--attack, repeatable):\n"
             "  Registered attacks (repro.attack; 'repro list attack')\n"
             "  run against every unit's obfuscated component after key\n"
             "  validation, each on its own derived seed stream, and\n"
             "  embed an 'attacks' block in the unit's JSON.  Omitting\n"
             "  --attack keeps the document byte-identical to\n"
-            "  attack-free output.  Every attack — builtin or plugin —\n"
-            "  serializes one validated shape (schema v5):\n"
+            "  attack-free output.  Every attack serializes one\n"
+            "  validated shape (schema v5):\n"
             "    {\"name\": ..., \"applicable\": true|false,\n"
             "     \"cost\": {\"oracle_queries\": N,\n"
             "              \"simulated_trials\": N, \"iterations\": N},\n"
@@ -645,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro.attack next to the legacy surface analyses;\n"
             "  'oracle-guided' additionally reports its keys-\n"
             "  eliminated-per-query curve.  Results render as the\n"
-            "  attack-cost table in 'repro report' / format_campaign.\n"
+            "  attack-cost table of the report 'repro campaign'\n"
+            "  prints (repro.evaluation.report.format_campaign).\n"
         ),
     )
     campaign.add_argument(

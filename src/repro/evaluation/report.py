@@ -33,9 +33,8 @@ if TYPE_CHECKING:
     from repro.runtime.results import CampaignResult
 
 def _benchmark_names() -> list[str]:
-    """Benchmark names resolved through the capability registry (the
-    five builtins plus any plugin-registered kernels), in registration
-    order — the report never hard-codes the suite."""
+    """Benchmark names resolved through the capability registry, in
+    registration order — the report never hard-codes the suite."""
     from repro.benchsuite import benchmark_names
 
     return benchmark_names()
@@ -184,8 +183,8 @@ def _format_attacks(result: "CampaignResult") -> list[str]:
     One row per (unit, attack) with the contract's cost counters
     (oracle queries / simulated trials / iterations) as dedicated
     columns and the attack-specific ``outcome`` block compacted into
-    ``key=value`` pairs — plugin attacks render without this module
-    knowing their outcome schema.
+    ``key=value`` pairs — an attack renders without this module
+    knowing its outcome schema.
     """
     rows: list[tuple[str, ...]] = []
     for unit in result.units:

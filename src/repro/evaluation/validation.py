@@ -76,14 +76,16 @@ def validate_suite(
 ) -> ValidationSummary:
     """Run the campaign on all five benchmarks.
 
-    Delegates to the campaign service (:func:`repro.api.plan_campaign`
-    + :func:`repro.api.execute_plan`), which fans benchmarks across
-    processes when ``jobs > 1`` and derives per-benchmark seeds so
-    serial and parallel runs agree bit-for-bit (note: those derived
+    Delegates to the campaign service
+    (:func:`repro.runtime.campaign.plan_campaign` +
+    :func:`repro.runtime.executor.execute_plan`), which fans benchmarks
+    across processes when ``jobs > 1`` and derives per-benchmark seeds
+    so serial and parallel runs agree bit-for-bit (note: those derived
     seeds mean per-benchmark numbers differ from a direct
     :func:`validate_benchmark` call at the same ``seed``).
     """
-    from repro.api import CampaignSpec, ExecutionOptions, execute_plan, plan_campaign
+    from repro.runtime.campaign import CampaignSpec, plan_campaign
+    from repro.runtime.executor import ExecutionOptions, execute_plan
 
     spec = CampaignSpec(
         benchmarks=tuple(all_benchmarks()),

@@ -1,36 +1,22 @@
-"""Unified capability registry: the one plugin seam of the repro stack.
+"""Unified capability registry: one table for every sweepable axis.
 
 Every sweepable axis of the evaluation — benchmarks, obfuscation
 stages, pipeline presets, key-management schemes, resource budgets,
-campaign configs, simulation engines and attacks — used to live in its
-own module-level table with its own idiom (dicts, tuples, decorators,
-``if``/``elif`` ladders) and its own failure mode (bare ``KeyError``
-here, ``ValueError`` there).  This module replaces all of them with a
+campaign configs, simulation engines and attacks — resolves through a
 single typed :class:`CapabilityRegistry` keyed by *kind*:
 
-* uniform decorator/direct registration with per-entry metadata
-  (description + provenance: ``builtin`` vs ``plugin:<name>``);
+* uniform decorator/direct registration with a per-entry description;
 * uniform errors — :class:`DuplicateCapabilityError` on name
   collisions and :class:`UnknownCapabilityError` (a subclass of both
-  ``KeyError`` and ``ValueError``, so legacy ``except``/test contracts
-  keep working) naming the kind and listing the valid entries;
+  ``KeyError`` and ``ValueError``) naming the kind and listing the
+  valid entries;
 * deterministic iteration: entries enumerate in registration order,
-  builtins before plugins, and registration order never enters seeds
-  or cache keys (the campaign's determinism contract is untouched);
-* entry-point plugin discovery: third-party distributions register
-  under the ``repro.plugins`` group; each entry point loads lazily and
-  exactly once per process, and a broken plugin degrades to a
-  ``warning`` — it never crashes the host campaign.
+  and registration order never enters seeds or cache keys.
 
 Builtin capabilities self-register when their defining module imports.
 Queries trigger the defining module's import on demand (the
 ``_BUILTIN_SOURCES`` table), so ``REGISTRY.get("benchmark", "sobel")``
-works from a cold process without import-order ceremony.  Plugin
-loading is deliberately *not* triggered by bare queries — only by the
-name-resolution funnels (:meth:`CapabilityRegistry.load_plugins` is
-called from the CLI, the campaign engine and every
-``resolve_*``/``get_*`` helper), which keeps plugin imports out of the
-repro package's own import graph.
+works from a cold process without import-order ceremony.
 
 :data:`REGISTRY` is the only table: callers enumerate with
 :meth:`CapabilityRegistry.names`, resolve with
@@ -44,18 +30,8 @@ from __future__ import annotations
 
 import importlib
 import sys
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
-
-#: The ``importlib.metadata`` entry-point group third-party
-#: distributions register under.  Each entry point resolves to either
-#: a callable (invoked with the registry) or a module whose import
-#: registers its capabilities.
-PLUGIN_GROUP = "repro.plugins"
-
-#: Provenance of capabilities registered by the repro package itself.
-BUILTIN = "builtin"
+from typing import Any, Optional
 
 #: The known capability kinds and their human-readable labels (used in
 #: error messages and ``repro list`` output).  Insertion order is the
@@ -92,12 +68,10 @@ _MISSING = object()
 class UnknownCapabilityError(KeyError, ValueError):
     """A name that resolves to no registered capability of its kind.
 
-    Subclasses *both* ``KeyError`` and ``ValueError``: the tables this
-    registry replaced raised one or the other inconsistently, so every
-    legacy ``except KeyError`` / ``except ValueError`` (and every test
-    asserting either) stays correct.  ``str()`` is the plain message —
-    not ``KeyError``'s quoting repr — and always names the kind and
-    the valid entries.
+    Subclasses *both* ``KeyError`` and ``ValueError``, so callers catch
+    whichever fits their own contract.  ``str()`` is the plain message —
+    not ``KeyError``'s quoting repr — and always names the kind and the
+    valid entries.
     """
 
     def __init__(self, message: str) -> None:
@@ -135,7 +109,6 @@ class Capability:
     name: str
     value: Any
     description: str = ""
-    provenance: str = BUILTIN
 
     def describe(self) -> str:
         """Best-effort one-liner for listings: explicit description,
@@ -144,24 +117,6 @@ class Capability:
             return self.description
         doc = getattr(self.value, "__doc__", None) or ""
         return doc.strip().splitlines()[0].strip() if doc.strip() else ""
-
-
-def _discover_entry_points() -> list:
-    """The ``repro.plugins`` entry points, sorted by name for
-    deterministic load order.  Discovery failures degrade to a warning
-    (an exotic environment must never take the campaign down)."""
-    try:
-        from importlib.metadata import entry_points
-
-        return sorted(entry_points(group=PLUGIN_GROUP), key=lambda ep: ep.name)
-    except Exception as error:  # pragma: no cover - environment-specific
-        warnings.warn(
-            f"repro plugin discovery failed ({error}); "
-            "continuing with builtin capabilities only",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return []
 
 
 class CapabilityRegistry:
@@ -180,8 +135,6 @@ class CapabilityRegistry:
             _BUILTIN_SOURCES if builtin_sources is None else builtin_sources
         )
         self._ensured: set[str] = set()
-        self._plugins_loaded = False
-        self._provenance = BUILTIN
 
     # ------------------------------------------------------------------
     # Kinds
@@ -194,15 +147,6 @@ class CapabilityRegistry:
         """Human-readable label of ``kind`` (raises on unknown kinds)."""
         self._check_kind(kind)
         return self._labels[kind]
-
-    def add_kind(self, kind: str, label: Optional[str] = None) -> None:
-        """Open a new capability kind (plugin-defined families)."""
-        if kind in self._labels:
-            raise DuplicateCapabilityError(
-                f"capability kind {kind!r} is already registered"
-            )
-        self._labels[kind] = label or kind
-        self._entries[kind] = {}
 
     def _check_kind(self, kind: str) -> None:
         if kind not in self._entries:
@@ -220,45 +164,28 @@ class CapabilityRegistry:
         value: Any = _MISSING,
         *,
         description: str = "",
-        provenance: Optional[str] = None,
-        replace: bool = False,
     ) -> Any:
         """Register ``value`` under ``(kind, name)``; returns ``value``.
 
         With ``value`` omitted, returns a decorator (the decorated
         object keeps its identity).  Registering a taken name raises
-        :class:`DuplicateCapabilityError` unless ``replace=True``.
-        ``provenance`` defaults to the registry's current default —
-        ``builtin`` normally, ``plugin:<name>`` while that plugin's
-        entry point is loading.
+        :class:`DuplicateCapabilityError`.
         """
         if value is _MISSING:
 
             def decorator(obj: Any) -> Any:
-                self.register(
-                    kind,
-                    name,
-                    obj,
-                    description=description,
-                    provenance=provenance,
-                    replace=replace,
-                )
+                self.register(kind, name, obj, description=description)
                 return obj
 
             return decorator
         self._check_kind(kind)
         bucket = self._entries[kind]
-        if name in bucket and not replace:
+        if name in bucket:
             raise DuplicateCapabilityError(
-                f"{self._labels[kind]} {name!r} is already registered "
-                f"(by {bucket[name].provenance})"
+                f"{self._labels[kind]} {name!r} is already registered"
             )
         bucket[name] = Capability(
-            kind=kind,
-            name=name,
-            value=value,
-            description=description,
-            provenance=self._provenance if provenance is None else provenance,
+            kind=kind, name=name, value=value, description=description
         )
         return value
 
@@ -303,7 +230,7 @@ class CapabilityRegistry:
         return tuple(self._entries[kind].values())
 
     # ------------------------------------------------------------------
-    # Builtin + plugin loading
+    # Builtin loading
     # ------------------------------------------------------------------
     def _ensure_kind(self, kind: str) -> None:
         """Import the defining module(s) of ``kind`` on first query.
@@ -322,38 +249,6 @@ class CapabilityRegistry:
             elif module_name not in sys.modules:
                 importlib.import_module(module_name)
 
-    def load_plugins(self) -> int:
-        """Discover and load ``repro.plugins`` entry points (once).
-
-        Each entry point resolves to a callable (invoked with this
-        registry) or a module whose import self-registers.  Any
-        failure — import error, bad callable, duplicate names — is
-        reported as a ``RuntimeWarning`` naming the plugin and the
-        host keeps running on the remaining capabilities.  Returns the
-        number of plugins that loaded cleanly.
-        """
-        if self._plugins_loaded:
-            return 0
-        self._plugins_loaded = True
-        loaded = 0
-        for ep in _discover_entry_points():
-            self._provenance = f"plugin:{ep.name}"
-            try:
-                target = ep.load()
-                if callable(target):
-                    target(self)
-                loaded += 1
-            except Exception as error:
-                warnings.warn(
-                    f"repro plugin {ep.name!r} failed to load and was "
-                    f"skipped: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            finally:
-                self._provenance = BUILTIN
-        return loaded
-
     # ------------------------------------------------------------------
     # Test isolation
     # ------------------------------------------------------------------
@@ -368,41 +263,26 @@ class CapabilityRegistry:
             self._ensure_kind(kind)
         return {
             "entries": {k: dict(v) for k, v in self._entries.items()},
-            "labels": dict(self._labels),
             "ensured": set(self._ensured),
-            "plugins_loaded": self._plugins_loaded,
         }
 
     def restore(self, state: dict[str, Any]) -> None:
         """Restore a :meth:`snapshot` (drops later registrations)."""
         self._entries = {k: dict(v) for k, v in state["entries"].items()}
-        self._labels = dict(state["labels"])
         self._ensured = set(state["ensured"])
-        self._plugins_loaded = state["plugins_loaded"]
 
 
 #: The process-wide registry every capability resolves through.
 REGISTRY = CapabilityRegistry()
 
 
-Describe = Callable[[Capability], str]
-
-
 def describe_capabilities(kind: Optional[str] = None) -> dict[str, list[dict[str, str]]]:
-    """Listing payload for ``repro list``: per-kind entry metadata.
-
-    Plugins are loaded first so third-party capabilities appear with
-    their ``plugin:<name>`` provenance next to the builtins.
-    """
-    REGISTRY.load_plugins()
+    """Listing payload for ``repro list``: per-kind entry names and
+    descriptions, in registration order."""
     kinds = (kind,) if kind else REGISTRY.kinds()
     return {
         k: [
-            {
-                "name": entry.name,
-                "description": entry.describe(),
-                "provenance": entry.provenance,
-            }
+            {"name": entry.name, "description": entry.describe()}
             for entry in REGISTRY.entries(k)
         ]
         for k in kinds

@@ -146,7 +146,6 @@ def budget_constraints(budget: str):
     """
     import dataclasses
 
-    REGISTRY.load_plugins()
     preset = REGISTRY.get("budget", budget)
     if preset is None:
         return None
@@ -343,7 +342,6 @@ class CampaignSpec:
         for name, overrides in self.extra_configs:
             if name == config:
                 return dict(overrides)
-        REGISTRY.load_plugins()
         return dict(REGISTRY.get("config", config))
 
     def units(self) -> list[tuple[str, str, str, str, str]]:
@@ -456,9 +454,11 @@ def plan_campaign(spec: CampaignSpec) -> CampaignPlan:
     checkpoint store indexes, and what a future fleet scheduler would
     shard.
 
-    Spec errors fail fast here — unknown benchmark or pipeline names
-    raise ``ValueError`` before any worker spawns, instead of burning
-    the executor's retry budget and sealing every unit as failed.
+    Spec errors fail fast here: an unknown name on any axis —
+    benchmark, config (``extra_configs`` included), key scheme,
+    budget, pipeline or attack — raises ``ValueError`` naming the
+    registered choices before any unit runs, instead of burning the
+    executor's retry budget and sealing every unit as failed.
     """
     from repro.runtime.checkpoint import spec_fingerprint, unit_identity
     from repro.runtime.results import SCHEMA
@@ -469,19 +469,31 @@ def plan_campaign(spec: CampaignSpec) -> CampaignPlan:
             "campaign spec has no units: benchmarks, configs, key_schemes, "
             "resource_budgets and pipelines must all be non-empty"
         )
-    from repro.benchsuite import all_benchmarks
+    from repro.benchsuite import get_benchmark
     from repro.tao.pipeline import resolve_pipeline
 
-    known_benchmarks = all_benchmarks()
     for bench in spec.benchmarks:
-        if bench not in known_benchmarks:
-            raise ValueError(
-                f"unknown benchmark {bench!r}; available: "
-                + ", ".join(sorted(known_benchmarks))
-            )
+        get_benchmark(bench)
+    for config in spec.configs:
+        spec.config_overrides(config)
+    for scheme in spec.key_schemes:
+        REGISTRY.get("key-scheme", scheme)
+    for budget in spec.resource_budgets:
+        budget_constraints(budget)
     for pipeline in spec.pipelines:
-        if pipeline != PIPELINE_FROM_PARAMS:
-            resolve_pipeline(pipeline)  # raises ValueError on unknown stages
+        if pipeline == PIPELINE_FROM_PARAMS:
+            continue
+        try:
+            resolve_pipeline(pipeline)
+        except ValueError as error:
+            raise ValueError(
+                f"pipeline {pipeline!r}: {error}; available: "
+                f"{PIPELINE_FROM_PARAMS} (config booleans), presets "
+                f"{', '.join(REGISTRY.names('pipeline-preset'))}, "
+                "or a comma-separated stage list"
+            ) from None
+    for attack in spec.attacks:
+        REGISTRY.get("attack", attack)
     spec_dict = spec.to_dict()
     planned = []
     for index, (bench, config, scheme, budget, pipeline) in enumerate(tasks):

@@ -331,9 +331,9 @@ class _WorkerHandle:
 
 def _mp_context():
     """Fork where available: workers inherit the parent's registry,
-    plugins and (in tests) monkeypatched module state.  Only the pool
-    path imports :mod:`multiprocessing`, so a ``--jobs 1`` run loads
-    none of it."""
+    including entries a test registered, and (in tests) monkeypatched
+    module state.  Only the pool path imports :mod:`multiprocessing`,
+    so a ``--jobs 1`` run loads none of it."""
     from multiprocessing import get_context
 
     try:
@@ -356,19 +356,15 @@ def _failure_reason(detail: str) -> str:
 def _failed_unit_dict(
     plan: CampaignPlan, unit: PlannedUnit, attempts: int, reason: str
 ) -> dict[str, Any]:
-    """Serialized record of a unit that exhausted its attempts."""
-    try:
-        params = plan.spec.config_overrides(unit.config)
-    except Exception:
-        # Config resolution itself may be the failure; record what we know.
-        params = {}
+    """Serialized record of a unit that exhausted its attempts (its
+    config resolved when the plan was made)."""
     return {
         "benchmark": unit.benchmark,
         "config": unit.config,
         "key_scheme": unit.key_scheme,
         "budget": unit.budget,
         "pipeline": unit.pipeline,
-        "params": params,
+        "params": plan.spec.config_overrides(unit.config),
         "seed": unit.seed,
         "workload_seed": unit.workload_seed,
         "stages": [],

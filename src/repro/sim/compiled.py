@@ -106,18 +106,21 @@ which the codegen tier consumes too):
   it and kept on the plan, so a sweep cell that binds two keys
   compiles at most two of each variant state's arms; a chain through a
   variant state runs the bound arm, so binding rebuilds its op list.
-  Arms are keyed by the layout's filtered op list, so selectors that
-  share a list (equal Hamming distance, by default) share one arm, and
-  a key that moves selectors only within those classes rebuilds
-  nothing.  A bind that changes a state's arm drops the fused closure,
-  the dispatch count and the loop closure of exactly the chains that
-  run that state (a loop from every entry of its set);
+  Arms are keyed by content, the op fields of the state's filtered op
+  list, looked up the first time a bind selects the list: selectors
+  that share a list (equal Hamming distance, by default) share one arm,
+  and so do lists at different distances that hold the same ops in
+  that state, so a key that moves selectors only between lists of
+  equal content rebuilds nothing.  A bind that changes a state's arm
+  drops the fused closure, the dispatch count and the loop closure of
+  exactly the chains that run that state (a loop from every entry of
+  its set);
 * the plan keeps every fused chain and loop closure it builds, keyed
   by the entries it runs and the identity of each of their states'
-  arms, so a later key that selects the same arms finds them built.
-  Loop regions still come from what the current key runs: an entry
-  that heated under an earlier key heats again after
-  :data:`_REHEAT_AFTER` dispatches since the bind, not
+  arms (one arm per content), so a later key that selects the same
+  ops finds them built.  Loop regions still come from what the
+  current key runs: an entry that heated under an earlier key heats
+  again after :data:`_REHEAT_AFTER` dispatches since the bind, not
   :data:`_FUSE_AFTER`, and looks its closure up.  A plan holds one
   fused closure per entry, and one loop closure per region, for each
   arm combination its keys selected; all of them die with the plan.
@@ -254,9 +257,8 @@ for _driver in (
 del _driver
 
 def engine_driver(name: str) -> EngineDriver:
-    """The registered :class:`EngineDriver` called ``name`` (plugins
-    loaded first), with the uniform unknown-capability error."""
-    REGISTRY.load_plugins()
+    """The registered :class:`EngineDriver` called ``name``, with the
+    uniform unknown-capability error."""
     return REGISTRY.get("engine", name)
 
 
@@ -264,7 +266,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     """The engine to run: the explicit choice, else :data:`DEFAULT_ENGINE`."""
     if not engine:
         return DEFAULT_ENGINE
-    REGISTRY.load_plugins()
     REGISTRY.entry("engine", engine, context="(from engine argument)")
     return engine
 
@@ -603,10 +604,14 @@ class CompiledDesign:
         #: Key bit -> its cell, shared by every closure that tests it.
         self._kb_cells: dict[int, list[int]] = {}
         #: Per obfuscated block, ``(BlockVariants, [(state idx, {selector:
-        #: op list}, {id(op list): compiled arm})])``; arms compile on
-        #: first bind, once per distinct op list (the layout keeps the
-        #: lists alive, so their ids are stable).
+        #: op list}, {id(op list): compiled arm})])``; an op list finds
+        #: its arm on its first bind (the layout keeps the lists alive,
+        #: so their ids are stable), by its ops in :attr:`_arm_of`.
         self._variant_binds: list[tuple] = []
+        #: ``(state idx, *ops as op fields)`` -> the compiled arm: one arm
+        #: per distinct content of a variant state, however many of the
+        #: layout's lists hold it (see :meth:`_arm`).
+        self._arm_of: dict[tuple, list] = {}
         self._bound_key: Optional[int] = None
         self._n_scalar_params = layout.n_scalar_params
         self._param_latches = layout.param_latches
@@ -665,10 +670,8 @@ class CompiledDesign:
         self._fusions: dict[tuple, Callable] = {}
         self._built_loops: dict[tuple, _Loop] = {}
         #: Fused chain and loop body text -> its factory, for this plan
-        #: alone; and a loop's rungs -> the registers its counter jumps
-        #: may move (see :meth:`_counters`).
+        #: alone.
         self._chain_factories: dict[str, Callable] = {}
-        self._counter_rules: dict[tuple, frozenset] = {}
         #: Loop closures built, and fused chains and loop closures taken
         #: from the memo instead of built; cycles the loops ran (not
         #: jumped), exact repeats and counter repeats they jumped, and the
@@ -1352,7 +1355,9 @@ class CompiledDesign:
     def _arms(self, heads: Sequence[int]) -> tuple[int, ...]:
         """The identity of the op closures each state of chain entries
         ``heads`` runs: with the entries, all that a fused chain or loop
-        closure over them inlines.  Arms live as long as the plan."""
+        closure over them inlines.  Arms live as long as the plan, and a
+        state has one per distinct content, so equal identities mean
+        equal ops."""
         units = self._state_units
         return tuple(id(units[idx]) for head in heads for idx in self._entries[head][5])
 
@@ -1457,15 +1462,7 @@ class CompiledDesign:
                 *(f"    {line}" for line in self._chain_lines(head, shape, chain_steps)),
                 f"    state = {self._next_target(head, shape)}",
             ]
-        # The rungs name two-phase op lists only as arguments.
-        rule_key = (
-            "\n".join(rungs),
-            *(id(self._state_ops[idx]) for _, chain_steps in steps for idx, live in chain_steps if live is None),
-        )
-        rule = self._counter_rules.get(rule_key)
-        if rule is None:
-            rule = self._counter_rules[rule_key] = self._counters(steps, written)
-        counters, moduli = rule
+        counters, moduli = self._counters(steps, written)
         counted = sorted(counters)
         watched = [slot for slot in shape.written if slot not in counters]
         memories = sorted(shape.mems | stored)
@@ -1620,13 +1617,14 @@ class CompiledDesign:
         """Select the variant arms and fill every key-dependent cell for
         ``working_key``.
 
-        An arm the key selects for the first time is compiled here and
-        kept on the plan (one per distinct op list, whichever selector
-        reaches it), and the chains that run a state whose arm changed
-        get their op lists rebuilt; after that, binding is cheap
-        — O(obfuscated constants + ROMs + masked branches + variant
-        blocks), independent of cycle count — and memoized on the last
-        bound key, so re-running the same key rebinds nothing.  A
+        An op list the key selects for the first time finds its arm here
+        (one per distinct content of the state, see :meth:`_arm`; a new
+        content compiles one and keeps it on the plan), and the chains
+        that run a state whose arm changed get their op lists rebuilt;
+        after that, binding is cheap — O(obfuscated constants + ROMs +
+        masked branches + variant blocks), independent of cycle count —
+        and memoized on the last bound key, so re-running the same key
+        rebinds nothing.  A
         selector with no arm in its block's table raises ``KeyError``,
         and the failed bind leaves no key memoized.
         """
@@ -1644,7 +1642,7 @@ class CompiledDesign:
                 ops = per_selector[selector]
                 arm = arms.get(id(ops))
                 if arm is None:
-                    arm = arms[id(ops)] = self._compile_ops(ops)
+                    arm = arms[id(ops)] = self._arm(idx, ops)
                 selected.append((idx, ops, arm))
         state_units = self._state_units
         changed: set[int] = set()
@@ -1668,6 +1666,24 @@ class CompiledDesign:
         for bit, cell in self._kb_cells.items():
             cell[0] = (working_key >> bit) & 1
         self._bound_key = working_key
+
+    def _arm(self, idx: int, ops: Sequence) -> list:
+        """The compiled arm of variant state ``idx`` that runs ``ops``:
+        the arm of an earlier list of the state with the same ops (equal
+        op fields), else a new one.  Lists at different Hamming distances
+        often hold the same ops in a state, so they share an arm, and the
+        closures the plan keeps by arm identity serve them all."""
+        content = (
+            idx,
+            *(
+                (opcode, result, tuple(operands), array_name)
+                for opcode, result, operands, array_name in self._fields(ops)
+            ),
+        )
+        arm = self._arm_of.get(content)
+        if arm is None:
+            arm = self._arm_of[content] = self._compile_ops(ops)
+        return arm
 
     # ------------------------------------------------------------------
     # Execution

@@ -2,9 +2,9 @@
 key apportionment/management and security metrics.
 
 The passes compose through the stage API in :mod:`repro.tao.pipeline`:
-a :class:`FlowSpec` (ordered stage names + per-stage options) resolved
-against the stage registry drives :class:`TaoFlow`, and every executed
-stage reports :class:`StageReport` telemetry."""
+a :class:`FlowSpec` (ordered stage names) resolved against the stage
+registry drives :class:`TaoFlow`, and every executed stage reports
+:class:`StageReport` telemetry."""
 
 from repro.attack import (
     KeySensitivityResult,

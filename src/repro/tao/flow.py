@@ -197,13 +197,13 @@ class TaoFlow:
         )
         reports: list[StageReport] = []
         for stage in (s for s in stages if s.phase == FRONTEND):
-            reports.append(stage.apply(ctx, spec.options_for(stage.name)))
+            reports.append(stage.apply(ctx))
 
         # Mid-level HLS: schedule, bind, synthesize the controller.
         design = synthesize_function(module, top, self.constraints)
         ctx.design = design
         for stage in (s for s in stages if s.phase != FRONTEND):
-            reports.append(stage.apply(ctx, spec.options_for(stage.name)))
+            reports.append(stage.apply(ctx))
 
         design.obfuscated_constants = ctx.obfuscated_constants
         design.key_config = KeyConfiguration(

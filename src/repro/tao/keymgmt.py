@@ -169,10 +169,9 @@ def choose_working_key(
     Returns ``(manager, correct_working_key)``.  Replication derives the
     working key from the locking key; the AES scheme draws a free random
     working key and programs the NVM.  The scheme name resolves through
-    the capability registry, so plugin-registered schemes — factories
-    with this same ``(working_key_bits, locking_key, rng)`` signature —
-    work anywhere a builtin scheme does.
+    the capability registry, whose ``key-scheme`` entries are factories
+    with this same ``(working_key_bits, locking_key, rng)`` signature;
+    an unknown name raises its uniform error listing the schemes.
     """
-    REGISTRY.load_plugins()
     factory = REGISTRY.get("key-scheme", scheme)
     return factory(working_key_bits, locking_key, rng)

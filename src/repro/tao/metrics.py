@@ -109,10 +109,13 @@ def generate_wrong_keys(
     return keys
 
 
-def _cycle_cap(baseline_cycles: int, max_cycles: Optional[int]) -> int:
-    """Wrong-key cap: ``max_cycles`` when given, else 8x the correct-key
-    latency and never below :data:`WRONG_KEY_CYCLE_FLOOR` (corrupted
-    loop bounds can otherwise spin for the full 2^32 range)."""
+def wrong_key_cycle_cap(
+    baseline_cycles: int, max_cycles: Optional[int] = None
+) -> int:
+    """The §4.3 wrong-key cap: ``max_cycles`` when given, else 8x the
+    correct-key latency and never below :data:`WRONG_KEY_CYCLE_FLOOR`
+    (corrupted loop bounds can otherwise spin for the full 2^32 range).
+    Key validation and every attack bound their trials with it."""
     if max_cycles is not None:
         return max_cycles
     return max(8 * baseline_cycles, WRONG_KEY_CYCLE_FLOOR)
@@ -304,7 +307,7 @@ def validate_component(
         engine=engine,
     )
     baseline_cycles = correct_trial.cycles
-    cap = _cycle_cap(baseline_cycles, max_cycles)
+    cap = wrong_key_cycle_cap(baseline_cycles, max_cycles)
 
     if jobs > 1 and len(wrong_keys) > 1:
         from repro.runtime.cache import absorb_stats

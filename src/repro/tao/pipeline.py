@@ -9,16 +9,15 @@ pipeline itself is data here, not control flow baked into
 * a :class:`Stage` is a named pass with a ``phase`` — ``"frontend"``
   stages transform the optimized IR before scheduling, and
   ``"post-schedule"`` stages transform the bound FSMD design — and an
-  ``apply(ctx, options)`` that returns a :class:`StageReport`;
+  ``apply(ctx)`` that returns a :class:`StageReport`;
 * stages self-register through :func:`register_stage`; the four paper
   passes are thin adapters over the existing pass functions
   (:mod:`repro.tao.constants_pass`, :mod:`repro.tao.branch_pass`,
-  :mod:`repro.tao.dfg_variants`, :mod:`repro.tao.rom_pass`), and any
-  future pass plugs into the same seam;
-* a :class:`FlowSpec` declares one pipeline: ordered stage names plus
-  per-stage options, dict/JSON round-trippable, fully validated at
-  construction (unknown stage, duplicate stage and phase-order
-  violations raise ``ValueError`` at parse time, not mid-flow);
+  :mod:`repro.tao.dfg_variants`, :mod:`repro.tao.rom_pass`);
+* a :class:`FlowSpec` declares one pipeline: ordered stage names,
+  dict/JSON round-trippable, fully validated at construction (unknown
+  stage, duplicate stage and phase-order violations raise
+  ``ValueError`` at parse time, not mid-flow);
 * a :class:`FlowContext` is the state the driver threads through the
   stages: module/function, key apportionment, working key and the
   base seed from which every stage derives its *own* random stream
@@ -54,15 +53,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Mapping,
-    Optional,
-    Protocol,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Protocol, Union
 
 from repro.registry import REGISTRY, UnknownCapabilityError
 from repro.tao.branch_pass import mask_branches
@@ -195,21 +186,19 @@ class FlowContext:
 # Stage protocol + registry
 # ----------------------------------------------------------------------
 class Stage(Protocol):
-    """A named obfuscation pass pluggable into the TAO pipeline."""
+    """A named obfuscation pass of the TAO pipeline."""
 
     name: str
     phase: str
 
-    def apply(
-        self, ctx: FlowContext, options: Mapping[str, Any]
-    ) -> StageReport:  # pragma: no cover - protocol signature
+    def apply(self, ctx: FlowContext) -> StageReport:  # pragma: no cover
         ...
 
 
 #: A stage body: transforms ``ctx`` and returns
 #: ``(ops_touched, key_bits_consumed)``; the wrapper stamps the name,
 #: phase and wall time into the StageReport.
-StageFn = Callable[[FlowContext, Mapping[str, Any]], tuple[int, int]]
+StageFn = Callable[[FlowContext], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -220,9 +209,9 @@ class FunctionStage:
     phase: str
     fn: StageFn
 
-    def apply(self, ctx: FlowContext, options: Mapping[str, Any]) -> StageReport:
+    def apply(self, ctx: FlowContext) -> StageReport:
         started = time.perf_counter()
-        ops_touched, key_bits = self.fn(ctx, options)
+        ops_touched, key_bits = self.fn(ctx)
         return StageReport(
             stage=self.name,
             phase=self.phase,
@@ -260,7 +249,7 @@ def register_stage(name: str, phase: str) -> Callable[[StageFn], StageFn]:
 
 
 def get_stage(name: str) -> Stage:
-    """The registered stage called ``name`` (the error names the options)."""
+    """The registered stage called ``name`` (the error lists the stages)."""
     return REGISTRY.get("stage", name)
 
 
@@ -274,7 +263,7 @@ def available_stages() -> tuple[str, ...]:
 # implementations stay in their own modules)
 # ----------------------------------------------------------------------
 @register_stage("constants", phase=FRONTEND)
-def _constants_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, int]:
+def _constants_stage(ctx: FlowContext) -> tuple[int, int]:
     """Constant extraction (§3.3.2): IR literals become key-decoded."""
     created = obfuscate_constants(ctx.func, ctx.apportionment, ctx.working_key)
     ctx.obfuscated_constants = created
@@ -282,7 +271,7 @@ def _constants_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int,
 
 
 @register_stage("branches", phase=POST_SCHEDULE)
-def _branches_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, int]:
+def _branches_stage(ctx: FlowContext) -> tuple[int, int]:
     """Branch masking (§3.3.3): one key bit per conditional transition."""
     design = ctx.scheduled_design()
     design.masked_branches = mask_branches(design, ctx.apportionment, ctx.working_key)
@@ -293,20 +282,15 @@ def _branches_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, 
 
 
 @register_stage("dfg", phase=POST_SCHEDULE)
-def _dfg_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, int]:
-    """DFG variants (§3.3.4, Algorithm 1) on the stage's own seed stream.
-
-    Option ``diversity`` overrides ``params.variant_diversity`` for
-    this pipeline (``"distance"`` or ``"selector"``).
-    """
+def _dfg_stage(ctx: FlowContext) -> tuple[int, int]:
+    """DFG variants (§3.3.4, Algorithm 1) on the stage's own seed stream."""
     design = ctx.scheduled_design()
-    diversity = options.get("diversity", ctx.params.variant_diversity)
     created = obfuscate_dfgs(
         design,
         ctx.apportionment,
         ctx.working_key,
         ctx.stage_seed("dfg"),
-        diversity=diversity,
+        diversity=ctx.params.variant_diversity,
     )
     key_bits = sum(
         ctx.apportionment.block_slice_of[name][1] for name in created
@@ -315,7 +299,7 @@ def _dfg_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, int]:
 
 
 @register_stage("roms", phase=POST_SCHEDULE)
-def _roms_stage(ctx: FlowContext, options: Mapping[str, Any]) -> tuple[int, int]:
+def _roms_stage(ctx: FlowContext) -> tuple[int, int]:
     """ROM-image encryption (repository extension, see tao.rom_pass)."""
     slices = ctx.apportionment.rom_slice_of
     if not slices:
@@ -337,51 +321,21 @@ _BOOLEAN_STAGES: tuple[tuple[str, str], ...] = (
     ("roms", "obfuscate_roms"),
 )
 
-_Options = Union[
-    Mapping[str, Mapping[str, Any]],
-    tuple[tuple[str, tuple[tuple[str, Any], ...]], ...],
-]
-
-
 @dataclass(frozen=True)
 class FlowSpec:
-    """One obfuscation pipeline: ordered stage names + per-stage options.
+    """One obfuscation pipeline: ordered stage names.
 
-    Fully validated at construction — unknown stages, duplicates,
+    Fully validated at construction — unknown stages, duplicates and
     phase-order violations (a frontend stage listed after a
-    post-schedule stage) and options naming unlisted stages all raise
-    ``ValueError`` at parse time.  ``options`` accepts a plain
-    ``{stage: {option: value}}`` dict and is normalized to sorted
-    tuples, so specs are hashable and dict/JSON round-trips compare
-    equal (:meth:`to_dict` / :meth:`from_dict`).
+    post-schedule stage) raise ``ValueError`` at parse time.  Specs are
+    hashable, and dict/JSON round-trips compare equal (:meth:`to_dict`
+    / :meth:`from_dict`).
     """
 
     stages: tuple[str, ...] = ()
-    options: _Options = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
-        raw = self.options
-        items = raw.items() if isinstance(raw, Mapping) else raw
-        object.__setattr__(
-            self,
-            "options",
-            tuple(
-                sorted(
-                    (
-                        name,
-                        tuple(
-                            sorted(
-                                opts.items()
-                                if isinstance(opts, Mapping)
-                                else (tuple(item) for item in opts)
-                            )
-                        ),
-                    )
-                    for name, opts in items
-                )
-            ),
-        )
         self._validate()
 
     def _validate(self) -> None:
@@ -403,24 +357,12 @@ class FlowSpec:
                     "stages before post-schedule stages"
                 )
             highest_phase = max(highest_phase, phase_index)
-        for name, _opts in self.options:
-            if name not in seen:
-                raise ValueError(
-                    f"options given for stage {name!r} which is not in the "
-                    f"pipeline {list(self.stages)}"
-                )
 
     # ------------------------------------------------------------------
     @property
     def label(self) -> str:
         """Canonical comma-separated form (what the CLI accepts)."""
         return ",".join(self.stages)
-
-    def options_for(self, stage_name: str) -> dict[str, Any]:
-        for name, opts in self.options:
-            if name == stage_name:
-                return dict(opts)
-        return {}
 
     def resolved_stages(self) -> list[Stage]:
         """Registry lookups for every listed stage, in order."""
@@ -443,17 +385,11 @@ class FlowSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "stages": list(self.stages),
-            "options": {name: dict(opts) for name, opts in self.options},
-        }
+        return {"stages": list(self.stages)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        return cls(
-            stages=tuple(data.get("stages", ())),
-            options=dict(data.get("options", {})),
-        )
+        return cls(stages=tuple(data.get("stages", ())))
 
     @classmethod
     def from_parameters(cls, params: ObfuscationParameters) -> "FlowSpec":
@@ -498,14 +434,13 @@ def resolve_pipeline(value: Union[FlowSpec, str]) -> FlowSpec:
     """A :class:`FlowSpec` from a preset name or comma-separated stages.
 
     ``"full"`` → the preset; ``"constants,branches"`` → an ad-hoc
-    two-stage spec.  Plugin-registered presets and stages resolve too.
+    two-stage spec.
     Validation errors (unknown stage, phase order, duplicates, empty
     list) surface as ``ValueError`` naming the available presets and
     stages.
     """
     if isinstance(value, FlowSpec):
         return value
-    REGISTRY.load_plugins()
     if REGISTRY.has("pipeline-preset", value):
         return REGISTRY.get("pipeline-preset", value)
     names = tuple(part.strip() for part in value.split(",") if part.strip())

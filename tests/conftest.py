@@ -8,7 +8,7 @@ from repro.registry import REGISTRY
 @pytest.fixture
 def isolated_registry():
     """Snapshot the process registry and restore it after the test, so
-    plugin loads and ad-hoc registrations cannot leak across tests."""
+    ad-hoc registrations cannot leak across tests."""
     state = REGISTRY.snapshot()
     yield REGISTRY
     REGISTRY.restore(state)

@@ -1,8 +1,7 @@
 """Tests for the attack-engine subsystem (repro.attack): the result
 contract and its validating funnel, the oracle-guided key-recovery
 attacker (including the paper's central pruning asymmetry), the
-hill-climbing attacker, brute-force resistance curves, and the
-repro.api facade's attack entry points."""
+hill-climbing attacker and brute-force resistance curves."""
 
 import json
 
@@ -118,8 +117,8 @@ class TestResultContract:
             validate_attack_result("probe", result)
 
     def test_funnel_rejects_garbage_plugin(self, dfg_component):
-        """A plugin attack returning an ad-hoc dict fails loudly at the
-        run_attack funnel instead of serializing into campaigns."""
+        """A registered attack returning an ad-hoc dict fails loudly at
+        the run_attack funnel instead of serializing into campaigns."""
         from repro.registry import REGISTRY
 
         name = "garbage-probe"
@@ -313,12 +312,3 @@ class TestAdapters:
     def test_resistance_curve_is_oracle_free(self, dfg_component):
         result = run_attack("resistance-curve", dfg_component, BENCHES, seed=1)
         assert result["cost"]["oracle_queries"] == 0
-
-
-class TestBackCompatShim:
-    def test_api_facade_exposes_attack_entry_points(self):
-        from repro import api
-
-        assert api.run_attack is run_attack
-        assert api.attack_names is attack_names
-        assert api.validate_attack_result is validate_attack_result

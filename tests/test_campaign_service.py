@@ -13,8 +13,7 @@
   while the rest of the campaign completes;
 * per-unit timeouts kill the hung worker's process group and charge
   an attempt;
-* ``run_campaign(spec)`` runs with default options and warns nothing;
-* ``repro.api`` is the stable facade and the CLI advertises it.
+* ``run_campaign(spec)`` runs with default options and warns nothing.
 """
 
 import json
@@ -27,15 +26,9 @@ from pathlib import Path
 
 import pytest
 
-import repro.runtime.campaign as campaign_mod
 import repro.runtime.executor as executor_mod
-from repro.api import (
-    CampaignSpec,
-    ExecutionOptions,
-    execute_plan,
-    plan_campaign,
-    run_campaign,
-)
+from repro.runtime.campaign import CampaignSpec, plan_campaign, run_campaign
+from repro.runtime.executor import ExecutionOptions, execute_plan
 from repro.runtime.checkpoint import (
     CheckpointStore,
     spec_fingerprint,
@@ -75,6 +68,36 @@ class TestPlanCampaign:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="no units"):
             plan_campaign(CampaignSpec(benchmarks=()))
+
+    @pytest.mark.parametrize(
+        "field, flag, listed",
+        [
+            ("configs", "--config", "registered campaign configs"),
+            ("key_schemes", "--key-scheme", "registered key-management schemes"),
+            ("resource_budgets", "--budget", "registered resource budgets"),
+            ("attacks", "--attack", "registered attacks"),
+        ],
+    )
+    def test_unknown_axis_name_fails_before_any_unit_runs(
+        self, field, flag, listed, monkeypatch, capsys
+    ):
+        """Every axis name resolves when the plan is made: an unknown one
+        raises the registry's ``ValueError`` before any unit runs, and
+        ``repro campaign`` exits 2 with its message."""
+        from repro.cli import main
+
+        def no_unit(*args):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(executor_mod, "_execute_unit", no_unit)
+        spec = CampaignSpec(benchmarks=("sobel",), n_keys=2, **{field: ("bogus",)})
+        with pytest.raises(ValueError, match=f"'bogus'.*{listed}"):
+            plan_campaign(spec)
+        with pytest.raises(ValueError, match=listed):
+            run_campaign(spec)
+        argv = ["campaign", "--benchmarks", "sobel", "--keys", "2", flag, "bogus"]
+        assert main(argv) == 2
+        assert listed in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +518,9 @@ class TestProcessFootprint:
     def test_serial_campaign_loads_no_process_pool(self, tmp_path):
         """A ``--jobs 1`` campaign in a fresh process imports neither
         :mod:`multiprocessing` nor :mod:`concurrent.futures`: only the
-        pool paths do."""
+        pool paths do.  Nor does it import :mod:`importlib.metadata`:
+        capabilities are the repo's own, so nothing scans the installed
+        distributions."""
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -505,7 +530,8 @@ class TestProcessFootprint:
             "main(['campaign', '--benchmarks', 'sobel', '--keys', '2',"
             " '--jobs', '1', '-o', sys.argv[1]])\n"
             "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')"
+            " or m.startswith('importlib.metadata')))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "campaign.json")],
@@ -534,7 +560,7 @@ class TestProcessFootprint:
 
 
 # ----------------------------------------------------------------------
-# run_campaign shorthand and facade
+# run_campaign shorthand
 # ----------------------------------------------------------------------
 class TestLegacyWrapper:
     def test_plain_spec_does_not_warn(self):
@@ -544,35 +570,6 @@ class TestLegacyWrapper:
             warnings_mod.simplefilter("error")
             result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
         assert result.units[0].ok
-
-
-class TestApiFacade:
-    def test_exports_resolve(self):
-        import repro.api as api
-
-        for name in api.__all__:
-            assert getattr(api, name) is not None
-        assert sorted(dir(api)) == sorted(api.__all__)
-        with pytest.raises(AttributeError):
-            api.nope
-
-    def test_facade_matches_implementation(self):
-        import repro.api as api
-
-        assert api.plan_campaign is campaign_mod.plan_campaign
-        assert api.execute_plan is executor_mod.execute_plan
-        assert api.ExecutionOptions is executor_mod.ExecutionOptions
-
-    def test_list_advertises_api(self, capsys):
-        from repro.cli import main
-
-        assert main(["list", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["api"]["module"] == "repro.api"
-        assert "execute_plan" in payload["api"]["exports"]
-
-        assert main(["list"]) == 0
-        assert "stable API: repro.api" in capsys.readouterr().out
 
 
 class TestCliValidation:

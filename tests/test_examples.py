@@ -1,7 +1,10 @@
-"""Smoke tests: every shipped example runs to completion.
+"""Smoke tests: every shipped example imports, and the fast ones run
+to completion.
 
 Each example ends with assertions of its own headline claim, so a
 passing ``main()`` is a meaningful check, not just an import test.
+Importing every example (the slow full-suite one included) catches a
+name an example imports that the package no longer has.
 """
 
 import importlib.util
@@ -27,6 +30,11 @@ def load_example(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLES_DIR.glob("*.py")))
+def test_example_imports(name):
+    assert callable(load_example(name).main)
 
 
 @pytest.mark.parametrize("name", FAST_EXAMPLES)

@@ -1,8 +1,7 @@
-"""Capability-registry tests: uniform registration semantics, the
-``repro.plugins`` entry-point seam (synthetic in-test plugin sweeping
-as campaign axes), uniform unknown-name errors across every axis, the
-``repro list`` CLI, and byte-identity of refactored campaign output
-against the pre-refactor golden fixture."""
+"""Capability-registry tests: uniform registration semantics, entries
+registered in-process sweeping as campaign axes, uniform unknown-name
+errors across every axis, the ``repro list`` CLI, and byte-identity of
+refactored campaign output against the pre-refactor golden fixture."""
 
 from __future__ import annotations
 
@@ -13,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-import repro.registry as registry_mod
 from repro.registry import (
-    BUILTIN,
     KIND_LABELS,
     REGISTRY,
+    Capability,
     CapabilityRegistry,
     DuplicateCapabilityError,
     UnknownCapabilityError,
@@ -56,9 +54,7 @@ class TestRegistrySemantics:
         reg.register("widget", "alpha", 1)
         with pytest.raises(DuplicateCapabilityError, match="already registered"):
             reg.register("widget", "alpha", 2)
-        # replace=True is the explicit override
-        reg.register("widget", "alpha", 2, replace=True)
-        assert reg.get("widget", "alpha") == 2
+        assert reg.get("widget", "alpha") == 1
 
     def test_same_name_in_different_kinds_is_fine(self):
         reg = _fresh()
@@ -98,14 +94,6 @@ class TestRegistrySemantics:
         with pytest.raises(UnknownCapabilityError, match="capability kind"):
             reg.register("doohickey", "alpha", 1)
 
-    def test_add_kind(self):
-        reg = _fresh()
-        reg.add_kind("doohickey")
-        reg.register("doohickey", "alpha", 1)
-        assert reg.names("doohickey") == ("alpha",)
-        with pytest.raises(DuplicateCapabilityError, match="already registered"):
-            reg.add_kind("widget")
-
     def test_deterministic_registration_order(self):
         reg = _fresh()
         for name in ("zeta", "alpha", "mid"):
@@ -127,8 +115,11 @@ class TestRegistrySemantics:
         entry = reg.entry("widget", "alpha")
         assert entry.kind == "widget"
         assert entry.description == "the first one"
-        assert entry.provenance == BUILTIN
         assert entry.describe() == "the first one"
+        # Every entry is the repo's own, so none records where it came from.
+        assert set(Capability.__dataclass_fields__) == {
+            "kind", "name", "value", "description",
+        }
 
     def test_describe_falls_back_to_docstring(self):
         reg = _fresh()
@@ -159,7 +150,7 @@ class TestBuiltinRegistrations:
         assert set(listing) == set(KIND_LABELS)
         for kind, entries in listing.items():
             assert entries, f"kind {kind!r} registered nothing"
-            assert all(e["provenance"] == BUILTIN for e in entries)
+            assert [e["name"] for e in entries] == list(REGISTRY.names(kind))
 
     def test_tables_mirror_registry_names(self):
         from repro.benchsuite.registry import benchmark_names
@@ -225,7 +216,7 @@ class TestUniformUnknownNameErrors:
 
 
 # ----------------------------------------------------------------------
-# Synthetic third-party plugin
+# A kernel and an attack registered in-process
 # ----------------------------------------------------------------------
 PLUGIN_SOURCE = """
 int pkernel(int data[8], int bias) {
@@ -256,7 +247,7 @@ def _plugin_testbenches(seed: int = 0, count: int = 1):
 
 
 def _plugin_attack(component, benches, *, seed=0, engine=None):
-    # Well-behaved plugin: returns the structured contract shape
+    # A well-behaved attack: returns the structured contract shape
     # (repro.attack.contract) that run_attack validates at the funnel.
     return {
         "name": "plugin-probe",
@@ -269,50 +260,27 @@ def _plugin_attack(component, benches, *, seed=0, engine=None):
     }
 
 
-def _register_demo_plugin(registry):
-    from repro.benchsuite.registry import Benchmark, register
-
-    register(
-        Benchmark(
-            name="pluginbench",
-            source=PLUGIN_SOURCE,
-            top="pkernel",
-            description="out-of-tree accumulate kernel",
-            make_testbenches=_plugin_testbenches,
-        )
-    )
-    registry.register(
-        "attack", "plugin-probe", _plugin_attack, description="out-of-tree probe"
-    )
-
-
-class _FakeEntryPoint:
-    """Stand-in for an importlib.metadata entry point."""
-
-    def __init__(self, name, target=None, error=None):
-        self.name = name
-        self._target = target
-        self._error = error
-
-    def load(self):
-        if self._error is not None:
-            raise self._error
-        return self._target
-
-
 class TestPluginSeam:
-    def _arm(self, monkeypatch, entry_points):
-        REGISTRY._plugins_loaded = False
-        monkeypatch.setattr(
-            registry_mod, "_discover_entry_points", lambda: list(entry_points)
-        )
-
     def test_plugin_benchmark_and_attack_sweep_as_campaign_axes(
-        self, isolated_registry, monkeypatch
+        self, isolated_registry
     ):
+        """A kernel and an attack registered in-process sweep as campaign
+        axes like the builtins."""
+        from repro.benchsuite.registry import Benchmark, register
         from repro.runtime.campaign import CampaignSpec, run_campaign
 
-        self._arm(monkeypatch, [_FakeEntryPoint("demo", _register_demo_plugin)])
+        register(
+            Benchmark(
+                name="pluginbench",
+                source=PLUGIN_SOURCE,
+                top="pkernel",
+                description="accumulate kernel",
+                make_testbenches=_plugin_testbenches,
+            )
+        )
+        isolated_registry.register(
+            "attack", "plugin-probe", _plugin_attack, description="probe"
+        )
         spec = CampaignSpec(
             benchmarks=("pluginbench",),
             n_keys=2,
@@ -329,25 +297,10 @@ class TestPluginSeam:
         assert probe["applicable"] is True
         assert probe["outcome"]["n_benches"] == 1
         assert probe["cost"]["iterations"] == 1
-        # provenance recorded per entry point
-        assert REGISTRY.entry("benchmark", "pluginbench").provenance == "plugin:demo"
-        assert REGISTRY.entry("attack", "plugin-probe").provenance == "plugin:demo"
         # the attack axis round-trips through JSON
         doc = json.loads(result.to_json())
         assert doc["spec"]["attacks"] == ["plugin-probe"]
         assert doc["units"][0]["attacks"]["plugin-probe"]["applicable"] is True
-
-    def test_plugins_load_exactly_once(self, isolated_registry, monkeypatch):
-        calls = []
-
-        def register_once(registry):
-            calls.append(1)
-            registry.register("attack", "plugin-once", _plugin_attack)
-
-        self._arm(monkeypatch, [_FakeEntryPoint("once", register_once)])
-        assert REGISTRY.load_plugins() == 1
-        assert REGISTRY.load_plugins() == 0
-        assert calls == [1]
 
     def test_duplicate_name_registration_raises(self, isolated_registry):
         from repro.benchsuite.registry import benchmark_names
@@ -356,37 +309,6 @@ class TestPluginSeam:
         with pytest.raises(DuplicateCapabilityError, match="already registered"):
             REGISTRY.register("benchmark", "sobel", object())
 
-    def test_broken_plugin_warns_and_others_still_load(
-        self, isolated_registry, monkeypatch
-    ):
-        self._arm(
-            monkeypatch,
-            [
-                _FakeEntryPoint("broken", error=ImportError("no such module")),
-                _FakeEntryPoint("good", _register_demo_plugin),
-            ],
-        )
-        with pytest.warns(RuntimeWarning, match="plugin 'broken' failed"):
-            loaded = REGISTRY.load_plugins()
-        assert loaded == 1
-        assert REGISTRY.has("attack", "plugin-probe")
-
-    def test_plugin_colliding_with_builtin_warns_not_crashes(
-        self, isolated_registry, monkeypatch
-    ):
-        from repro.benchsuite.registry import benchmark_names
-
-        benchmark_names()
-
-        def hijack(registry):
-            registry.register("benchmark", "sobel", object())
-
-        self._arm(monkeypatch, [_FakeEntryPoint("hijack", hijack)])
-        with pytest.warns(RuntimeWarning, match="plugin 'hijack' failed"):
-            REGISTRY.load_plugins()
-        # the builtin entry survives untouched
-        assert REGISTRY.entry("benchmark", "sobel").provenance == BUILTIN
-
 
 class TestListCli:
     def test_list_plain(self, capsys):
@@ -394,8 +316,11 @@ class TestListCli:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for fragment in ("benchmark", "sobel", "[builtin]", "engine", "attack"):
+        for fragment in ("benchmark", "sobel", "engine", "attack"):
             assert fragment in out
+        for kind in KIND_LABELS:
+            for name in REGISTRY.names(kind):
+                assert f"  {name}" in out
 
     def test_list_single_kind_json(self, capsys):
         from repro.cli import main
@@ -407,7 +332,16 @@ class TestListCli:
             "interp",
             "codegen",
         ]
-        assert all(e["provenance"] == "builtin" for e in data["engine"])
+        assert all(set(e) == {"name", "description"} for e in data["engine"])
+
+    def test_list_json_names_every_builtin_in_order(self, capsys):
+        from repro.cli import main
+
+        assert main(["list", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == set(KIND_LABELS)
+        for kind in KIND_LABELS:
+            assert [e["name"] for e in data[kind]] == list(REGISTRY.names(kind))
 
     def test_list_unknown_kind(self, capsys):
         from repro.cli import main

@@ -402,8 +402,8 @@ class TestKeyBatchLanes:
         """Full campaign documents are byte-identical, on both fast
         engines, with the four wrong keys run one per batch, two per
         batch or all at once."""
-        from repro.api import CampaignSpec, ExecutionOptions, execute_plan
-        from repro.runtime.campaign import plan_campaign
+        from repro.runtime.campaign import CampaignSpec, plan_campaign
+        from repro.runtime.executor import ExecutionOptions, execute_plan
 
         spec = CampaignSpec(benchmarks=("gsm",), n_keys=5, seed=13)
 

@@ -2,7 +2,8 @@
 codegen tiers against the reference interpreter (budgets ending inside
 a chain, and every DFG arm that keeps the two-phase commit), the engine
 seam, the compile-once cache, the compiled tier's bind lifecycle (arms
-compiled on first bind and shared by equal-distance selectors, no
+compiled on first bind, one per distinct content of a state, so shared
+by equal-distance selectors and by lists that hold the same ops, no
 poisoned memo after a failed bind), the zero-size-memory errors of
 LOAD and STORE (all three engines), and the compiled tier's fused
 chains (a second plan that fuses every chain at once in the
@@ -395,11 +396,53 @@ class TestKeyCells:
         assert len(plan._kconst_cells) > 40
 
 
+def _arm_content(ops) -> tuple:
+    """What a compiled arm runs: the op fields of a cycle's ops.  The plan
+    keeps one arm per distinct content of a variant state."""
+    return tuple(
+        (opcode, result, tuple(operands), array_name)
+        for opcode, result, operands, array_name in CompiledDesign._fields(ops)
+    )
+
+
+def _content_moves(tables, current: int) -> list[int]:
+    """The selectors of a variant block (its layout ``tables``) whose op
+    list differs in content from ``current``'s in every state of the
+    block, fewest flipped bits first: binding one changes the arm of every
+    state of the block."""
+    base = [_arm_content(per_selector[current]) for _, per_selector in tables]
+    return sorted(
+        (
+            selector
+            for selector in tables[0][1]
+            if all(
+                _arm_content(per_selector[selector]) != content
+                for (_, per_selector), content in zip(tables, base)
+            )
+        ),
+        key=lambda selector: (bin(selector ^ current).count("1"), selector),
+    )
+
+
+def _content_moving_key(layout, key: int) -> int:
+    """``key`` with each variant block's selector moved to the first of
+    its :func:`_content_moves`, for the blocks that have one; the other
+    blocks keep ``key``'s selector, and so its op lists."""
+    for variants, tables in layout.variant_tables:
+        current = variants.selector(key)
+        moves = _content_moves(tables, current)
+        if moves:
+            key ^= (moves[0] ^ current) << variants.key_offset
+    return key
+
+
 class TestLazyArms:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_two_binds_compile_at_most_two_arms(self, name, monkeypatch):
         """Binding the correct key and one wrong key compiles only the
-        two selected arms of each variant state table, not all of them."""
+        two selected arms of each variant state table, not all of them.
+        Where the wrong key selects another op list, the list differs in
+        content in every state of its block, so it is another arm."""
         component, _ = _obfuscated(name, "full")
         compiled: list[int] = []
         compile_ops = CompiledDesign._compile_ops
@@ -413,7 +456,8 @@ class TestLazyArms:
         monkeypatch.setattr(CompiledDesign, "_compile_ops", counted)
         plan = CompiledDesign(component.design)
         correct = component.correct_working_key
-        wrong = correct ^ ((1 << component.working_key_bits) - 1)
+        wrong = _content_moving_key(plan.layout, correct)
+        assert wrong != correct
         plan.bind_key(correct)
         plan.bind_key(wrong)
         tables = [
@@ -430,6 +474,51 @@ class TestLazyArms:
             compiled_arms = [i for i in compiled if i in arms]
             assert len(compiled_arms) <= 2
             assert set(compiled_arms) == selected
+
+
+class TestContentKeyedArms:
+    def test_binds_compile_one_arm_per_distinct_content(self, monkeypatch):
+        """On viterbi under ``full``, eight binds compile exactly one arm
+        per distinct content among the op lists they select in each
+        variant state: lists at different Hamming distances that hold the
+        same ops in a state share one arm."""
+        component, _ = _obfuscated("viterbi", "full")
+        compiled: list[int] = []
+        compile_ops = CompiledDesign._compile_ops
+
+        def counted(plan, ops):
+            compiled.append(id(ops))
+            return compile_ops(plan, ops)
+
+        monkeypatch.setattr(CompiledDesign, "_compile_ops", counted)
+        plan = CompiledDesign(component.design)
+        rng = random.Random(8)
+        keys = [component.correct_working_key] + [
+            rng.getrandbits(component.working_key_bits) for _ in range(7)
+        ]
+        for key in keys:
+            plan.bind_key(key)
+        arms_of = {
+            idx: arms for _, tables in plan._variant_binds for idx, _, arms in tables
+        }
+        shared = 0
+        for variants, tables in plan.layout.variant_tables:
+            for idx, per_selector in tables:
+                selected = {
+                    id(ops): ops
+                    for ops in (per_selector[variants.selector(key)] for key in keys)
+                }
+                built = [selected[i] for i in compiled if i in selected]
+                contents = {_arm_content(ops) for ops in selected.values()}
+                assert len(built) == len(contents)
+                assert {_arm_content(ops) for ops in built} == contents
+                arms = arms_of[idx]
+                by_content: dict[tuple, list] = {}
+                for list_id, ops in selected.items():
+                    arm = by_content.setdefault(_arm_content(ops), arms[list_id])
+                    assert arms[list_id] is arm
+                shared += len(selected) - len(contents)
+        assert shared > 0
 
 
 class TestSharedArms:
@@ -844,15 +933,19 @@ class TestFusionLifecycle:
                 if entry is not None and states.intersection(entry[5])
             }
 
-        # A block with a fused chain through it and one around it.
-        variants, dropped = next(
-            (v, heads)
-            for v in design.block_variants.values()
+        # A block with a fused chain through it and one around it, and a
+        # selector whose op list differs from the correct one's in every
+        # state of the block.
+        variants, moves, dropped = next(
+            (v, moves, heads)
+            for v, tables in plan.layout.variant_tables
+            for moves in [_content_moves(tables, v.selector(correct))]
             for heads in [through(v.block_name)]
-            if any(fused[head] for head in heads)
+            if moves
+            and any(fused[head] for head in heads)
             and any(step for head, step in enumerate(fused) if head not in heads)
         )
-        key = correct ^ (1 << variants.key_offset)
+        key = correct ^ ((moves[0] ^ variants.selector(correct)) << variants.key_offset)
         plan.bind_key(key)
         for head, step in enumerate(fused):
             if head in dropped:
@@ -1002,17 +1095,23 @@ class TestLoopClosures:
                 )
             }
 
-        variants, dropped = next(
-            (v, heads)
-            for v in design.block_variants.values()
+        # A block with a loop through it and one around it, and a selector
+        # whose op list differs from the correct one's in every state of
+        # the block.
+        variants, moves, dropped = next(
+            (v, moves, heads)
+            for v, tables in plan.layout.variant_tables
+            for moves in [_content_moves(tables, v.selector(correct))]
             for heads in [through(v.block_name)]
-            if heads and any(loop and head not in heads for head, loop in enumerate(loops))
+            if moves
+            and heads
+            and any(loop and head not in heads for head, loop in enumerate(loops))
         )
-        plan.bind_key(correct ^ (1 << variants.key_offset))
+        key = correct ^ ((moves[0] ^ variants.selector(correct)) << variants.key_offset)
+        plan.bind_key(key)
         for head, loop in enumerate(loops):
             assert plan._loops[head] is (None if head in dropped else loop)
         cap = max(8 * baseline.cycles, 4000)
-        key = correct ^ (1 << variants.key_offset)
         interp = FsmdSimulator(design, max_cycles=cap).run(
             workload.args, dict(workload.arrays), key
         )
@@ -1137,15 +1236,21 @@ def _capped_viterbi():
 
 def _arm_changing_key(plan, key, loop):
     """``key`` with one bit flipped in the slice of a variant block whose
-    state ``loop`` runs: the flip moves the selector's Hamming distance,
-    so a bind selects another arm for that state."""
+    state ``loop`` runs, the first flip whose op list differs in content
+    from the bound one in such a state, so a bind selects another arm for
+    that state."""
     states = {idx for member in loop.region for idx in plan._entries[member][5]}
-    for variants in plan.design.block_variants.values():
-        if any(
-            plan.layout.states[idx].block == variants.block_name for idx in states
-        ):
-            return key ^ (1 << variants.key_offset)
-    raise AssertionError("the loop runs no variant state")
+    for variants, tables in plan.layout.variant_tables:
+        current = variants.selector(key)
+        for bit in range(variants.key_bits):
+            if any(
+                _arm_content(per_selector[current ^ (1 << bit)])
+                != _arm_content(per_selector[current])
+                for idx, per_selector in tables
+                if idx in states
+            ):
+                return key ^ (1 << (variants.key_offset + bit))
+    raise AssertionError("no one-bit flip changes an arm the loop runs")
 
 
 class TestClosureMemo:

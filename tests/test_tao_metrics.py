@@ -10,10 +10,10 @@ from repro.tao import LockingKey, TaoFlow
 from repro.tao.metrics import (
     UNCAPPED_CYCLES,
     WRONG_KEY_CYCLE_FLOOR,
-    _cycle_cap,
     generate_wrong_keys,
     output_corruptibility,
     validate_component,
+    wrong_key_cycle_cap,
 )
 
 SOURCE = """
@@ -68,10 +68,10 @@ class TestValidateComponent:
     def test_wrong_key_cap_is_never_the_uncapped_budget(self):
         """The wrong-key cap is 8x the baseline with a floor, including for
         a zero-cycle baseline; only an explicit cap overrides it."""
-        assert _cycle_cap(0, None) == WRONG_KEY_CYCLE_FLOOR < UNCAPPED_CYCLES
-        assert _cycle_cap(WRONG_KEY_CYCLE_FLOOR // 8 - 1, None) == WRONG_KEY_CYCLE_FLOOR
-        assert _cycle_cap(1000, None) == 8000
-        assert _cycle_cap(0, 77) == _cycle_cap(1000, 77) == 77
+        assert wrong_key_cycle_cap(0, None) == WRONG_KEY_CYCLE_FLOOR < UNCAPPED_CYCLES
+        assert wrong_key_cycle_cap(WRONG_KEY_CYCLE_FLOOR // 8 - 1, None) == WRONG_KEY_CYCLE_FLOOR
+        assert wrong_key_cycle_cap(1000, None) == 8000
+        assert wrong_key_cycle_cap(0, 77) == wrong_key_cycle_cap(1000, 77) == 77
 
     def test_deterministic_per_seed(self, component):
         a = validate_component(component, [BENCH], n_keys=5, seed=3)

@@ -71,7 +71,7 @@ class TestStageRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_stage("constants", phase="frontend")(lambda ctx, opts: (0, 0))
+            register_stage("constants", phase="frontend")(lambda ctx: (0, 0))
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError, match="phase"):
@@ -81,7 +81,7 @@ class TestStageRegistry:
         # The extension seam: a new registered stage runs in the loop
         # and reports telemetry like the built-ins.
         @register_stage("census", phase="post-schedule")
-        def _census(ctx, options):
+        def _census(ctx):
             return len(ctx.scheduled_design().controller.transitions), 0
 
         try:
@@ -112,19 +112,11 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="frontend stages before"):
             FlowSpec(("branches", "constants"))
 
-    def test_options_for_unlisted_stage_rejected(self):
-        with pytest.raises(ValueError, match="not in the pipeline"):
-            FlowSpec(("constants",), options={"dfg": {"diversity": "selector"}})
-
     def test_dict_round_trip(self):
-        spec = FlowSpec(
-            ("constants", "dfg"), options={"dfg": {"diversity": "selector"}}
-        )
+        spec = FlowSpec(("constants", "dfg"))
         assert FlowSpec.from_dict(spec.to_dict()) == spec
         # JSON round-trip too (what a saved spec actually stores).
         assert FlowSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-        assert spec.options_for("dfg") == {"diversity": "selector"}
-        assert spec.options_for("constants") == {}
         assert spec.label == "constants,dfg"
 
     def test_from_parameters_maps_booleans(self):
@@ -182,18 +174,6 @@ class TestPresetEquivalence:
         assert set(CONFIG_PIPELINES) == set(REGISTRY.names("config"))
         for name in CONFIG_PIPELINES.values():
             assert REGISTRY.has("pipeline-preset", name)
-
-    def test_dfg_diversity_option_equals_params_knob(self):
-        via_params = TaoFlow(
-            params=ObfuscationParameters(variant_diversity="selector"),
-            pipeline="dfg",
-        ).obfuscate(SOURCE, "kernel")
-        via_option = TaoFlow(
-            pipeline=FlowSpec(
-                ("dfg",), options={"dfg": {"diversity": "selector"}}
-            )
-        ).obfuscate(SOURCE, "kernel")
-        assert emit_verilog(via_params.design) == emit_verilog(via_option.design)
 
 
 # ----------------------------------------------------------------------
