@@ -4,43 +4,28 @@ Paper reference (§4.2): both the area overhead and the frequency drop
 of the DFG-variant obfuscation are "proportional to the number of key
 bits assigned to each basic block because creating more variants
 requires more multiplexers".  This bench sweeps B_i and checks that
-monotonic trend, plus the diversity-mode ablation from DESIGN.md.
+monotonic trend, plus the diversity-mode ablation from DESIGN.md.  The
+sweep is the ``bi1`` .. ``bi5`` cells of the session's evaluation
+document (DFG variants alone, selector diversity; see conftest.py).
 """
 
 import pytest
 
-from repro.benchsuite import all_benchmarks
-from repro.evaluation.overhead import frequency_vs_block_bits
-from repro.rtl import estimate_area
+from repro.evaluation.report import area_overhead, frequency_ratio
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.executor import ExecutionOptions
-from repro.tao import ObfuscationParameters, TaoFlow
 
 BI_VALUES = [1, 2, 3, 4, 5]
 
 
-def area_vs_block_bits(name, bits_values, diversity="selector"):
-    bench = all_benchmarks()[name]
-    baseline = TaoFlow().synthesize_baseline(bench.source, bench.top)
-    baseline_area = estimate_area(baseline).total
-    overheads = {}
-    for bits in bits_values:
-        params = ObfuscationParameters(
-            obfuscate_constants=False,
-            obfuscate_branches=False,
-            block_bits=bits,
-            variant_diversity=diversity,
-        )
-        component = TaoFlow(params=params).obfuscate(bench.source, bench.top)
-        overheads[bits] = (
-            estimate_area(component.design).total / baseline_area - 1.0
-        )
-    return overheads
+def sweep(metric, by_config):
+    """``metric`` of each B_i cell of one benchmark."""
+    return {bits: metric(by_config[f"bi{bits}"]) for bits in BI_VALUES}
 
 
-def test_area_grows_with_block_bits(benchmark, capsys):
+def test_area_grows_with_block_bits(benchmark, capsys, evaluation):
     overheads = benchmark.pedantic(
-        area_vs_block_bits, args=("sobel", BI_VALUES), rounds=1, iterations=1
+        sweep, args=(area_overhead, evaluation["sobel"]), rounds=1, iterations=1
     )
     with capsys.disabled():
         print("\nsobel DFG-variant area overhead vs B_i (selector diversity):")
@@ -52,9 +37,9 @@ def test_area_grows_with_block_bits(benchmark, capsys):
     assert values[-1] > values[0]
 
 
-def test_frequency_drops_with_block_bits(benchmark, capsys):
+def test_frequency_drops_with_block_bits(benchmark, capsys, evaluation):
     ratios = benchmark.pedantic(
-        frequency_vs_block_bits, args=("sobel", BI_VALUES), rounds=1, iterations=1
+        sweep, args=(frequency_ratio, evaluation["sobel"]), rounds=1, iterations=1
     )
     with capsys.disabled():
         print("\nsobel DFG-variant frequency ratio vs B_i:")
@@ -109,13 +94,13 @@ def test_block_bits_sweep_functional(benchmark, capsys):
     assert result.cache["golden"]["misses"] == 1
 
 
-def test_diversity_mode_ablation(benchmark, capsys):
-    """DESIGN.md ablation: selector diversity >= distance diversity in area."""
+def test_diversity_mode_ablation(benchmark, capsys, evaluation):
+    """DESIGN.md ablation: selector diversity >= distance diversity in area.
+    ``dfg-only`` is B_i = 4 under the default distance diversity."""
 
     def measure():
-        distance = area_vs_block_bits("sobel", [4], diversity="distance")[4]
-        selector = area_vs_block_bits("sobel", [4], diversity="selector")[4]
-        return distance, selector
+        sobel = evaluation["sobel"]
+        return area_overhead(sobel["dfg-only"]), area_overhead(sobel["bi4"])
 
     distance, selector = benchmark.pedantic(measure, rounds=1, iterations=1)
     with capsys.disabled():

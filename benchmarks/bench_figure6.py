@@ -4,45 +4,54 @@ Paper reference: Figure 6 plots, per benchmark, the logic-synthesis
 area of {baseline, +branches, +constants, +DFG variants}, normalized
 to the baseline.  Reported shape: branch masking is practically free,
 constants cost ~10 % average, DFG variants ~21 % average with backprop
-worst (>30 %).
+worst (>30 %).  The bars come from the session's evaluation document:
+each single-obfuscation cell's area over its unobfuscated reference.
 """
 
 import pytest
 
-from repro.evaluation.figure6 import (
+from repro.evaluation.report import (
+    BAR_CONFIGS,
     PAPER_FIGURE6,
+    area_overhead,
     format_figure6,
-    generate_figure6,
-    measure_benchmark,
 )
 
 BENCHMARKS = list(PAPER_FIGURE6)
 
 
+def bar_overheads(by_config):
+    """The three single-obfuscation bars of one benchmark."""
+    return {bar: area_overhead(by_config[config]) for bar, config in BAR_CONFIGS.items()}
+
+
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_figure6_row(benchmark, name):
-    row = benchmark.pedantic(measure_benchmark, args=(name,), rounds=1, iterations=1)
+def test_figure6_row(benchmark, name, evaluation):
+    row = benchmark(bar_overheads, evaluation[name])
     # Per-benchmark shape: branches free, DFG dominates branches.
-    assert row.branches_overhead < 0.02
-    assert row.dfg_overhead > row.branches_overhead
-    assert row.constants_overhead > 0.0
+    assert row["branches"] < 0.02
+    assert row["dfg"] > row["branches"]
+    assert row["constants"] > 0.0
 
 
-def test_figure6_full(benchmark, capsys):
-    rows = benchmark.pedantic(generate_figure6, rounds=1, iterations=1)
+def test_figure6_full(benchmark, capsys, evaluation):
+    def regenerate():
+        return {name: bar_overheads(evaluation[name]) for name in BENCHMARKS}
+
+    by_name = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    rows = list(by_name.values())
     with capsys.disabled():
         print()
-        print(format_figure6(rows))
-    by_name = {r.benchmark: r for r in rows}
+        print(format_figure6(evaluation))
     n = len(rows)
-    avg_branches = sum(r.branches_overhead for r in rows) / n
-    avg_constants = sum(r.constants_overhead for r in rows) / n
-    avg_dfg = sum(r.dfg_overhead for r in rows) / n
+    avg_branches = sum(r["branches"] for r in rows) / n
+    avg_constants = sum(r["constants"] for r in rows) / n
+    avg_dfg = sum(r["dfg"] for r in rows) / n
     # Paper-shape assertions:
     assert avg_branches < 0.02  # "practically no area impact"
     assert 0.03 < avg_constants < 0.30  # paper average ~10 %
     assert 0.10 < avg_dfg < 0.45  # paper average ~21 %
     assert avg_dfg > avg_constants > avg_branches  # ordering of the bars
     # backprop shows the largest DFG-variant overhead (paper: >30 %).
-    assert by_name["backprop"].dfg_overhead == max(r.dfg_overhead for r in rows)
-    assert by_name["backprop"].dfg_overhead > 0.30
+    assert by_name["backprop"]["dfg"] == max(r["dfg"] for r in rows)
+    assert by_name["backprop"]["dfg"] > 0.30

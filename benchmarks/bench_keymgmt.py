@@ -4,7 +4,9 @@ Paper reference: the replication scheme adds no area or delay (the
 locking-key bits wire directly from the tamper-proof memory to the use
 points, with fan-out f = ceil(W/K)); the AES scheme adds a fixed
 decryption core plus NVM bits and flip-flops proportional to W, and
-its one-time power-up latency is irrelevant at run time.
+its one-time power-up latency is irrelevant at run time.  The rows
+come from the ``default`` cells of the session's evaluation document:
+W and the obfuscated design's area.
 
 Functional validation of both schemes rides on the campaign engine's
 key-scheme axis (``CampaignSpec.key_schemes``): one sweep runs the
@@ -15,11 +17,7 @@ software model once for both.
 
 import pytest
 
-from repro.evaluation.keymgmt_eval import (
-    format_keymgmt,
-    generate_keymgmt,
-    measure_keymgmt,
-)
+from repro.evaluation.report import format_keymgmt, keymgmt_rows
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.executor import ExecutionOptions
 
@@ -27,15 +25,16 @@ BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_keymgmt_row(benchmark, name):
-    row = benchmark.pedantic(measure_keymgmt, args=(name,), rounds=1, iterations=1)
+def test_keymgmt_row(benchmark, name, evaluation):
+    rows = benchmark.pedantic(keymgmt_rows, args=(evaluation,), rounds=1, iterations=1)
+    row = next(r for r in rows if r.benchmark == name)
     assert row.replication_extra == 0.0  # replication is free
     assert row.aes_extra > 0.0
     assert row.replication_fanout >= 1
 
 
-def test_keymgmt_suite(benchmark, capsys):
-    rows = benchmark.pedantic(generate_keymgmt, rounds=1, iterations=1)
+def test_keymgmt_suite(benchmark, capsys, evaluation):
+    rows = benchmark.pedantic(keymgmt_rows, args=(evaluation,), rounds=1, iterations=1)
     with capsys.disabled():
         print()
         print(format_keymgmt(rows))

@@ -5,6 +5,10 @@ baseline design.  V3: wrong keys change latency only when they corrupt
 loop-bound constants; datapath variants and branch masks preserve the
 schedule length.
 
+P1 reads the ``default`` cells of the session's evaluation document:
+the correct-key cycles against the unobfuscated reference's cycles on
+the same workloads.
+
 V3 rides on the campaign engine: ``ValidationReport`` already counts
 ``latency_changed_keys`` against the correct-key baseline per trial,
 so the wrong-key latency experiment is one campaign unit rather than a
@@ -13,7 +17,7 @@ hand-rolled key loop (and its trials fan out over ``REPRO_JOBS``).
 
 import pytest
 
-from repro.evaluation.overhead import measure_latency
+from repro.evaluation.report import latency_overhead
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.executor import ExecutionOptions
 
@@ -21,15 +25,16 @@ BENCHMARKS = ["gsm", "adpcm", "sobel", "backprop", "viterbi"]
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_latency_zero_overhead(benchmark, name, capsys):
-    row = benchmark.pedantic(measure_latency, args=(name,), rounds=1, iterations=1)
+def test_latency_zero_overhead(benchmark, name, capsys, evaluation):
+    unit = evaluation[name]["default"]
+    overhead = benchmark.pedantic(latency_overhead, args=(unit,), rounds=1, iterations=1)
     with capsys.disabled():
         print(
-            f"\n{name}: baseline {row.baseline_cycles} cycles, "
-            f"obfuscated {row.obfuscated_cycles} cycles "
-            f"(overhead {100 * row.overhead:+.2f}%)"
+            f"\n{name}: baseline {unit.design['reference']['cycles']} cycles, "
+            f"obfuscated {unit.report.baseline_cycles} cycles "
+            f"(overhead {100 * overhead:+.2f}%)"
         )
-    assert row.overhead == 0.0  # paper: "no performance overhead"
+    assert overhead == 0.0  # paper: "no performance overhead"
 
 
 def test_wrong_key_latency_changes_only_via_loop_bounds(benchmark, capsys):

@@ -2,29 +2,26 @@
 
 Paper reference: Table 1 reports # C lines, # Const, # BB, # CJMP and
 the working-key width W per benchmark after compiler optimization with
-C = 32, one key bit per branch and B_i = 4.
+C = 32, one key bit per branch and B_i = 4.  The rows come from the
+``default`` cells of the session's evaluation document.
 """
 
 import pytest
 
-from repro.evaluation.table1 import (
-    PAPER_TABLE1,
-    characterize_benchmark,
-    format_table1,
-    generate_table1,
-)
+from repro.evaluation.report import PAPER_TABLE1, format_table1, table1_rows
 
 BENCHMARKS = list(PAPER_TABLE1)
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_table1_row(benchmark, name):
-    row = benchmark(characterize_benchmark, name)
+def test_table1_row(benchmark, name, evaluation):
+    rows = benchmark(table1_rows, evaluation)
+    row = next(r for r in rows if r.benchmark == name)
     assert row.w == row.cjmps + 32 * row.consts + 4 * row.bbs  # Eq. 1
 
 
-def test_table1_full(benchmark, capsys):
-    rows = benchmark.pedantic(generate_table1, rounds=1, iterations=1)
+def test_table1_full(benchmark, capsys, evaluation):
+    rows = benchmark.pedantic(table1_rows, args=(evaluation,), rounds=1, iterations=1)
     with capsys.disabled():
         print()
         print(format_table1(rows))

@@ -1,65 +1,34 @@
 """Regenerate the paper's evaluation on the five-benchmark suite.
 
-Prints Table 1, Figure 6, the frequency impact (P2), the
-key-management comparison (K1) and a compact key-validation campaign
-(V1/V2) — ours next to the paper's numbers.  This is the long-form
-version of what `pytest benchmarks/ --benchmark-only -s` runs.
+Runs the evaluation campaign — every benchmark under the four configs
+Figure 6 compares, with each unit's design block — and prints Table 1,
+Figure 6, the latency (P1) and frequency (P2) impact, the
+key-management comparison (K1) and the key validation (V1/V2), ours
+next to the paper's numbers.  The same document comes from::
 
-Run:  python examples/full_benchmark_suite.py            (quick, ~2 min)
-      REPRO_FULL_VALIDATION=1 python examples/...        (100 keys/bench)
+    repro campaign --benchmarks all --config default \\
+        --config branches-only --config constants-only --config dfg-only \\
+        --design-metrics --keys 10
+
+Run:  python examples/full_benchmark_suite.py
 """
 
-import os
 import time
 
-from repro.evaluation import (
-    format_figure6,
-    format_frequency_rows,
-    format_keymgmt,
-    format_table1,
-    format_validation,
-    generate_figure6,
-    generate_keymgmt,
-    generate_table1,
-    measure_frequency,
-    measure_latency,
-    validate_suite,
-)
+from repro.benchsuite import benchmark_names
+from repro.evaluation.report import EVALUATION_CONFIGS, format_evaluation
+from repro.runtime.campaign import CampaignSpec, run_campaign
 
 
 def main() -> None:
     t0 = time.time()
-    full = bool(os.environ.get("REPRO_FULL_VALIDATION"))
-
-    print("=" * 72)
-    print("TAO (DAC 2018) — reproduction of the experimental evaluation")
-    print("=" * 72)
-
-    print("\n[T1] " + format_table1(generate_table1()))
-
-    print("\n[F6] " + format_figure6(generate_figure6()))
-
-    print("\n[P1] Latency with the correct key (paper: zero overhead)")
-    for name in ("gsm", "adpcm", "sobel", "backprop", "viterbi"):
-        row = measure_latency(name)
-        print(
-            f"  {name:<10} baseline {row.baseline_cycles:>6} cycles, "
-            f"obfuscated {row.obfuscated_cycles:>6} cycles "
-            f"({100 * row.overhead:+.2f}%)"
-        )
-
-    print("\n[P2] " + format_frequency_rows(
-        [measure_frequency(n) for n in ("gsm", "adpcm", "sobel", "backprop", "viterbi")]
-    ))
-
-    print("\n[K1] " + format_keymgmt(generate_keymgmt()))
-
-    n_keys = 100 if full else 10
-    print(f"\n[V1/V2] Key validation with {n_keys} keys per benchmark"
-          + (" (set REPRO_FULL_VALIDATION=1 for the paper's 100)" if not full else ""))
-    summary = validate_suite(n_keys=n_keys, n_workloads=1)
-    print(format_validation(summary))
-
+    spec = CampaignSpec(
+        benchmarks=tuple(benchmark_names()),
+        configs=EVALUATION_CONFIGS,
+        n_keys=10,
+        design_metrics=True,
+    )
+    print(format_evaluation(run_campaign(spec)))
     print(f"\nDone in {time.time() - t0:.0f}s.")
 
 

@@ -15,7 +15,9 @@ passes:
 * ``repro.tao`` — the paper's contribution: key apportionment, constant
   obfuscation, branch masking, DFG variants, key management, metrics;
 * ``repro.benchsuite`` — the five Table-1 benchmarks;
-* ``repro.evaluation`` — regenerators for every table and figure.
+* ``repro.runtime`` — the campaign service that runs the evaluation;
+* ``repro.evaluation`` — renderers for every table and figure, read
+  from one campaign document.
 
 Quickstart::
 

@@ -27,11 +27,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.attack.contract import inapplicable
 from repro.registry import REGISTRY
-from repro.sim.testbench import (
-    hamming_distance_fraction,
-    iter_outcomes,
-    run_testbench,
-)
+from repro.sim.testbench import run_testbench
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
     from repro.sim.testbench import Testbench
@@ -71,37 +67,32 @@ def resistance_curve(
     """Sample wrong locking keys; build the output-corruption CDF.
 
     Wrong keys are drawn up front from the seed (deduplicated, never
-    the correct key) and swept through lane batches per workload;
-    per-key corruption is the mean Hamming fraction over workloads.
+    the correct key) and run through
+    :func:`~repro.tao.metrics.run_key_trials`; per-key corruption is
+    its mean Hamming fraction over workloads.
     """
-    from repro.tao.metrics import generate_wrong_keys, wrong_key_cycle_cap
+    from repro.tao.metrics import (
+        generate_wrong_keys,
+        run_key_trials,
+        wrong_key_cycle_cap,
+    )
 
     if n_trials < 1:
         raise ValueError(f"n_trials={n_trials}: need at least one wrong key")
-    design = component.design
     rng = random.Random(seed)
     wrong_keys = generate_wrong_keys(component.locking_key, n_trials, rng)
     if not wrong_keys:
         raise ValueError("keyspace has no wrong keys to sample")
     baseline = run_testbench(
-        design,
+        component.design,
         benches[0],
         working_key=component.correct_working_key,
         engine=engine,
     )
     cap = wrong_key_cycle_cap(baseline.cycles)
 
-    workings = [component.working_key_for(key) for key in wrong_keys]
-    sums = [0.0] * len(wrong_keys)
-    matches = [True] * len(wrong_keys)
-    for bench in benches:
-        outcomes = iter_outcomes(design, bench, workings, cap, engine)
-        for lane, outcome in enumerate(outcomes):
-            matches[lane] &= outcome.matches
-            sums[lane] += hamming_distance_fraction(
-                outcome.golden_bits, outcome.simulated_bits
-            )
-    corruptions = [total / len(benches) for total in sums]
+    trials = run_key_trials(component, benches, wrong_keys, cap, engine=engine)
+    corruptions = [trial.hamming_fraction for trial in trials]
 
     edges = [i / CDF_BINS for i in range(CDF_BINS + 1)]
     cdf = [
@@ -112,7 +103,7 @@ def resistance_curve(
     return ResistanceCurveResult(
         keys_tried=len(wrong_keys),
         keyspace_bits=keyspace_bits,
-        keys_unlocking=sum(matches),
+        keys_unlocking=sum(trial.output_matches for trial in trials),
         mean_corruption=sum(corruptions) / len(corruptions),
         min_corruption=min(corruptions),
         max_corruption=max(corruptions),

@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.attack.contract import inapplicable
 from repro.registry import REGISTRY
-from repro.sim.testbench import (
-    Testbench,
-    hamming_distance_fraction,
-    iter_outcomes,
-    run_testbench,
-)
+from repro.sim.testbench import Testbench, iter_outcomes, run_testbench
 
 if TYPE_CHECKING:  # type-only: repro.tao imports back into this package
     from repro.tao.flow import ObfuscatedComponent
@@ -62,17 +57,16 @@ def random_key_attack(
 
     ``engine`` selects the FSMD engine for every probe (compiled
     default); attack outcomes are engine-independent.  All guesses are
-    drawn up front (preserving the scalar loop's RNG stream) and each
-    workload probes them in lane batches (:func:`iter_outcomes`), so
-    the codegen engine binds and sweeps each batch at once.
+    drawn up front (preserving the scalar loop's RNG stream) and run
+    as one :func:`~repro.tao.metrics.run_key_trials` batch: a guess
+    unlocks only if it matches on every workload.
     """
     from repro.tao.key import LockingKey
-    from repro.tao.metrics import wrong_key_cycle_cap
+    from repro.tao.metrics import run_key_trials, wrong_key_cycle_cap
 
     rng = random.Random(seed)
-    design = component.design
     good = run_testbench(
-        design,
+        component.design,
         benches[0],
         working_key=component.correct_working_key,
         engine=engine,
@@ -82,20 +76,11 @@ def random_key_attack(
     # An astronomically unlikely correct guess is skipped (not probed)
     # to keep the counts honest, exactly like the scalar loop did.
     guesses = [g for g in guesses if g.bits != component.locking_key.bits]
-    workings = [component.working_key_for(guess) for guess in guesses]
-    all_match = [True] * len(guesses)
-    hamming_sums = [0.0] * len(guesses)
-    for bench in benches:
-        outcomes = iter_outcomes(design, bench, workings, cap, engine)
-        for lane, outcome in enumerate(outcomes):
-            all_match[lane] &= outcome.matches
-            hamming_sums[lane] += hamming_distance_fraction(
-                outcome.golden_bits, outcome.simulated_bits
-            )
-    hammings = [total / len(benches) for total in hamming_sums]
+    trials = run_key_trials(component, benches, guesses, cap, engine=engine)
+    hammings = [trial.hamming_fraction for trial in trials]
     return RandomKeyAttackResult(
         keys_tried=n_keys,
-        keys_unlocking=sum(all_match),
+        keys_unlocking=sum(trial.output_matches for trial in trials),
         average_hamming=sum(hammings) / len(hammings) if hammings else 0.0,
         search_space_bits=component.locking_key.width,
     )

@@ -5,10 +5,10 @@ Usage (after ``pip install -e .``)::
     python -m repro obfuscate design.c --top kernel -o out/
     python -m repro analyze design.c --top kernel
     python -m repro baseline design.c --top kernel -o out/
-    python -m repro table1
-    python -m repro figure6
-    python -m repro validate --benchmark sobel --keys 20
     python -m repro campaign --benchmarks all --keys 20 --jobs 4 -o out.json
+    python -m repro campaign --benchmarks all --config default \
+        --config branches-only --config constants-only --config dfg-only \
+        --design-metrics --keys 10 -o evaluation.json
     python -m repro list [kind] [--json]
 
 ``obfuscate`` writes the obfuscated Verilog, the locking key, and a
@@ -20,10 +20,13 @@ resource-budget × pipeline units (repeat ``--config`` /
 and emits the unified ``repro.campaign/5`` JSON schema with per-stage
 ``StageReport`` blocks, per-unit ``status``/``attempts``, and
 structured per-attack blocks (consumed by
-``repro.evaluation.report``).  The command is a thin veneer over
-the campaign service (``plan_campaign``, which rejects an unknown
-name on any axis, → ``execute_plan`` under an ``ExecutionOptions``
-bundle).  ``--pipeline`` takes a
+``repro.evaluation.report``).  ``--design-metrics`` adds each unit's
+area, frequency and unobfuscated reference, and the printed report
+then ends with the paper's T1, F6, P1, P2, K1 and V1/V2 tables (the
+second campaign line above is the whole evaluation).  The command is
+a thin veneer over the campaign service (``plan_campaign``, which
+rejects an unknown name on any axis, → ``execute_plan`` under an
+``ExecutionOptions`` bundle).  ``--pipeline`` takes a
 FlowSpec preset name (``full``, ``constants``, ...) or a
 comma-separated stage list (``constants,branches``); the default
 ``params`` derives stages from each config's parameter booleans.
@@ -45,6 +48,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -217,47 +221,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.evaluation import format_table1, generate_table1
-
-    print(format_table1(generate_table1()))
-    return 0
-
-
-def cmd_figure6(args: argparse.Namespace) -> int:
-    from repro.evaluation import format_figure6, generate_figure6
-
-    print(format_figure6(generate_figure6()))
-    return 0
-
-
-def _campaign_size_error(keys: int, workloads: int = 1) -> Optional[str]:
+def _campaign_size_error(keys: int, workloads: int) -> Optional[str]:
     """Usage-level mirror of ``validate_component``'s anti-vacuity checks."""
     if keys < 2:
         return f"--keys {keys}: need the correct key plus at least one wrong key"
     if workloads < 1:
         return f"--workloads {workloads}: need at least one workload"
     return None
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    from repro.benchsuite import benchmark_names
-    from repro.evaluation import format_validation, validate_benchmark
-    from repro.evaluation.validation import ValidationSummary
-
-    error = _campaign_size_error(args.keys)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    known = benchmark_names()
-    if args.benchmark not in known:
-        print(f"unknown benchmark: {args.benchmark}", file=sys.stderr)
-        print(f"available: {', '.join(known)}", file=sys.stderr)
-        return 2
-    report = validate_benchmark(args.benchmark, n_keys=args.keys)
-    summary = ValidationSummary(reports={args.benchmark: report})
-    print(format_validation(summary))
-    return 0 if report.correct_key_ok and report.wrong_keys_all_corrupt else 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -370,6 +340,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         n_workloads=args.workloads,
         seed=args.seed,
         attacks=tuple(dict.fromkeys(args.attack or [])),
+        design_metrics=args.design_metrics,
     )
     try:
         # Every axis name resolves here, before any unit runs.
@@ -420,17 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flow_arguments(baseline)
     baseline.add_argument("-o", "--output", type=Path, default=Path("out"))
     baseline.set_defaults(func=cmd_baseline)
-
-    table1 = subparsers.add_parser("table1", help="regenerate Table 1")
-    table1.set_defaults(func=cmd_table1)
-
-    figure6 = subparsers.add_parser("figure6", help="regenerate Figure 6")
-    figure6.set_defaults(func=cmd_figure6)
-
-    validate = subparsers.add_parser("validate", help="key-validation campaign")
-    validate.add_argument("--benchmark", default="sobel")
-    validate.add_argument("--keys", type=int, default=10)
-    validate.set_defaults(func=cmd_validate)
 
     list_cmd = subparsers.add_parser(
         "list",
@@ -609,6 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
         "unit's JSON without perturbing seeds or keys)",
     )
     campaign.add_argument(
+        "--design-metrics",
+        action="store_true",
+        help="add each unit's area, frequency and unobfuscated reference "
+        "(area, frequency, correct-run cycles) to the JSON; the report "
+        "then ends with the paper's evaluation tables",
+    )
+    campaign.add_argument(
         "--engine",
         default=None,
         help="FSMD simulation engine (default: compiled; see 'repro list "
@@ -671,7 +638,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro list | head``).  Point
+        # stdout at devnull so the interpreter's exit flush does not
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,76 +1,3 @@
-"""Evaluation harness: regenerators for every table and figure in the
-paper's experimental section."""
-
-from repro.evaluation.figure6 import (
-    Figure6Row,
-    PAPER_FIGURE6,
-    format_figure6,
-    generate_figure6,
-    measure_benchmark,
-)
-from repro.evaluation.keymgmt_eval import (
-    KeyManagementRow,
-    format_keymgmt,
-    generate_keymgmt,
-    measure_keymgmt,
-)
-from repro.evaluation.overhead import (
-    FrequencyRow,
-    LatencyRow,
-    format_frequency_rows,
-    frequency_vs_block_bits,
-    measure_frequency,
-    measure_latency,
-)
-from repro.evaluation.report import (
-    format_campaign,
-    generate_report,
-    render_campaign_file,
-    write_report,
-)
-from repro.evaluation.table1 import (
-    PAPER_TABLE1,
-    Table1Row,
-    characterize_benchmark,
-    format_table1,
-    generate_table1,
-)
-from repro.evaluation.validation import (
-    PAPER_AVERAGE_HAMMING,
-    ValidationSummary,
-    format_validation,
-    validate_benchmark,
-    validate_suite,
-)
-
-__all__ = [
-    "Figure6Row",
-    "FrequencyRow",
-    "KeyManagementRow",
-    "LatencyRow",
-    "PAPER_AVERAGE_HAMMING",
-    "PAPER_FIGURE6",
-    "PAPER_TABLE1",
-    "Table1Row",
-    "ValidationSummary",
-    "characterize_benchmark",
-    "format_campaign",
-    "format_figure6",
-    "format_frequency_rows",
-    "format_keymgmt",
-    "format_table1",
-    "format_validation",
-    "frequency_vs_block_bits",
-    "generate_figure6",
-    "generate_keymgmt",
-    "generate_report",
-    "generate_table1",
-    "measure_benchmark",
-    "measure_frequency",
-    "measure_keymgmt",
-    "measure_latency",
-    "render_campaign_file",
-    "validate_benchmark",
-    "validate_suite",
-    "write_report",
-]
+"""Evaluation renderers: every table and figure of the paper's
+experimental section, read from one campaign document
+(:mod:`repro.evaluation.report`)."""

@@ -317,6 +317,12 @@ class CampaignSpec:
     #: Empty (the default) serializes to nothing, so pre-attack
     #: campaign JSON stays byte-identical.
     attacks: tuple[str, ...] = ()
+    #: Add a ``design`` block to every unit: the obfuscated design's
+    #: area and frequency, and the unit's unobfuscated reference (area,
+    #: frequency and correct-run cycles) — what the paper's Figure 6
+    #: and §4.2 read.  False (the default) serializes to nothing, so
+    #: documents that do not ask for it keep their bytes.
+    design_metrics: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
@@ -372,6 +378,7 @@ class CampaignSpec:
             # Omitted when empty so attack-free campaign JSON is
             # byte-identical to pre-attack-axis output.
             **({"attacks": list(self.attacks)} if self.attacks else {}),
+            **({"design_metrics": True} if self.design_metrics else {}),
         }
 
 
@@ -535,6 +542,7 @@ def _spec_from_dict(data: dict[str, Any]) -> CampaignSpec:
             for name, overrides in data.get("extra_configs", {}).items()
         ),
         attacks=tuple(data.get("attacks", ())),
+        design_metrics=data.get("design_metrics", False),
     )
 
 

@@ -226,9 +226,45 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
             )
             for attack in spec.attacks
         }
+    if spec.design_metrics:
+        unit["design"] = _design_metrics(flow, component, bench, workloads, engine)
     return {
         "unit": unit,
         "cache_delta": stats_delta(stats_before, cache_stats()),
+    }
+
+
+def _design_metrics(flow, component, bench, workloads, engine) -> dict[str, Any]:
+    """A unit's ``design`` block (``CampaignSpec.design_metrics``).
+
+    The reference is the unit's own flow without obfuscation, so it
+    follows the budget axis; its cycles are the maximum over the
+    unit's workloads, as ``ValidationReport.baseline_cycles`` is for
+    the correct key.  A reference that does not reproduce the golden
+    outputs fails the unit.
+    """
+    from repro.rtl.area_model import estimate_area
+    from repro.rtl.timing_model import estimate_timing
+    from repro.sim.testbench import run_testbench
+
+    reference = flow.synthesize_baseline(bench.source, bench.top)
+    cycles = 0
+    for workload in workloads:
+        outcome = run_testbench(reference, workload, engine=engine)
+        if not outcome.matches:
+            raise RuntimeError(
+                f"{bench.name}: the unobfuscated reference does not "
+                "reproduce the golden outputs"
+            )
+        cycles = max(cycles, outcome.cycles)
+    return {
+        "area_gates": estimate_area(component.design).total,
+        "frequency_mhz": estimate_timing(component.design).frequency_mhz,
+        "reference": {
+            "area_gates": estimate_area(reference).total,
+            "frequency_mhz": estimate_timing(reference).frequency_mhz,
+            "cycles": cycles,
+        },
     }
 
 

@@ -1,9 +1,9 @@
 """Unified JSON results schema for validation campaigns.
 
 Every campaign run — CLI (``repro campaign``), benchmark harness or
-evaluation report — serializes to the same structure so downstream
-consumers (``repro.evaluation.report``, plotting, CI smoke checks)
-parse one format:
+the paper's evaluation — serializes to the same structure so downstream
+consumers (the ``repro.evaluation`` renderers, plotting, CI smoke
+checks) parse one format:
 
 .. code-block:: text
 
@@ -41,6 +41,16 @@ parse one format:
               "outcome": {... attack-specific block ...}
             },
             ...
+          },
+          "design": {                    # optional: only when the spec set
+                                         # design_metrics
+            "area_gates": 45397.3,       # obfuscated design (area model)
+            "frequency_mhz": 550.96...,  # obfuscated design (timing model)
+            "reference": {               # the unit's flow, no obfuscation
+              "area_gates": 29199.3...,
+              "frequency_mhz": 602.40...,
+              "cycles": 6532             # max over the unit's workloads
+            }
           }
         },
         ...
@@ -58,6 +68,9 @@ time and worker counts live outside ``units`` — which is why the
 ``stages`` blocks carry ops/key-bit counts but never the in-memory
 ``StageReport.wall_seconds``.  Cache hit/miss counters are likewise
 confined to the ``cache`` block, which never changes a result field.
+The ``design`` block's floats are pure functions of the unit (the area
+and timing models read no process state), so it rides the same
+byte-identity gates.
 
 Only ``repro.campaign/5`` documents load: :meth:`CampaignResult.from_dict`
 rejects any other schema string and asks for the campaign to be re-run.
@@ -191,6 +204,10 @@ class CampaignUnit:
     #: Serialized only when non-empty, so attack-free documents keep
     #: their exact pre-attack byte layout.
     attacks: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: Area, frequency and unobfuscated-reference block
+    #: (``CampaignSpec.design_metrics``); ``None`` when the spec did not
+    #: ask for it, and then not serialized.
+    design: Optional[dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -218,6 +235,8 @@ class CampaignUnit:
             data["attacks"] = {
                 name: dict(block) for name, block in self.attacks.items()
             }
+        if self.design is not None:
+            data["design"] = self.design
         return data
 
     @classmethod
@@ -239,6 +258,7 @@ class CampaignUnit:
                 name: dict(block)
                 for name, block in data.get("attacks", {}).items()
             },
+            design=data.get("design"),
             report=(
                 report_from_dict(data["report"])
                 if data.get("report") is not None

@@ -345,17 +345,7 @@ def output_corruptibility(
     max_cycles: int = 400_000,
     engine: Optional[str] = None,
 ) -> float:
-    """Average output Hamming fraction over the given wrong keys.
-
-    The keys run in lane batches (:func:`iter_outcomes`, one lane
-    each), so the codegen engine binds and sweeps each batch in a
-    single pass.
-    """
-    working = [component.working_key_for(key) for key in wrong_keys]
-    total = sum(
-        hamming_distance_fraction(outcome.golden_bits, outcome.simulated_bits)
-        for outcome in iter_outcomes(
-            component.design, bench, working, max_cycles, engine
-        )
-    )
-    return total / max(1, len(wrong_keys))
+    """Average output Hamming fraction over the given wrong keys
+    (:func:`run_key_trials` on the one workload)."""
+    trials = run_key_trials(component, [bench], wrong_keys, max_cycles, engine)
+    return sum(trial.hamming_fraction for trial in trials) / max(1, len(wrong_keys))

@@ -12,3 +12,21 @@ def isolated_registry():
     state = REGISTRY.snapshot()
     yield REGISTRY
     REGISTRY.restore(state)
+
+
+@pytest.fixture(scope="session")
+def evaluation_result():
+    """The evaluation campaign at 3 keys: every benchmark under the four
+    configs the paper's evaluation compares, each unit with its design
+    block (``repro campaign --design-metrics``)."""
+    from repro.benchsuite import benchmark_names
+    from repro.evaluation.report import EVALUATION_CONFIGS
+    from repro.runtime.campaign import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(
+        benchmarks=tuple(benchmark_names()),
+        configs=EVALUATION_CONFIGS,
+        n_keys=3,
+        design_metrics=True,
+    )
+    return run_campaign(spec)

@@ -394,13 +394,18 @@ def tiny_benchmark():
 
 class TestAttackDeterminism:
     """Same attack + seed => byte-identical campaign JSON across
-    engines, process layouts, and checkpoint/resume."""
+    engines, process layouts, and checkpoint/resume (the design block
+    rides along)."""
 
     ATTACKS = ("oracle-guided", "hill-climb", "resistance-curve")
 
     def _spec(self, benchmark):
         return CampaignSpec(
-            benchmarks=(benchmark,), n_keys=2, seed=11, attacks=self.ATTACKS
+            benchmarks=(benchmark,),
+            n_keys=2,
+            seed=11,
+            attacks=self.ATTACKS,
+            design_metrics=True,
         )
 
     def test_engines_layouts_and_resume_byte_identical(

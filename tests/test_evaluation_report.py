@@ -1,18 +1,18 @@
-"""Tests for the combined-report generator.
+"""Tests for the combined evaluation report.
 
-The full report runs every experiment (slow); these tests exercise the
-rendering path with the smallest valid configuration and check the
-document structure.
+The report renders the evaluation campaign document (the
+``evaluation_result`` fixture, 3 keys); these tests check the document
+structure and that a written document renders the same sections.
 """
 
 import pytest
 
-from repro.evaluation.report import generate_report, write_report
+from repro.evaluation.report import format_evaluation, render_campaign_file
 
 
 @pytest.fixture(scope="module")
-def report_text():
-    return generate_report(n_validation_keys=3)
+def report_text(evaluation_result):
+    return format_evaluation(evaluation_result)
 
 
 class TestReport:
@@ -31,8 +31,8 @@ class TestReport:
     def test_latency_rows_zero_overhead(self, report_text):
         assert report_text.count("+0.00%") == 5
 
-    def test_write_report(self, tmp_path, report_text):
-        path = write_report(tmp_path / "report.md", n_validation_keys=3)
-        assert path.exists()
-        text = path.read_text()
-        assert text.startswith("# TAO reproduction")
+    def test_write_report(self, tmp_path, report_text, evaluation_result):
+        assert report_text.startswith("# TAO reproduction")
+        path = evaluation_result.write(tmp_path / "evaluation.json")
+        # The campaign table first, then the same evaluation sections.
+        assert render_campaign_file(path).endswith("\n\n" + report_text)

@@ -236,17 +236,21 @@ class TestParallelDeterminism:
     def test_multi_axis_parallel_equals_serial(self):
         # Acceptance: 2 benchmarks x {default, dfg-only} x
         # {replication, aes} is byte-identical between --jobs 1 and 8.
+        # The design block (area and timing floats, reference cycles)
+        # rides the same gate.
         base = dict(
             benchmarks=("sobel", "adpcm"),
             configs=("default", "dfg-only"),
             key_schemes=("replication", "aes"),
             n_keys=2,
             seed=13,
+            design_metrics=True,
         )
         serial = run_campaign(CampaignSpec(**base))
         parallel = run_campaign(CampaignSpec(**base), ExecutionOptions(jobs=8))
         assert serial.to_json() == parallel.to_json()
         assert serial.to_dict()["schema"] == "repro.campaign/5"
+        assert all(unit.design is not None for unit in serial.units)
 
     def test_workloads_shared_across_axes(self):
         # Workload seeds derive from the benchmark alone: every
@@ -424,6 +428,7 @@ class TestCampaignEngine:
                 ("zcustom", (("obfuscate_dfg", False), ("block_bits", 2))),
                 ("acustom", (("constant_width", 16), ("block_bits", 5))),
             ),
+            design_metrics=True,
         )
         assert _spec_from_dict(spec.to_dict()) == spec
         # JSON round-trip too (what a results file actually stores).
@@ -456,7 +461,9 @@ class TestResultsSchema:
         assert clone.trials[0].locking_key == report.trials[0].locking_key
 
     def test_campaign_round_trip(self):
-        result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
+        result = run_campaign(
+            CampaignSpec(benchmarks=("sobel",), n_keys=2, design_metrics=True)
+        )
         clone = CampaignResult.from_json(result.to_json())
         assert clone.to_json() == result.to_json()
 
@@ -475,6 +482,10 @@ class TestResultsSchema:
         result = run_campaign(CampaignSpec(benchmarks=("sobel",), n_keys=2))
         data = result.to_dict()
         assert data["axes"] == AXIS_LABELS
+        # A spec that does not ask for the design block serializes
+        # neither the setting nor the block.
+        assert "design_metrics" not in data["spec"]
+        assert "design" not in data["units"][0]
         assert set(AXIS_LABELS) == {"config", "key_scheme", "budget", "pipeline"}
         unit = data["units"][0]
         assert unit["key_scheme"] == "replication"
@@ -564,8 +575,6 @@ class TestResultsSchema:
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--workloads", "0"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--config", "nope"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--budget", "nope"],
-            ["validate", "--benchmark", "sobel", "--keys", "1"],
-            ["validate", "--benchmark", "sobl", "--keys", "4"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--key-scheme", "nope"],
         ],
     )
