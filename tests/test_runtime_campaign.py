@@ -575,6 +575,8 @@ class TestResultsSchema:
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--workloads", "0"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--config", "nope"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--budget", "nope"],
+            ["campaign", "--benchmarks", "sobel", "--keys", "1", "--design-metrics"],
+            ["campaign", "--benchmarks", "sobl", "--keys", "4", "--design-metrics"],
             ["campaign", "--benchmarks", "sobel", "--keys", "2", "--key-scheme", "nope"],
         ],
     )
