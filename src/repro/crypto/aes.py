@@ -33,22 +33,6 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _gf_inverse(a: int) -> int:
-    """Multiplicative inverse in GF(2^8) (0 maps to 0)."""
-    if a == 0:
-        return 0
-    # a^(2^8 - 2) = a^254 by square-and-multiply.
-    result = 1
-    power = a
-    exponent = 254
-    while exponent:
-        if exponent & 1:
-            result = _gf_mul(result, power)
-        power = _gf_mul(power, power)
-        exponent >>= 1
-    return result
-
-
 def _affine(byte: int) -> int:
     """The AES S-box affine transformation over GF(2)."""
     result = 0
@@ -66,10 +50,24 @@ def _affine(byte: int) -> int:
 
 
 def _build_sbox() -> tuple[list[int], list[int]]:
+    """The S-box and its inverse: each byte's multiplicative inverse in
+    GF(2^8) (0 maps to 0) through the affine map.
+
+    The inverses come from exp/log tables of the generator 3: walking
+    ``x <- x * 3`` (``x ^ xtime(x)``) from 1 meets every nonzero byte
+    once, as 3^0 ... 3^254, and the inverse of 3^i is 3^(255 - i).
+    """
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for power in range(255):
+        exp[power] = x
+        log[x] = power
+        x ^= _xtime(x)
     sbox = [0] * 256
     inverse = [0] * 256
     for value in range(256):
-        substituted = _affine(_gf_inverse(value))
+        substituted = _affine(exp[-log[value] % 255] if value else 0)
         sbox[value] = substituted
         inverse[substituted] = value
     return sbox, inverse

@@ -234,6 +234,11 @@ def _execute_unit(shared: Any, task: tuple) -> dict[str, Any]:
     }
 
 
+#: Reference blocks built in this process, by what they are a function
+#: of (see :func:`_design_metrics`); only successes are kept.
+_REFERENCES: dict[tuple, dict[str, Any]] = {}
+
+
 def _design_metrics(flow, component, bench, workloads, engine) -> dict[str, Any]:
     """A unit's ``design`` block (``CampaignSpec.design_metrics``).
 
@@ -241,30 +246,48 @@ def _design_metrics(flow, component, bench, workloads, engine) -> dict[str, Any]
     follows the budget axis; its cycles are the maximum over the
     unit's workloads, as ``ValidationReport.baseline_cycles`` is for
     the correct key.  A reference that does not reproduce the golden
-    outputs fails the unit.
+    outputs fails the unit.  The reference depends only on the source,
+    the top function, the constraints, the engine and the workloads,
+    so the cells of a benchmark that share them (its configs, key
+    schemes and pipelines) share one build, kept in
+    :data:`_REFERENCES` for the process.
     """
     from repro.rtl.area_model import estimate_area
     from repro.rtl.timing_model import estimate_timing
+    from repro.runtime.cache import FrontEndCache, testbench_fingerprint
     from repro.sim.testbench import run_testbench
 
-    reference = flow.synthesize_baseline(bench.source, bench.top)
-    cycles = 0
-    for workload in workloads:
-        outcome = run_testbench(reference, workload, engine=engine)
-        if not outcome.matches:
-            raise RuntimeError(
-                f"{bench.name}: the unobfuscated reference does not "
-                "reproduce the golden outputs"
-            )
-        cycles = max(cycles, outcome.cycles)
-    return {
-        "area_gates": estimate_area(component.design).total,
-        "frequency_mhz": estimate_timing(component.design).frequency_mhz,
-        "reference": {
+    key = (
+        FrontEndCache.source_key(bench.source),
+        bench.top,
+        repr(flow.constraints),
+        engine,
+        tuple(
+            (testbench_fingerprint(w, w.observed_arrays or ()), w.observed_arrays is None)
+            for w in workloads
+        ),
+    )
+    block = _REFERENCES.get(key)
+    if block is None:
+        reference = flow.synthesize_baseline(bench.source, bench.top)
+        cycles = 0
+        for workload in workloads:
+            outcome = run_testbench(reference, workload, engine=engine)
+            if not outcome.matches:
+                raise RuntimeError(
+                    f"{bench.name}: the unobfuscated reference does not "
+                    "reproduce the golden outputs"
+                )
+            cycles = max(cycles, outcome.cycles)
+        block = _REFERENCES[key] = {
             "area_gates": estimate_area(reference).total,
             "frequency_mhz": estimate_timing(reference).frequency_mhz,
             "cycles": cycles,
-        },
+        }
+    return {
+        "area_gates": estimate_area(component.design).total,
+        "frequency_mhz": estimate_timing(component.design).frequency_mhz,
+        "reference": dict(block),
     }
 
 

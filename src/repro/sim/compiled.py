@@ -64,41 +64,69 @@ which the codegen tier consumes too):
   stand for the budget left; an entry fused alone for want of them is
   judged again each time the run doubles its cycles, and in the next
   run.  Traced runs take no loop;
-* each loop call probes for a repeat at its hottest entry.  After
-  :data:`_PROBE_DELAY` visits it takes, for :data:`_PROBE_ITERATIONS`
-  more, a snapshot of the registers the loop writes other than its
-  counters (next bullet), the memories it stores to and each counter's
-  residue modulo the lengths it is read by, and notes the counters
-  beside it.  A snapshot seen before with the same counters is an
-  **exact repeat** of period P cycles: the loop jumps the largest
-  multiple of P that stays within the budget and runs on, so every
-  later state, and the result at the cap, is the interpreter's.  A
-  snapshot seen P and 2P cycles before with each counter moved by the
-  same step both times is a **counter repeat**.  A probe that finds
-  nothing makes the run's next loop call wait twice as long, and a
-  counter repeat that does not confirm makes later probes look only for
-  longer periods;
-* the **counter rule** is decided once per distinct loop body, from its
-  op lists.  A value is *changing* when it derives from a register the
-  loop carries through add, sub, neg, not, mov, a product with an
-  unchanging value or a left shift by an unchanging amount; it may also
-  be read as a memory index or a shift amount (each reduced modulo a
-  length) or compared.  Any other read of it (a store of it, and, or,
+* each loop call probes for a repeat at its hottest entry, the loop's
+  **probe head**.  After :data:`_PROBE_DELAY` visits it takes, for
+  :data:`_PROBE_ITERATIONS` more, a snapshot of the registers the loop
+  writes that are live at the probe head (next bullet) other than its
+  counters, the memories it stores to and each counter's residue modulo
+  the lengths it is read by, and notes the counters beside it.  A
+  snapshot seen before with the same counters is an **exact repeat** of
+  period P cycles: the loop jumps the largest multiple of P that stays
+  within the budget and runs on.  With what the loop never writes, the
+  snapshot and the counters hold every value a period reads before
+  writing it, so the loop repeats that period until the cap, every
+  stored memory and the result at the cap is the interpreter's, and the
+  registers left out of the snapshot are never read before the loop
+  rewrites them.  A snapshot seen P and 2P cycles before with each
+  counter moved by the same step both times is a **counter repeat**.  A
+  probe that finds nothing makes the run's next loop call wait twice as
+  long, and a counter repeat that does not confirm makes later probes
+  look only for longer periods;
+* the **counter rule** is decided once per loop body, from its op
+  lists.  A register is *live* where an entry starts when some op of
+  the region may read it before writing it; the region's exits add
+  nothing, and the reads of every op count, dead ones too.  A register
+  the loop writes that is not live at the probe head is left out of the
+  snapshot and is no counter.  An op is *dead* when its result reaches,
+  through the ops that read it, no store, no branch and no register
+  live where its entry ends (a load, shift or comparison whose own
+  result is dead is dead too); no op of a two-phase op list is dead.  A
+  value is *changing* when it derives from a register the loop carries
+  through add, sub, neg, not, mov, a product with an unchanging value
+  or a left shift by an unchanging amount; it may also be read as a
+  memory index or a shift amount (each reduced modulo a length) or
+  compared.  Any other read of it by a live op (a store of it, and, or,
   xor, division, remainder, a right shift of it, a branch on it or a
   product of two) makes the registers it derives from unchanging, and a
-  loop left with none repeats only exactly.  The counters are the
-  registers an entry writes and ends holding a changing value in;
+  loop left with none repeats only exactly.  A SUB or XOR of two reads
+  of one register slot at one type is the constant 0: it reads and
+  derives from nothing.  The counters are the registers live at the
+  probe head that an entry writes and ends holding a changing value in;
+  a register outside them that is live where an entry ends must not hold
+  one.  A dead op is probed for nothing and taints nothing, so a wrapping
+  product the next period reloads before reading costs no jump;
 * a counter repeat is confirmed by running two more periods through
   **recording closures**: each entry's chain with the value of every
   read the rule allows, and of each changing result whose wrap may fold,
-  appended to a list.  The two periods must follow one path, repeat the
-  snapshot and move each counter by the same step again (``x = 2 * x``
-  does not).  The counters then move by k steps and the count by k
-  periods, for the largest k that the budget allows and that keeps every
-  recorded value in its type's range (no wrap), every comparison's
-  outcome and every index's and shift amount's residue, so a loop
-  whose bound lies within the budget jumps to just before its exit and
-  leaves on the interpreter's cycle.  The plan counts loops built,
+  appended to a list (dead ops record nothing).  The two periods must
+  follow one path, repeat the snapshot and move each counter by the same
+  step again (``x = 2 * x`` does not).  The counters then move by k
+  steps and the count by k periods, for the largest k that the budget
+  allows and that keeps every recorded value in its type's range (no
+  wrap), every comparison's outcome and every index's and shift amount's
+  residue, so a loop whose bound lies within the budget jumps to just
+  before its exit and leaves on the interpreter's cycle.  After the
+  landing the next period reads only live registers and memories: the
+  counters moved by exactly k steps, the other live registers repeat
+  (the snapshot checks them), the stored memories are in the snapshot,
+  and every register left out is written before it is read.  A jump
+  bounded by an exit rather than by the budget, in a loop that leaves
+  registers out, lands one period earlier, so a whole period on the
+  confirmed path rewrites them before the exit and every register holds
+  the interpreter's value there.  A jump bounded by the budget may end
+  the run at the cap with stale left-out registers, which no result
+  shows: a :class:`~repro.sim.fsmd_sim.SimulationResult` holds no
+  register, and traced runs take no loop.  The plan counts loops built,
   cycles run in them, exact and counter jumps and cycles skipped;
 * controller transitions are pre-resolved into fused condition
   closures (key-bit XOR included) and next-state indices;
@@ -547,19 +575,27 @@ class _Loop:
     """A loop closure (``run``, see :meth:`CompiledDesign._loop`) with
     what its counter jumps need (:meth:`CompiledDesign._counter_jump`):
     its region, each entry's :meth:`~CompiledDesign._chain_steps`, the
+    region's :meth:`~CompiledDesign._liveness` (``live``: the registers
+    live where each entry ends, and each entry's dead ops), the
     registers that may move by a fixed step each period (``counters``),
-    the other registers it writes (``watched``) and the memories it
-    stores to, and, once a jump is first tried, each entry's recording
-    closure."""
+    the other registers it writes that are live at its probe head
+    (``watched``), whether it writes any that are not (``left_out``),
+    the memories it stores to, and, once a jump is first tried, each
+    entry's recording closure."""
 
-    __slots__ = ("run", "region", "steps", "counters", "watched", "stored", "recorders")
+    __slots__ = (
+        "run", "region", "steps", "live", "counters", "watched", "left_out", "stored",
+        "recorders",
+    )
 
-    def __init__(self, run, region, steps, counters, watched, stored) -> None:
+    def __init__(self, run, region, steps, live, counters, watched, left_out, stored) -> None:
         self.run = run
         self.region = region
         self.steps = steps
+        self.live = live
         self.counters = counters
         self.watched = watched
+        self.left_out = left_out
         self.stored = stored
         #: Per entry, its recording closure and the guards of the values
         #: it records (see :meth:`CompiledDesign._recorders`).
@@ -1134,6 +1170,108 @@ class CompiledDesign:
     # ------------------------------------------------------------------
     # Counter jumps: the static rule
     # ------------------------------------------------------------------
+    def _cancels(self, op: tuple) -> bool:
+        """True when ``op`` is a SUB or XOR of two reads of one register
+        slot at one type: the constant 0, whatever the register holds.
+        Slots, not IR values, are compared, since left-edge sharing binds
+        several values to one register."""
+        opcode, _, operands, _ = op
+        if opcode is not Opcode.SUB and opcode is not Opcode.XOR:
+            return False
+        left, right = operands
+        return (
+            not isinstance(left, (Constant, ObfuscatedConstant))
+            and not isinstance(right, (Constant, ObfuscatedConstant))
+            and left.type == right.type
+            and self._slot_of(left) == self._slot_of(right)
+        )
+
+    def _reads(self, op: tuple) -> set[int]:
+        """The register slots whose values ``op``'s result or effect
+        depends on (none for a self-cancelling op, see :meth:`_cancels`)."""
+        if self._cancels(op):
+            return set()
+        return {
+            self._slot_of(value)
+            for value in op[2]
+            if not isinstance(value, (Constant, ObfuscatedConstant))
+        }
+
+    def _branch_reads(self, head: int) -> set[int]:
+        """The register slot the transition closing chain entry ``head``
+        branches on, if it branches on one."""
+        spec = self.layout.transition_specs[self._entries[head][5][-1]]
+        if spec[0] == COND and not isinstance(spec[1], (Constant, ObfuscatedConstant)):
+            return {self._slot_of(spec[1])}
+        return set()
+
+    def _live_back(
+        self, head: int, chain_steps: list, live: frozenset, dead: Optional[set] = None
+    ) -> set[int]:
+        """The registers live where chain entry ``head`` (its
+        :meth:`_chain_steps`) starts, given those live where it ends:
+        one backward pass over its ops, its branch reading its condition
+        last.  A two-phase op list reads every operand before it commits.
+
+        With ``dead``, a set, an in-place op whose result no later read
+        needs is dead: its ``(state, op position)`` joins ``dead`` and its
+        reads do not count.  Stores and two-phase op lists are never dead.
+        """
+        live = set(live) | self._branch_reads(head)
+        for idx, ops in reversed(chain_steps):
+            if ops is None:
+                fields = self._fields(self._state_ops[idx])
+                live.difference_update(
+                    self._slot_of(result)
+                    for opcode, result, _, _ in fields
+                    if opcode is not Opcode.STORE
+                )
+                live.update(slot for op in fields for slot in self._reads(op))
+                continue
+            for position, op, _ in reversed(ops):
+                opcode, result, _, _ = op
+                if opcode is not Opcode.STORE:
+                    slot = self._slot_of(result)
+                    if dead is not None and slot not in live:
+                        dead.add((idx, position))
+                        continue
+                    live.discard(slot)
+                live |= self._reads(op)
+        return live
+
+    def _liveness(self, steps: Sequence[tuple[int, list]]) -> tuple[frozenset, dict, dict]:
+        """Register liveness over a loop region: ``steps`` holds each entry
+        with its :meth:`_chain_steps`, the probe head first.
+
+        A backward pass to a fixed point, in which a transition out of the
+        region adds nothing and every op's reads count, dead or not, so a
+        register that is not live where an entry starts is written before
+        any op of the region reads it, on every path from there.  Returns
+        the registers live at the probe head, per entry those live where
+        it ends, and per entry its dead ops (see :meth:`_live_back`): the
+        ops whose results reach, through the ops that read them, no store,
+        no branch and no register live where the entry ends.
+        """
+        region = {head for head, _ in steps}
+        successors = {
+            head: [t for t in self._entries[head][3:5] if t in region] for head, _ in steps
+        }
+        starts = {head: frozenset() for head in region}
+        ends: dict[int, frozenset] = {}
+        changed = True
+        while changed:
+            changed = False
+            for head, chain_steps in reversed(steps):
+                end = ends[head] = frozenset().union(*(starts[t] for t in successors[head]))
+                start = frozenset(self._live_back(head, chain_steps, end))
+                if start != starts[head]:
+                    starts[head] = start
+                    changed = True
+        dead: dict[int, set] = {}
+        for head, chain_steps in steps:
+            self._live_back(head, chain_steps, ends[head], dead.setdefault(head, set()))
+        return starts[steps[0][0]], ends, dead
+
     def _counter_reads(self, op: tuple, env: dict) -> tuple[list, frozenset, frozenset]:
         """How one op reads changing values under the counter rule.
 
@@ -1145,9 +1283,12 @@ class CompiledDesign:
         derives from, and the counters whose values it reads in a way
         the rule forbids: a stored value, a nonlinear op (and, or, xor,
         division, remainder, right shift or a product of two changing
-        values) or the value a right shift shifts.
+        values) or the value a right shift shifts.  A self-cancelling op
+        (:meth:`_cancels`) reads nothing and derives from nothing.
         """
         opcode, result, operands, array_name = op
+        if self._cancels(op):
+            return [], _FIXED, _FIXED
         pre: list = []
         roots: list[frozenset] = []
         for value in operands:
@@ -1204,23 +1345,30 @@ class CompiledDesign:
         self,
         steps: Sequence[tuple[int, list]],
         counters: frozenset,
+        ends: dict,
+        dead: dict,
         probes: Optional[dict] = None,
     ) -> tuple[set[int], set[int], set[tuple]]:
         """One pass of the counter rule over a loop region: ``steps`` holds
-        each entry with its :meth:`_chain_steps`, and every register of
-        ``counters`` may have moved when an entry starts.
+        each entry with its :meth:`_chain_steps`, every register of
+        ``counters`` may have moved when an entry starts, and ``ends`` and
+        ``dead`` are the region's :meth:`_liveness`.
 
-        Returns the registers an entry writes with a changing value that
-        they still hold when it ends; the counters a changing value
-        derives from where the rule forbids it: a forbidden read
-        (:meth:`_counter_reads`), a branch on it, or a register outside
-        ``counters`` that still holds it when an entry ends; and each
-        counter an index or a shift amount derives from, with that
-        access's length as ``(register, length, memory slot)``.  With
-        ``probes``, fills it as :meth:`_chain_lines` reads it: an op's
-        changing result that its wrap may fold is probed after the op,
-        in its type's range (a two-phase op list reads before it
-        commits).
+        Returns the registers live where an entry ends that it writes
+        with a changing value they still hold then; the counters a
+        changing value derives from where the rule forbids it: a
+        forbidden read (:meth:`_counter_reads`), a branch on it, or a
+        register outside ``counters`` that is live where an entry ends
+        and still holds it then; and each counter an index or a shift
+        amount derives from, with that access's length as ``(register,
+        length, memory slot)``.  A dead op's value reaches no store,
+        branch or live register, so it is probed for nothing and taints
+        nothing: a value that wraps or moves nonlinearly into a register
+        the next period rewrites before reading costs no jump.  With
+        ``probes``, fills ``probes[entry]`` as :meth:`_chain_lines` reads
+        it: an op's changing result that its wrap may fold is probed
+        after the op, in its type's range (a two-phase op list reads
+        before it commits, and none of its ops is dead).
         """
         ending: set[int] = set()
         tainted: set[int] = set()
@@ -1228,6 +1376,7 @@ class CompiledDesign:
         for head, chain_steps in steps:
             env = {slot: frozenset((slot,)) for slot in counters}
             wrote: set[int] = set()
+            entry_probes = probes.setdefault(head, {}) if probes is not None else None
             for idx, live in chain_steps:
                 two_phase = live is None
                 if two_phase:
@@ -1236,22 +1385,24 @@ class CompiledDesign:
                 commits: dict[int, tuple] = {}
                 for position, op, _ in live:
                     pre, derived, forbidden = self._counter_reads(op, env)
-                    tainted |= forbidden
-                    moduli.update(
-                        (root, *guard[1:3])
-                        for guard, _ in pre
-                        if guard[0] == "mod"
-                        for root in guard[3]
-                    )
                     key = (idx, None if two_phase else position)
-                    if pre and probes is not None:
-                        probes.setdefault(key, ([], []))[0].extend(pre)
+                    kept = (idx, position) not in dead[head]
+                    if kept:
+                        tainted |= forbidden
+                        moduli.update(
+                            (root, *guard[1:3])
+                            for guard, _ in pre
+                            if guard[0] == "mod"
+                            for root in guard[3]
+                        )
+                        if pre and entry_probes is not None:
+                            entry_probes.setdefault(key, ([], []))[0].extend(pre)
                     opcode, result, operands, _ = op
                     if opcode is Opcode.STORE:
                         continue
                     slot = self._slot_of(result)
                     wrote.add(slot)
-                    wraps = derived and not (
+                    wraps = kept and derived and not (
                         opcode is Opcode.MOV and self._read_in_range(operands[0], result.type)
                     )
                     commits.pop(slot, None)
@@ -1263,14 +1414,15 @@ class CompiledDesign:
                     # register's last write is ever read.
                     for slot, (_, derived, _, _) in commits.items():
                         env[slot] = derived
-                if probes is not None:
+                if entry_probes is not None:
                     for slot, (key, _, wraps, type_) in commits.items():
                         if wraps:
-                            probes.setdefault(key, ([], []))[1].append(_range_probe(type_, slot))
-            spec = self.layout.transition_specs[self._entries[head][5][-1]]
-            if spec[0] == COND and not isinstance(spec[1], (Constant, ObfuscatedConstant)):
-                tainted |= env.get(self._slot_of(spec[1]), _FIXED)
-            for slot in wrote:
+                            entry_probes.setdefault(key, ([], []))[1].append(
+                                _range_probe(type_, slot)
+                            )
+            for slot in self._branch_reads(head):
+                tainted |= env.get(slot, _FIXED)
+            for slot in wrote & ends[head]:
                 if env[slot]:
                     ending.add(slot)
                     if slot not in counters:
@@ -1278,23 +1430,25 @@ class CompiledDesign:
         return ending, tainted, moduli
 
     def _counters(
-        self, steps: Sequence[tuple[int, list]], written: set[int]
+        self, steps: Sequence[tuple[int, list]], candidates: set[int], ends: dict, dead: dict
     ) -> tuple[frozenset, tuple]:
         """The registers of a loop region that may move by a fixed step
         each period, and the lengths they are read modulo.
 
-        The registers are the largest set under which
-        :meth:`_counter_pass` finds no forbidden read and every register
-        an entry ends with a changing value in is one of them; none when
-        the region's repeats must be exact.  Each of them that an index
-        or a shift amount derives from comes with that access's length,
-        as ``(register, length, memory slot)`` (the length 0 for a
-        memory whose length is fixed only at run time): a period must
-        bring the register back to its residue modulo each.
+        The registers are the largest subset of ``candidates`` (the
+        registers the region writes that are live at its probe head)
+        under which :meth:`_counter_pass` finds no forbidden read and
+        every register live where an entry ends with a changing value in
+        is one of them; none when the region's repeats must be exact.
+        Each of them that an index or a shift amount derives from comes
+        with that access's length, as ``(register, length, memory
+        slot)`` (the length 0 for a memory whose length is fixed only at
+        run time): a period must bring the register back to its residue
+        modulo each.
         """
-        counters = frozenset(written)
+        counters = frozenset(candidates)
         while True:
-            ending, tainted, moduli = self._counter_pass(steps, counters)
+            ending, tainted, moduli = self._counter_pass(steps, counters, ends, dead)
             kept = (counters & ending) - tainted
             if kept == counters:
                 return counters, tuple(sorted(moduli, key=repr))
@@ -1428,18 +1582,22 @@ class CompiledDesign:
         registers back and returns the entry it stopped at, the cycle
         count and the probe visits left.
 
-        After ``delay`` visits to the region's first entry it probes
-        ``probe`` more (see :func:`_repeat`): a snapshot of the registers
-        the region writes other than its counters (:meth:`_counters`),
-        the memories it stores to and each counter's residue modulo the
-        lengths it is read by (nothing else changes while it runs), with
-        the counters beside it.  On an exact repeat of period P cycles it
-        adds the largest multiple of P that keeps the count within
-        ``max_cycles`` (returned as ``skipped``) and runs on, which leaves
-        the state at every later cycle as it would be.  On a counter
-        repeat of period P, more than ``shortest`` cycles, it returns at
-        once with P as ``period``, for :meth:`_counter_jump` to confirm
-        and jump.
+        After ``delay`` visits to the region's first entry, its probe
+        head, it probes ``probe`` more (see :func:`_repeat`): a snapshot
+        of the registers the region writes that are live at the probe
+        head (:meth:`_liveness`) other than its counters
+        (:meth:`_counters`), the memories it stores to and each counter's
+        residue modulo the lengths it is read by, with the counters
+        beside it.  Nothing else that a period reads before writing it
+        changes while the loop runs.  On an exact repeat of period P
+        cycles it adds the largest multiple of P that keeps the count
+        within ``max_cycles`` (returned as ``skipped``) and runs on: the
+        loop repeats that period until the cap, so every memory and every
+        register a later cycle reads is as it would be, and a register
+        left out of the snapshot is rewritten before any read.  On a
+        counter repeat of period P, more than ``shortest`` cycles, it
+        returns at once with P as ``period``, for :meth:`_counter_jump`
+        to confirm and jump.
         """
         written: set[int] = set()
         stored: set[int] = set()
@@ -1462,9 +1620,10 @@ class CompiledDesign:
                 *(f"    {line}" for line in self._chain_lines(head, shape, chain_steps)),
                 f"    state = {self._next_target(head, shape)}",
             ]
-        counters, moduli = self._counters(steps, written)
+        head_live, ends, dead = self._liveness(steps)
+        counters, moduli = self._counters(steps, written & head_live, ends, dead)
         counted = sorted(counters)
-        watched = [slot for slot in shape.written if slot not in counters]
+        watched = [slot for slot in shape.written if slot in head_live and slot not in counters]
         memories = sorted(shape.mems | stored)
         snapshot = ", ".join(
             ["state", *(f"r{slot}" for slot in watched)]
@@ -1504,7 +1663,14 @@ class CompiledDesign:
             lines, "regs, mems, state, cycles, max_cycles, probe, delay, shortest"
         )
         return _Loop(
-            run, tuple(region), steps, tuple(counted), tuple(watched), tuple(sorted(stored))
+            run,
+            tuple(region),
+            steps,
+            (ends, dead),
+            tuple(counted),
+            tuple(watched),
+            not written <= head_live,
+            tuple(sorted(stored)),
         )
 
     # ------------------------------------------------------------------
@@ -1531,9 +1697,20 @@ class CompiledDesign:
         starts, and move each counter by the same step twice (``x = 2 *
         x`` moves by a different step each period).  Then the counters
         move by k steps and the count by k periods, for the largest k
-        that :func:`_jump_bound` and the budget allow, so every later
-        state is the interpreter's.  A failed confirmation leaves the run
-        where the two periods ended.
+        that :func:`_jump_bound` and the budget allow.  The next period
+        reads only live registers and memories, which then hold the
+        interpreter's values: the counters moved by k steps, the other
+        live registers repeat and the stored memories are watched.  A
+        register left out of the snapshot still holds what it held before
+        the jump, but the loop writes it before reading it.  When an exit
+        rather than the budget bounds k and the loop leaves registers
+        out, k is one period shorter: a whole period on the confirmed
+        path then rewrites them before control can leave the region, so
+        at the exit every register is the interpreter's.  A jump bounded
+        by the budget leaves less than a period on the confirmed path,
+        which ends at the cap inside the region, where only memories,
+        cycles and the completed flag reach the result.  A failed
+        confirmation leaves the run where the two periods ended.
         """
         if loop.recorders is None:
             loop.recorders = self._recorders(loop)
@@ -1563,6 +1740,12 @@ class CompiledDesign:
             return state, cycles, 0
         room = (max_cycles - cycles) // period
         periods = _jump_bound(guards, before, after, mems)
+        if periods is not None and periods <= room and loop.left_out:
+            # The first period past the jump may leave the region, and a
+            # register left out of the snapshot still holds what it held
+            # here: land a period earlier, so a whole period on the
+            # confirmed path rewrites it first.
+            periods -= 1
         jump = room if periods is None else min(periods, room)
         if jump <= 0:
             return state, cycles, 0
@@ -1575,14 +1758,16 @@ class CompiledDesign:
         values)`` that runs its chain as :meth:`_fuse_chain`'s does, with
         every probe of :meth:`_counter_pass` appending its value to
         ``values``, and returns the next entry; and the guards of those
-        values, in order."""
+        values, in order.  The pass runs under the liveness the loop's
+        counters were decided with, so it probes exactly the ops the rule
+        kept (a dead op records nothing)."""
         probes: dict = {}
-        self._counter_pass(loop.steps, frozenset(loop.counters), probes)
+        self._counter_pass(loop.steps, frozenset(loop.counters), *loop.live, probes)
         recorders = {}
         for head, chain_steps in loop.steps:
             shape = _Shape(self._chain_factories)
             guards: list[tuple] = []
-            lines = self._chain_lines(head, shape, chain_steps, probes, guards)
+            lines = self._chain_lines(head, shape, chain_steps, probes[head], guards)
             lines.append(f"return {self._next_target(head, shape)}")
             recorders[head] = (shape.closure(lines, "regs, mems, values"), guards)
         return recorders

@@ -252,6 +252,43 @@ class TestParallelDeterminism:
         assert serial.to_dict()["schema"] == "repro.campaign/5"
         assert all(unit.design is not None for unit in serial.units)
 
+    def test_evaluation_builds_one_reference_per_content(self, monkeypatch):
+        """The 20-unit evaluation campaign synthesizes one unobfuscated
+        reference per benchmark: its four configs share the source, top,
+        constraints, engine and workloads a reference depends on.  The
+        document equals one whose every unit builds its own."""
+        from repro.benchsuite import benchmark_names
+        from repro.evaluation.report import EVALUATION_CONFIGS
+        from repro.runtime import executor
+
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        calls = []
+        synthesize = TaoFlow.synthesize_baseline
+
+        def counted(flow, source, top, name="baseline"):
+            calls.append(top)
+            return synthesize(flow, source, top, name)
+
+        monkeypatch.setattr(TaoFlow, "synthesize_baseline", counted)
+        spec = CampaignSpec(
+            benchmarks=tuple(benchmark_names()),
+            configs=EVALUATION_CONFIGS,
+            n_keys=2,
+            design_metrics=True,
+        )
+        documents = []
+        for memo in (Forgetful(), {}):
+            monkeypatch.setattr(executor, "_REFERENCES", memo)
+            calls.clear()
+            result = run_campaign(spec)
+            documents.append(result.to_json())
+            assert len(result.units) == 20
+        assert len(calls) == 5 == len(set(calls))
+        assert documents[0] == documents[1]
+
     def test_workloads_shared_across_axes(self):
         # Workload seeds derive from the benchmark alone: every
         # config/scheme/budget cell of one benchmark validates against

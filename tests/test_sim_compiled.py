@@ -18,7 +18,10 @@ loop bounds inside the budget, wraps of int, char and short counters,
 indexes and shift amounts, equality exits, several counters, a
 two-phase state, steps that change, watched registers that change,
 and the reads that keep a loop exact: stores, nonlinear ops and
-products of counters; traced runs take no jump), its memo of fused
+products of counters, unless dead, a self-cancelling difference, a
+register left out of the snapshot at an early exit and reads by dead
+ops that keep a chain live; viterbi's loops that jump only past dead
+values; traced runs take no jump), its memo of fused
 chains and loop closures (a rebind to earlier arms reuses their loop,
 a rebound hot chain heats early, uncapped runs build a loop only once
 they have run the cycles to repay it, and one fused closure per entry
@@ -41,7 +44,7 @@ from repro.frontend import compile_c
 from repro.hls import hls_flow
 from repro.ir.instructions import Opcode
 from repro.ir.types import IntType
-from repro.ir.values import Constant, ObfuscatedConstant
+from repro.ir.values import Constant, ObfuscatedConstant, Variable
 from repro.registry import REGISTRY
 from repro.runtime.campaign import CampaignSpec, plan_campaign
 from repro.runtime.executor import ExecutionOptions, execute_plan
@@ -1710,9 +1713,27 @@ class TestCounterJumps:
     @pytest.mark.parametrize("read", ["i / 1000", "i % 1000", "i & 1023", "i | 1024", "i ^ 1024", "i >> 10"])
     def test_nonlinear_read_keeps_the_counter_exact(self, read):
         """A counter read by division, remainder, and, or, xor or a right
-        shift is no counter: it must repeat exactly, so a loop whose
-        other state moves steadily takes no jump, and crossing the read's
-        next step (a multiple of 1024) stays the interpreter's."""
+        shift, where the read reaches a register the loop carries (``s =
+        s + t``), is no counter: it must repeat exactly, so the loop takes
+        no jump, and crossing the read's next step (a multiple of 1024)
+        stays the interpreter's."""
+        source = f"""
+        int f(int n) {{
+          int s = 0; int t = 0;
+          for (int i = 0; i < n; i++) {{ t = {read}; s = s + t; }}
+          return s + t;
+        }}
+        """
+        plan, _ = _counter_runs(source, [NEVER], [30_000])
+        assert plan.counter_skips == plan.repeat_skips == 0
+
+    @pytest.mark.parametrize("read", ["i / 1000", "i >> 10", "i * i", "i - i"])
+    def test_dead_nonlinear_read_jumps(self, read):
+        """A nonlinear read whose value no op of the loop reads before the
+        next period rewrites it (``t``, read only by the ``return`` after
+        the exit) is dead: it costs the counter nothing, every run jumps,
+        and a run that leaves the loop inside the budget returns the
+        interpreter's ``t``."""
         source = f"""
         int f(int n) {{
           int s = 0; int t = 0;
@@ -1720,8 +1741,131 @@ class TestCounterJumps:
           return s + t;
         }}
         """
-        plan, _ = _counter_runs(source, [NEVER], [30_000])
-        assert plan.counter_skips == plan.repeat_skips == 0
+        budgets = [NEVER, 20_000, 40_000, 60_001]
+        completed = 0
+        for n in (3000, 4096, 5001, 12345):
+            plan, results = _counter_runs(source, [n], budgets)
+            assert plan.counter_skips == len(budgets), n
+            completed += sum(result.completed for result in results)
+        assert completed >= len(budgets)
+
+    def test_register_left_out_of_the_snapshot_is_exact_at_an_early_exit(self):
+        """A two-entry loop whose first entry may exit (``i == m``) before
+        the second rewrites ``u``, which derives from a dead read and is
+        returned after the exit: the loop leaves ``u`` out of its snapshot,
+        so a jump bounded by the exit lands a period early and a whole
+        period rewrites ``u`` before the exit the interpreter takes."""
+        source = """
+        int f(int n, int m) {
+          int s = 0; int t = 0; int u = 0;
+          for (int i = 0; i < n; i++) {
+            if (i == m) break;
+            t = i / 1000; u = t + 1;
+            s = s + 2;
+          }
+          return s + u;
+        }
+        """
+        budgets = [NEVER, 20_000, 40_000, 60_001]
+        for args in ([NEVER, 3000], [NEVER, 4096], [5001, NEVER], [NEVER, 12345]):
+            plan, results = _counter_runs(source, args, budgets)
+            (loop,) = {id(loop): loop for loop in plan._loops if loop is not None}.values()
+            assert len(loop.region) == 2 and loop.left_out
+            assert plan.counter_skips == len(budgets), args
+            assert results[0].completed
+
+    def test_reads_by_dead_ops_keep_their_registers_live(self):
+        """``u`` is dead in the loop, but the value it is computed from
+        passes through ``r`` and ``q``, each written in another entry of
+        the region, and ``s`` is read only by its own update.  Liveness
+        counts every op's reads, so those registers stay in the snapshot
+        and the read of ``i / 1000`` keeps its nonlinear taint: a
+        landing one period short could not refresh a chain of stale
+        values, and every result stays the interpreter's."""
+        source = """
+        int f(int n, int m, int k) {
+          int s = 0; int q = 0; int r = 0; int u = 0;
+          for (int i = 0; i < n; i++) {
+            u = r + 1;
+            if (i == m) break;
+            r = q + 1;
+            if (k > 0) { s = s + 2; }
+            q = i / 1000;
+          }
+          return s + u;
+        }
+        """
+        budgets = [NEVER, 20_000, 40_000, 60_001]
+        for args in ([NEVER, 3000, 1], [NEVER, 4096, 1], [5001, NEVER, 1]):
+            plan, results = _counter_runs(source, args, budgets)
+            (loop,) = {id(loop): loop for loop in plan._loops if loop is not None}.values()
+            assert len(loop.region) >= 3 and results[0].completed
+
+    def test_store_of_a_self_cancelling_difference_keeps_the_counter(self):
+        """``b[1] = i - i`` stores 0 whatever ``i`` holds, also when the two
+        reads are distinct values bound to one register (left-edge
+        sharing binds several values to one): the store costs the loop
+        its counter no more than a constant store does, and it jumps."""
+        source = """
+        int f(int n, int k, int b[4]) {
+          int s = 0;
+          for (int i = 0; i < n; i++) { b[1] = i - k; s = s + 2; }
+          return s + b[1];
+        }
+        """
+        design = hls_flow(compile_c(source), "f")
+        (sub,) = [
+            inst
+            for block in design.schedule.blocks.values()
+            for inst in block.block.instructions
+            if inst.opcode is Opcode.SUB
+        ]
+        counter, other = sub.operands
+        twin = Variable(counter.type, "i.twin")
+        design.binding.register_of[twin] = design.binding.register_of[counter]
+        sub.replace_operand(other, twin)
+        arrays = {"b": [7, 7, 7, 7]}
+        plan, _ = _counter_runs(design, [NEVER, 0], [20_000, 19_999], arrays)
+        plan2, results = _counter_runs(design, [5001, 0], [100_000], arrays)
+        loops = [loop for loop in plan._loops if loop is not None]
+        assert loops and all(loop.counters for loop in loops)
+        assert plan.counter_skips == 2 and plan2.counter_skips == 1
+        assert results[0].completed and results[0].arrays["b"] == [7, 0, 7, 7]
+
+    def test_viterbi_loops_jump_past_dead_and_self_cancelling_values(self, monkeypatch):
+        """On the memo parity cell's keys (viterbi ``default``, 4 keys,
+        resistance-curve), two loop families take counter jumps on every
+        try: the one-entry loop at state 93 (``for.body30``), whose arms
+        store ``r44 - r44`` or compute a wrapping product that the next
+        period reloads before reading, and the region (55, 68)
+        (``for.body10``, ``for.end16``), whose wrapping shift the next
+        period rewrites before reading."""
+        tries: collections.Counter = collections.Counter()
+        jumps: collections.Counter = collections.Counter()
+        cancelling: set = set()
+        counter_jump = CompiledDesign._counter_jump
+
+        def tracked(plan, loop, *args):
+            result = counter_jump(plan, loop, *args)
+            tries[loop.region] += 1
+            jumps[loop.region] += result[2] > 0
+            if any(
+                plan._cancels(op)
+                for _, chain_steps in loop.steps
+                for _, ops in chain_steps
+                for _, op, _ in ops or ()
+            ):
+                cancelling.add(loop.region)
+            return result
+
+        monkeypatch.setattr(CompiledDesign, "_counter_jump", tracked)
+        spec = CampaignSpec(
+            benchmarks=("viterbi",), n_keys=4, attacks=("resistance-curve",)
+        )
+        execute_plan(plan_campaign(spec), ExecutionOptions(jobs=1, engine="compiled"))
+        for region in ((93,), (55, 68)):
+            assert tries[region] and jumps[region] == tries[region], region
+        assert (93,) in cancelling
 
     def test_product_of_two_counters_keeps_the_loop_exact(self):
         """``i * i`` grows by a different step each period, so an exit
