@@ -114,9 +114,9 @@ def _bind_modules(func: Function, schedule: FunctionSchedule, result: BindingRes
     pools: dict[tuple[FUKind, int], list[FUInstance]] = {}
     for name, block_schedule in schedule.blocks.items():
         # Within a block, ops in the same cstep need distinct instances.
-        for step in range(block_schedule.n_steps):
+        for step_instructions in block_schedule.step_table():
             used_this_step: set[FUInstance] = set()
-            for inst in block_schedule.instructions_at(step):
+            for inst in step_instructions:
                 if not inst.is_datapath_op:
                     continue
                 kind = fu_kind_for(inst.opcode)

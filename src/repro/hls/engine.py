@@ -14,7 +14,7 @@ from repro.hls.binding import bind_function
 from repro.hls.controller import synthesize_controller
 from repro.hls.design import FsmdDesign
 from repro.hls.resources import ResourceConstraints
-from repro.hls.scheduling import schedule_function, validate_schedule
+from repro.hls.scheduling import schedule_function
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Opcode
 from repro.opt.pass_manager import optimize_module
@@ -34,8 +34,9 @@ def synthesize_function(
     if func is None:
         raise HlsError(f"no function {func_name!r} in module")
     _reject_calls(func)
+    # Each block's schedule is checked against the DFG it was built
+    # from inside the scheduler.
     schedule = schedule_function(func, constraints)
-    validate_schedule(schedule)
     binding = bind_function(func, schedule)
     controller = synthesize_controller(func, schedule)
     return FsmdDesign(

@@ -7,6 +7,16 @@ cstep after its producers (results are latched in registers at the end
 of the producing cstep).  Terminators execute in the block's final
 cstep.  TAO's DFG-variant pass reuses the baseline schedule as the
 constraint for all variants (paper §3.3.4).
+
+List scheduling keeps, per node, a count of its unplaced predecessors;
+a node joins the ready list in the cstep after its last predecessor is
+placed, and stays there until it is placed.  That is exactly the set a
+rescan of every unscheduled node would find at each cstep (all
+predecessors placed in an earlier cstep), so the greedy pass, which
+walks the ready list sorted by ``(alap, index)`` with the same FU-limit,
+memory-port and terminator-last checks in the same order, places every
+node where the rescan does.  The pass costs the ready list per cstep
+plus each edge once, instead of every node and edge per cstep.
 """
 
 from __future__ import annotations
@@ -84,13 +94,21 @@ def list_schedule_block(
     block: BasicBlock,
     constraints: ResourceConstraints,
 ) -> BlockSchedule:
-    """Resource-constrained list scheduling with ALAP-slack priority."""
+    """Resource-constrained list scheduling with ALAP-slack priority.
+
+    The schedule is checked against the DFG it was built from before
+    that DFG is dropped (see :func:`validate_schedule`).
+    """
     dfg = DataFlowGraph(block)
     if not dfg.nodes:
         return BlockSchedule(block=block, cstep_of={}, n_steps=1)
     alap = alap_schedule(dfg)
 
-    unscheduled = set(dfg.nodes)
+    # A node joins ``ready`` in the cstep after its last predecessor
+    # is placed; ``waiting`` counts each node's unplaced predecessors.
+    waiting = [len(node.preds) for node in dfg.nodes]
+    ready = [node for node in dfg.nodes if not node.preds]
+    unscheduled = len(dfg.nodes)
     scheduled_step: dict[DFGNode, int] = {}
     step = 0
     terminator = block.terminator
@@ -98,25 +116,19 @@ def list_schedule_block(
         # Resource usage this cstep.
         fu_used: dict[FUKind, int] = {}
         ports_used: dict[str, int] = {}
-        ready = sorted(
-            (
-                node
-                for node in unscheduled
-                if all(
-                    p in scheduled_step and scheduled_step[p] < step
-                    for p in node.preds
-                )
-            ),
-            key=lambda n: (alap[n], n.index),
-        )
+        ready.sort(key=lambda n: (alap[n], n.index))
+        ready_next: list[DFGNode] = []
+        placed: list[DFGNode] = []
         for node in ready:
             inst = node.inst
-            if terminator is not None and inst is terminator and len(unscheduled) > 1:
+            if terminator is not None and inst is terminator and unscheduled > 1:
+                ready_next.append(node)
                 continue  # terminator goes last
             kind = fu_kind_for(inst.opcode) if inst.is_datapath_op else None
             if kind is not None:
                 limit = constraints.limit(kind)
                 if limit is not None and fu_used.get(kind, 0) >= limit:
+                    ready_next.append(node)
                     continue
             if inst.opcode in (Opcode.LOAD, Opcode.STORE):
                 assert inst.array is not None
@@ -126,12 +138,20 @@ def list_schedule_block(
                     "" if constraints.shared_memory_port else inst.array.name
                 )
                 if ports_used.get(port, 0) >= constraints.memory_ports:
+                    ready_next.append(node)
                     continue
                 ports_used[port] = ports_used.get(port, 0) + 1
             if kind is not None:
                 fu_used[kind] = fu_used.get(kind, 0) + 1
             scheduled_step[node] = step
-            unscheduled.discard(node)
+            unscheduled -= 1
+            placed.append(node)
+        for node in placed:
+            for succ in node.succs:
+                waiting[succ.index] -= 1
+                if not waiting[succ.index]:
+                    ready_next.append(succ)
+        ready = ready_next
         step += 1
         if step > 4 * len(dfg.nodes) + 8:  # pragma: no cover - defensive
             raise RuntimeError(f"scheduler livelock in block {block.name}")
@@ -143,7 +163,9 @@ def list_schedule_block(
         if scheduled_step[term_node] != n_steps - 1:
             scheduled_step[term_node] = n_steps - 1
     cstep_of = {node.inst.uid: s for node, s in scheduled_step.items()}
-    return BlockSchedule(block=block, cstep_of=cstep_of, n_steps=n_steps)
+    block_schedule = BlockSchedule(block=block, cstep_of=cstep_of, n_steps=n_steps)
+    _check_block(block.name, block_schedule, dfg)
+    return block_schedule
 
 
 def schedule_function(
@@ -159,18 +181,26 @@ def schedule_function(
 
 
 def validate_schedule(schedule: FunctionSchedule) -> None:
-    """Check dependence and terminator invariants; raises on violation."""
+    """Check dependence and terminator invariants; raises on violation.
+
+    :func:`list_schedule_block` already checks each block it builds;
+    this re-checks a whole schedule, e.g. one edited after the fact.
+    """
     for name, block_schedule in schedule.blocks.items():
-        block = block_schedule.block
-        dfg = DataFlowGraph(block)
-        steps = block_schedule.cstep_of
-        for node in dfg.nodes:
-            for pred in node.preds:
-                if steps[pred.inst.uid] >= steps[node.inst.uid]:
-                    raise ValueError(
-                        f"{name}: {pred.inst} (c{steps[pred.inst.uid]}) must "
-                        f"precede {node.inst} (c{steps[node.inst.uid]})"
-                    )
-        term = block.terminator
-        if term is not None and steps[term.uid] != block_schedule.n_steps - 1:
-            raise ValueError(f"{name}: terminator not in final cstep")
+        _check_block(name, block_schedule, DataFlowGraph(block_schedule.block))
+
+
+def _check_block(
+    name: str, block_schedule: BlockSchedule, dfg: DataFlowGraph
+) -> None:
+    steps = block_schedule.cstep_of
+    for node in dfg.nodes:
+        for pred in node.preds:
+            if steps[pred.inst.uid] >= steps[node.inst.uid]:
+                raise ValueError(
+                    f"{name}: {pred.inst} (c{steps[pred.inst.uid]}) must "
+                    f"precede {node.inst} (c{steps[node.inst.uid]})"
+                )
+    term = block_schedule.block.terminator
+    if term is not None and steps[term.uid] != block_schedule.n_steps - 1:
+        raise ValueError(f"{name}: terminator not in final cstep")

@@ -42,6 +42,7 @@ class DataFlowGraph:
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
         self.nodes: list[DFGNode] = []
+        self._edge_set: set[tuple[int, int]] = set()
         self._build()
 
     def _build(self) -> None:
@@ -106,7 +107,9 @@ class DataFlowGraph:
             # (already handled) — nothing extra needed.
 
     def _add_edge(self, src: DFGNode, dst: DFGNode) -> None:
-        if dst not in src.succs:
+        pair = (src.index, dst.index)
+        if pair not in self._edge_set:
+            self._edge_set.add(pair)
             src.succs.append(dst)
             dst.preds.append(src)
 
@@ -127,21 +130,21 @@ class DataFlowGraph:
         return [n for n in self.nodes if not n.succs]
 
     def topological_order(self) -> list[DFGNode]:
-        """Kahn topological sort; raises on cycles (should never happen)."""
-        in_degree = {n: len(n.preds) for n in self.nodes}
-        ready = [n for n in self.nodes if in_degree[n] == 0]
-        order: list[DFGNode] = []
-        while ready:
-            node = min(ready, key=lambda n: n.index)
-            ready.remove(node)
-            order.append(node)
+        """Nodes in a dependence-respecting order: index order.
+
+        ``_build`` only adds edges from an earlier instruction to a
+        later one, so Kahn's smallest-index-first order is exactly the
+        index order.  A linear check confirms it and raises on an edge
+        that points back, which only a hand-added edge can be.
+        """
+        for node in self.nodes:
             for succ in node.succs:
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self.nodes):
-            raise ValueError("cycle in data-flow graph")
-        return order
+                if succ.index <= node.index:
+                    raise ValueError(
+                        f"back edge {node.index} -> {succ.index} in data-flow "
+                        "graph: edges must follow instruction order"
+                    )
+        return list(self.nodes)
 
     def critical_path_length(self) -> int:
         """Longest chain of dependent operations (in nodes)."""

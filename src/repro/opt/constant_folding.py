@@ -8,7 +8,7 @@ of the computed constant; branches on constant conditions become jumps.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Instruction, Opcode
@@ -16,74 +16,67 @@ from repro.ir.types import IntType
 from repro.ir.values import Constant, Temp, Value, Variable
 
 
+def _div(values: list[int], types: list[IntType], result_type: IntType) -> int:
+    if values[1] == 0:
+        return 0
+    quotient = abs(values[0]) // abs(values[1])
+    return -quotient if (values[0] < 0) != (values[1] < 0) else quotient
+
+
+def _rem(values: list[int], types: list[IntType], result_type: IntType) -> int:
+    if values[1] == 0:
+        return 0
+    magnitude = abs(values[0]) % abs(values[1])
+    return -magnitude if values[0] < 0 else magnitude
+
+
+def _shr(values: list[int], types: list[IntType], result_type: IntType) -> int:
+    shift = values[1] % max(1, result_type.width)
+    if types[0].signed:
+        return values[0] >> shift
+    return _to_bits(values[0], types[0]) >> shift
+
+
+#: The IR's arithmetic, one entry per evaluable opcode: a function of
+#: (operand values, operand types, result type) giving the raw result,
+#: which the caller wraps to the result type.  :func:`evaluate_op` and
+#: the golden interpreter (``repro.sim.interpreter``) both run it.
+OPERATIONS: dict[Opcode, Callable[[list[int], list[IntType], IntType], int]] = {
+    Opcode.ADD: lambda v, t, r: v[0] + v[1],
+    Opcode.SUB: lambda v, t, r: v[0] - v[1],
+    Opcode.MUL: lambda v, t, r: v[0] * v[1],
+    Opcode.DIV: _div,
+    Opcode.REM: _rem,
+    Opcode.NEG: lambda v, t, r: -v[0],
+    Opcode.AND: lambda v, t, r: _to_bits(v[0], t[0]) & _to_bits(v[1], t[1]),
+    Opcode.OR: lambda v, t, r: _to_bits(v[0], t[0]) | _to_bits(v[1], t[1]),
+    Opcode.XOR: lambda v, t, r: _to_bits(v[0], t[0]) ^ _to_bits(v[1], t[1]),
+    Opcode.NOT: lambda v, t, r: ~v[0],
+    Opcode.SHL: lambda v, t, r: v[0] << (v[1] % max(1, r.width)),
+    Opcode.SHR: _shr,
+    Opcode.EQ: lambda v, t, r: int(v[0] == v[1]),
+    Opcode.NE: lambda v, t, r: int(v[0] != v[1]),
+    Opcode.LT: lambda v, t, r: int(v[0] < v[1]),
+    Opcode.LE: lambda v, t, r: int(v[0] <= v[1]),
+    Opcode.GT: lambda v, t, r: int(v[0] > v[1]),
+    Opcode.GE: lambda v, t, r: int(v[0] >= v[1]),
+    Opcode.MOV: lambda v, t, r: v[0],
+}
+
+
 def evaluate_op(
     opcode: Opcode, operands: list[int], operand_types: list[IntType], result_type: IntType
 ) -> Optional[int]:
-    """Evaluate an opcode over Python ints; returns the wrapped result.
+    """Evaluate an opcode over Python ints; returns the wrapped result,
+    or None for an opcode :data:`OPERATIONS` does not define.
 
     Division/remainder by zero returns 0 (total hardware semantics).
     Shift amounts are taken modulo the result width to stay total.
     """
-    if opcode is Opcode.ADD:
-        raw = operands[0] + operands[1]
-    elif opcode is Opcode.SUB:
-        raw = operands[0] - operands[1]
-    elif opcode is Opcode.MUL:
-        raw = operands[0] * operands[1]
-    elif opcode is Opcode.DIV:
-        if operands[1] == 0:
-            raw = 0
-        else:
-            quotient = abs(operands[0]) // abs(operands[1])
-            raw = -quotient if (operands[0] < 0) != (operands[1] < 0) else quotient
-    elif opcode is Opcode.REM:
-        if operands[1] == 0:
-            raw = 0
-        else:
-            magnitude = abs(operands[0]) % abs(operands[1])
-            raw = -magnitude if operands[0] < 0 else magnitude
-    elif opcode is Opcode.NEG:
-        raw = -operands[0]
-    elif opcode is Opcode.AND:
-        raw = _to_bits(operands[0], operand_types[0]) & _to_bits(
-            operands[1], operand_types[1]
-        )
-    elif opcode is Opcode.OR:
-        raw = _to_bits(operands[0], operand_types[0]) | _to_bits(
-            operands[1], operand_types[1]
-        )
-    elif opcode is Opcode.XOR:
-        raw = _to_bits(operands[0], operand_types[0]) ^ _to_bits(
-            operands[1], operand_types[1]
-        )
-    elif opcode is Opcode.NOT:
-        raw = ~operands[0]
-    elif opcode is Opcode.SHL:
-        shift = operands[1] % max(1, result_type.width)
-        raw = operands[0] << shift
-    elif opcode is Opcode.SHR:
-        shift = operands[1] % max(1, result_type.width)
-        if operand_types[0].signed:
-            raw = operands[0] >> shift
-        else:
-            raw = _to_bits(operands[0], operand_types[0]) >> shift
-    elif opcode is Opcode.EQ:
-        raw = int(operands[0] == operands[1])
-    elif opcode is Opcode.NE:
-        raw = int(operands[0] != operands[1])
-    elif opcode is Opcode.LT:
-        raw = int(operands[0] < operands[1])
-    elif opcode is Opcode.LE:
-        raw = int(operands[0] <= operands[1])
-    elif opcode is Opcode.GT:
-        raw = int(operands[0] > operands[1])
-    elif opcode is Opcode.GE:
-        raw = int(operands[0] >= operands[1])
-    elif opcode is Opcode.MOV:
-        raw = operands[0]
-    else:
+    operation = OPERATIONS.get(opcode)
+    if operation is None:
         return None
-    return result_type.wrap(raw)
+    return result_type.wrap(operation(operands, operand_types, result_type))
 
 
 def _to_bits(value: int, type_: IntType) -> int:

@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Optional, Sequence
 
 from repro.ir.values import ObfuscatedConstant
 
@@ -228,6 +228,7 @@ class GoldenCache:
         bench: "Testbench",
         observed: Sequence[str],
         lanes: int,
+        fingerprint: Optional[str] = None,
     ) -> list[tuple["ExecutionResult", list[int]]]:
         """Golden execution + output bit vector for ``lanes`` trials of
         one workload, computed at most once.
@@ -235,13 +236,15 @@ class GoldenCache:
         The key is hashed once per call, but the counters move as
         ``lanes`` separate lookups would: a miss computes the entry and
         the other lanes hit it.  Every lane gets its own copy.
+        ``fingerprint`` is ``golden_fingerprint(design.module)`` when
+        the caller has already hashed the unchanged module.
         """
         if lanes <= 0:
             return []
         module = design.module
         func_name = design.func.name
         key = (
-            golden_fingerprint(module),
+            golden_fingerprint(module) if fingerprint is None else fingerprint,
             func_name,
             testbench_fingerprint(bench, observed),
         )

@@ -250,23 +250,33 @@ class DesignLayout:
         self.done: list[bool] = []
         self.transition_specs: list[tuple] = []
         self.state_op_lists: list[Optional[list]] = [None] * len(self.states)
+        # Each block's ops are bucketed by cstep once, in instruction
+        # order within a cstep.
+        step_tables: dict[str, list[list]] = {}
+        states_of: dict[str, list[tuple[StateId, int]]] = {}
         for idx, state in enumerate(self.states):
-            if state.block not in design.block_variants:
-                block_schedule = design.schedule.blocks[state.block]
-                self.state_op_lists[idx] = list(
-                    block_schedule.instructions_at(state.step)
-                )
+            if state.block in design.block_variants:
+                states_of.setdefault(state.block, []).append((state, idx))
+            else:
+                table = step_tables.get(state.block)
+                if table is None:
+                    table = design.schedule.blocks[state.block].step_table()
+                    step_tables[state.block] = table
+                self.state_op_lists[idx] = table[state.step]
             self._lower_transition(state)
         self.variant_tables: list[tuple] = []
         for block_name, variants in design.block_variants.items():
-            distinct = variants.distinct_lists()
+            buckets: dict[int, dict[int, list]] = {}
+            for key, ops in variants.distinct_lists().items():
+                by_step: dict[int, list] = {}
+                for op in ops:
+                    by_step.setdefault(op.cstep, []).append(op)
+                buckets[key] = by_step
             tables: list[tuple[int, dict[int, list]]] = []
-            for state, idx in self.idx_of.items():
-                if state.block != block_name:
-                    continue
+            for state, idx in states_of.get(block_name, ()):
                 arms = {
-                    key: [op for op in ops if op.cstep == state.step]
-                    for key, ops in distinct.items()
+                    key: by_step.get(state.step, [])
+                    for key, by_step in buckets.items()
                 }
                 per_selector = {
                     selector: arms[id(ops)]

@@ -149,6 +149,7 @@ def run_testbench_batch(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     golden_cache: Union[GoldenCache, None, _DefaultCache] = _DEFAULT_CACHE,
     engine: Optional[str] = None,
+    fingerprint: Optional[str] = None,
 ) -> list[TestbenchOutcome]:
     """Run one workload under a batch of working keys; compare each lane.
 
@@ -162,6 +163,8 @@ def run_testbench_batch(
     :func:`repro.sim.fsmd_sim.simulate_batch` — one ``bind_keys`` +
     sweep under the codegen engine, a scalar loop elsewhere —
     returning one :class:`TestbenchOutcome` per key, in key order.
+    ``fingerprint``, the module's golden fingerprint when the caller
+    already holds it, spares the cache lookup its hash.
     """
     module = design.module
     func_name = design.func.name
@@ -179,7 +182,9 @@ def run_testbench_batch(
         )
         goldens = [(golden, golden_bits)] * len(working_keys)
     else:
-        goldens = cache.goldens_for(design, bench, observed, len(working_keys))
+        goldens = cache.goldens_for(
+            design, bench, observed, len(working_keys), fingerprint
+        )
     simulated_batch = simulate_batch(
         design,
         bench.args,
@@ -212,6 +217,7 @@ def iter_outcomes(
     working_keys: Sequence[int],
     max_cycles: int = DEFAULT_MAX_CYCLES,
     engine: Optional[str] = None,
+    fingerprint: Optional[str] = None,
 ) -> Iterator[TestbenchOutcome]:
     """Run any number of working keys on one workload; yield in key order.
 
@@ -232,6 +238,7 @@ def iter_outcomes(
             working_keys[start : start + size],
             max_cycles=max_cycles,
             engine=engine,
+            fingerprint=fingerprint,
         )
 
 

@@ -127,6 +127,7 @@ def run_key_trials(
     keys: Sequence[LockingKey],
     cycle_cap: int,
     engine: Optional[str] = None,
+    fingerprint: Optional[str] = None,
 ) -> list[KeyTrialResult]:
     """Simulate a batch of locking keys over all workloads.
 
@@ -138,7 +139,9 @@ def run_key_trials(
     workloads, workload-averaged Hamming fraction, max cycles) is
     order-independent, so the result list matches scalar
     :func:`run_key_trial` calls key for key on every engine.  The
-    golden reference comes from the process-wide cache.
+    golden reference comes from the process-wide cache;
+    ``fingerprint`` is the design module's golden fingerprint when the
+    caller has already hashed it.
     """
     working = [component.working_key_for(key) for key in keys]
     matches_all = [True] * len(keys)
@@ -147,7 +150,7 @@ def run_key_trials(
     cycles = [0] * len(keys)
     for bench in benches:
         outcomes = iter_outcomes(
-            component.design, bench, working, cycle_cap, engine
+            component.design, bench, working, cycle_cap, engine, fingerprint
         )
         for lane, outcome in enumerate(outcomes):
             matches_all[lane] &= outcome.matches
@@ -198,10 +201,12 @@ def _key_batch_worker(shared, key_bits_batch: Sequence[int]):
     """
     from repro.runtime.cache import cache_stats, stats_delta
 
-    component, benches, cycle_cap, width, engine = shared
+    component, benches, cycle_cap, width, engine, fingerprint = shared
     stats_before = cache_stats()
     keys = [LockingKey(bits=bits, width=width) for bits in key_bits_batch]
-    trials = run_key_trials(component, benches, keys, cycle_cap, engine=engine)
+    trials = run_key_trials(
+        component, benches, keys, cycle_cap, engine, fingerprint
+    )
     return trials, stats_delta(stats_before, cache_stats())
 
 
@@ -295,16 +300,21 @@ def validate_component(
             "a validation campaign needs at least one workload: with no "
             "testbenches every key vacuously 'matches'"
         )
+    from repro.runtime.cache import golden_fingerprint
+
     rng = random.Random(seed)
     correct = component.locking_key
     wrong_keys = generate_wrong_keys(correct, n_keys - 1, rng)
+    # Every trial below runs the same unchanged module: hash it once.
+    fingerprint = golden_fingerprint(component.design.module)
 
-    correct_trial = run_key_trial(
+    (correct_trial,) = run_key_trials(
         component,
         benches,
-        correct,
+        [correct],
         UNCAPPED_CYCLES if max_cycles is None else max_cycles,
-        engine=engine,
+        engine,
+        fingerprint,
     )
     baseline_cycles = correct_trial.cycles
     cap = wrong_key_cycle_cap(baseline_cycles, max_cycles)
@@ -322,6 +332,7 @@ def validate_component(
                 cap,
                 correct.width,
                 engine,
+                fingerprint,
             ),
             jobs=jobs,
         )
@@ -333,7 +344,7 @@ def validate_component(
             absorb_stats(delta)
     else:
         wrong_trials = run_key_trials(
-            component, benches, wrong_keys, cap, engine=engine
+            component, benches, wrong_keys, cap, engine, fingerprint
         )
     return build_report(component.design.name, [correct_trial, *wrong_trials])
 

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzz_programs import ProgramGenerator
+from repro.benchsuite import benchmark_names, get_benchmark
 from repro.frontend import compile_c
 from repro.hls.resources import FUKind, ResourceConstraints, fu_kind_for
 from repro.hls.scheduling import (
@@ -13,6 +15,9 @@ from repro.hls.scheduling import (
     validate_schedule,
 )
 from repro.ir.dfg import DataFlowGraph
+from repro.ir.instructions import Opcode
+from repro.runtime.campaign import budget_constraints
+from repro.tao import TaoFlow
 
 
 def function_of(source, name=None):
@@ -199,3 +204,99 @@ def test_property_schedule_valid_under_any_constraints(mul_limit, add_limit):
     func = function_of(WIDE)
     schedule = schedule_function(func, constraints)
     validate_schedule(schedule)
+
+
+def rescan_list_schedule(block, constraints):
+    """The list scheduler as it was before ready counts: every cstep
+    rescans each unscheduled node and all of its predecessors.  Kept as
+    the reference the ready-count scheduler must match exactly."""
+    dfg = DataFlowGraph(block)
+    if not dfg.nodes:
+        return {}, 1
+    alap = alap_schedule(dfg)
+    unscheduled = set(dfg.nodes)
+    scheduled_step = {}
+    step = 0
+    terminator = block.terminator
+    while unscheduled:
+        fu_used = {}
+        ports_used = {}
+        ready = sorted(
+            (
+                node
+                for node in unscheduled
+                if all(
+                    p in scheduled_step and scheduled_step[p] < step
+                    for p in node.preds
+                )
+            ),
+            key=lambda n: (alap[n], n.index),
+        )
+        for node in ready:
+            inst = node.inst
+            if terminator is not None and inst is terminator and len(unscheduled) > 1:
+                continue
+            kind = fu_kind_for(inst.opcode) if inst.is_datapath_op else None
+            if kind is not None:
+                limit = constraints.limit(kind)
+                if limit is not None and fu_used.get(kind, 0) >= limit:
+                    continue
+            if inst.opcode in (Opcode.LOAD, Opcode.STORE):
+                port = "" if constraints.shared_memory_port else inst.array.name
+                if ports_used.get(port, 0) >= constraints.memory_ports:
+                    continue
+                ports_used[port] = ports_used.get(port, 0) + 1
+            if kind is not None:
+                fu_used[kind] = fu_used.get(kind, 0) + 1
+            scheduled_step[node] = step
+            unscheduled.discard(node)
+        step += 1
+    n_steps = max(scheduled_step.values()) + 1
+    if terminator is not None:
+        term_node = next(n for n in dfg.nodes if n.inst is terminator)
+        scheduled_step[term_node] = n_steps - 1
+    return {node.inst.uid: s for node, s in scheduled_step.items()}, n_steps
+
+
+#: The budgets the equivalence runs under: the campaign's ``default``,
+#: ``tight`` and ``mem-tight`` presets, and a shared memory port with
+#: the default limits.
+BUDGETS = {
+    "default": lambda: budget_constraints("default"),
+    "tight": lambda: budget_constraints("tight"),
+    "mem-tight": lambda: budget_constraints("mem-tight"),
+    "shared-port": lambda: ResourceConstraints(shared_memory_port=True),
+}
+
+
+def assert_matches_rescan(func, constraints):
+    constraints = constraints or ResourceConstraints()
+    for block in func.blocks.values():
+        block_schedule = list_schedule_block(block, constraints)
+        cstep_of, n_steps = rescan_list_schedule(block, constraints)
+        assert block_schedule.cstep_of == cstep_of, block.name
+        assert block_schedule.n_steps == n_steps, block.name
+
+
+class TestReadyCountsMatchRescan:
+    """The ready-count scheduler places every node where the per-cstep
+    rescan does, on the HLS inputs the campaigns build."""
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("kernel", benchmark_names())
+    def test_kernels(self, kernel, budget):
+        bench = get_benchmark(kernel)
+        flow = TaoFlow(constraints=BUDGETS[budget]())
+        baseline = flow.compile_front_end(bench.source)
+        assert_matches_rescan(baseline.function(bench.top), flow.constraints)
+        # The obfuscated front end (constants, branches) schedules too.
+        component = flow.obfuscate(bench.source, bench.top)
+        assert_matches_rescan(component.design.func, flow.constraints)
+
+    @pytest.mark.parametrize("seed", range(52))
+    def test_fuzz_programs(self, seed):
+        generator = ProgramGenerator(seed)
+        source = generator.counted_program() if seed % 4 == 3 else generator.program()
+        module = TaoFlow().compile_front_end(source)
+        for budget in ("default", "tight", "mem-tight"):
+            assert_matches_rescan(module.function("fuzz"), BUDGETS[budget]())

@@ -130,6 +130,43 @@ class TestGraphQueries:
         for src, dst in dfg.edges():
             assert position[src] < position[dst]
 
+    def test_topological_order_is_index_order(self):
+        block = BasicBlock("bb")
+        t0, t1, t2 = Temp(INT32), Temp(INT32), Temp(INT32)
+        block.append(add(t1, const(1), const(2)))
+        block.append(add(t0, const(3), const(4)))
+        block.append(add(t2, t0, t1))
+        block.append(Instruction(Opcode.RET, operands=[t2]))
+        dfg = DataFlowGraph(block)
+        assert dfg.topological_order() == dfg.nodes
+
+    def test_duplicate_edge_added_once(self):
+        block = BasicBlock("bb")
+        t0, t1 = Temp(INT32), Temp(INT32)
+        block.append(add(t0, const(1), const(2)))
+        block.append(add(t1, t0, t0))  # reads t0 twice: one RAW edge
+        block.append(Instruction(Opcode.RET, operands=[t1]))
+        dfg = DataFlowGraph(block)
+        first, second, ret = dfg.nodes
+        assert first.succs == [second]
+        assert second.preds == [first]
+        assert dfg.edges() == [(first, second), (second, ret)]
+
+    @pytest.mark.parametrize("closes_cycle", [True, False])
+    def test_hand_added_back_edge_raises(self, closes_cycle):
+        block = BasicBlock("bb")
+        t0, t1, t2 = Temp(INT32), Temp(INT32), Temp(INT32)
+        block.append(add(t0, const(1), const(2)))
+        block.append(add(t1, t0, const(3)) if closes_cycle else mov(t1, const(3)))
+        block.append(add(t2, t1, const(4)))
+        block.append(Instruction(Opcode.RET, operands=[t2]))
+        dfg = DataFlowGraph(block)
+        dfg.topological_order()
+        first, _second, third, _ret = dfg.nodes
+        dfg._add_edge(third, first)
+        with pytest.raises(ValueError, match="back edge 2 -> 0"):
+            dfg.topological_order()
+
     def test_critical_path_length_of_chain(self):
         block = BasicBlock("bb")
         value = const(1)

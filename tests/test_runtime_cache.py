@@ -15,6 +15,7 @@ from repro.runtime.cache import (
 )
 from repro.sim import Testbench, run_testbench, run_testbench_batch
 from repro.tao import ObfuscationParameters, TaoFlow
+from repro.tao.metrics import validate_component
 
 SOURCE = """
 int kernel(int seed, int out[4]) {
@@ -97,6 +98,25 @@ class TestGoldenCache:
         assert len(calls) == 2
         assert GOLDEN_CACHE.stats.misses == 1
         assert GOLDEN_CACHE.stats.hits == 2 * lanes - 1
+
+    def test_validation_hashes_the_module_once(self, component, monkeypatch):
+        """validate_component's correct-key and wrong-key trials share
+        one fingerprint; the counters still move once per trial."""
+        calls = []
+        fingerprint = cache_module.golden_fingerprint
+
+        def counted(module):
+            calls.append(module)
+            return fingerprint(module)
+
+        monkeypatch.setattr(cache_module, "golden_fingerprint", counted)
+        benches = [BENCH, Testbench(args=[8])]
+        report = validate_component(component, benches, n_keys=4, max_cycles=2000)
+        assert report.correct_key_ok
+        assert len(calls) == 1
+        # Per workload: the correct key misses, the three wrong keys hit.
+        assert GOLDEN_CACHE.stats.misses == 2
+        assert GOLDEN_CACHE.stats.hits == 6
 
     def test_opt_out_bypasses_cache(self, component):
         GOLDEN_CACHE.stats.reset()
